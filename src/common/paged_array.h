@@ -26,6 +26,9 @@ namespace gsr {
 ///    callers must fall back to Read(). A non-null frame pointer stays
 ///    valid until the matching UnpinPage(handle).
 ///  - All methods are safe to call from any thread concurrently.
+///  - PinPage()/UnpinPage() run once per page touch of every descent, so
+///    a hit must be cheap under contention: PageCache serves it with a
+///    few atomics on the frame's own cache line and takes no lock.
 class PagedSource {
  public:
   virtual ~PagedSource() = default;
@@ -66,7 +69,8 @@ struct PagedArray {
 /// Stack-allocated accessor for one traversal over a PagedArray. Holds at
 /// most ONE pinned page at any moment (re-pinning on page change), so a
 /// descent with k live cursors pins at most k frames — the bound the
-/// cache's bypass path relies on to stay deadlock-free.
+/// cache's bypass path relies on to stay deadlock-free. Consecutive
+/// accesses to the pinned page reuse the pin without calling the source.
 ///
 /// IO errors in the access path are process-fatal (GSR_CHECK): a snapshot
 /// file vanishing under a live server is not a recoverable per-query

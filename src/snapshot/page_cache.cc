@@ -11,22 +11,33 @@ PageCache::PageCache(std::shared_ptr<PagedFile> file, const Options& options)
     : file_(std::move(file)), page_size_(options.page_size) {
   GSR_CHECK(file_ != nullptr);
   GSR_CHECK(page_size_ > 0 && (page_size_ & (page_size_ - 1)) == 0);
-  const uint64_t file_pages =
-      (file_->size() + page_size_ - 1) / page_size_;
+  file_pages_ = (file_->size() + page_size_ - 1) / page_size_;
   size_t frames = std::max<size_t>(options.budget_bytes / page_size_,
                                    kMinFrames);
   // Never hold more frames than the file has pages.
-  frames = std::min<uint64_t>(frames, std::max<uint64_t>(file_pages, 1));
+  frames = std::min<uint64_t>(frames, std::max<uint64_t>(file_pages_, 1));
+  GSR_CHECK(frames < kBusy);
   arena_ = std::make_unique<std::byte[]>(frames * page_size_);
-  frames_.resize(frames);
+  num_frames_ = frames;
+  frames_ = std::make_unique<Frame[]>(frames);
+  page_table_ = std::make_unique<std::atomic<uint32_t>[]>(file_pages_);
 }
 
 PageCache::~PageCache() {
 #if !defined(NDEBUG)
-  for (const Frame& frame : frames_) {
-    GSR_DCHECK(frame.pins == 0);
+  for (size_t i = 0; i < num_frames_; ++i) {
+    GSR_DCHECK(frames_[i].state.load(std::memory_order_relaxed) == 0);
   }
 #endif
+}
+
+bool PageCache::Claim(Frame& frame) {
+  // A pin racing this claim either lands first (the CAS fails and the
+  // frame is skipped) or finds kBusy and goes to the slow path.
+  uint32_t expected = 0;
+  return frame.state.compare_exchange_strong(expected, kBusy,
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed);
 }
 
 int PageCache::FindVictim() {
@@ -34,64 +45,85 @@ int PageCache::FindVictim() {
   // second takes the first unreferenced, unpinned, settled frame. 2N
   // steps bound the walk; if nothing is evictable by then, every frame
   // is pinned or loading.
-  const size_t n = frames_.size();
-  for (size_t step = 0; step < 2 * n; ++step) {
+  for (size_t step = 0; step < 2 * num_frames_; ++step) {
     Frame& frame = frames_[hand_];
     const size_t idx = hand_;
-    hand_ = (hand_ + 1) % n;
-    if (frame.pins > 0 || frame.loading) continue;
-    if (frame.valid && frame.ref) {
-      frame.ref = false;
+    hand_ = (hand_ + 1) % num_frames_;
+    if (frame.state.load(std::memory_order_relaxed) != 0) continue;
+    if (frame.ref.load(std::memory_order_relaxed) &&
+        frame.page_no.load(std::memory_order_relaxed) != kNoPage) {
+      frame.ref.store(false, std::memory_order_relaxed);
       continue;
     }
-    return static_cast<int>(idx);
+    if (Claim(frame)) return static_cast<int>(idx);
   }
   return -1;
 }
 
+const std::byte* PageCache::TryPinResident(uint64_t page_no, void** handle) {
+  const uint32_t slot = page_table_[page_no].load(std::memory_order_acquire);
+  if (slot == 0) return nullptr;
+  Frame& frame = frames_[slot - 1];
+  uint32_t state = frame.state.load(std::memory_order_relaxed);
+  do {
+    if ((state & kBusy) != 0) return nullptr;
+  } while (!frame.state.compare_exchange_weak(state, state + 1,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed));
+  // The frame may have been recycled between the table load and the pin;
+  // now that it is pinned it cannot be, so a matching page number means
+  // the frame holds this page.
+  if (frame.page_no.load(std::memory_order_relaxed) != page_no) {
+    frame.state.fetch_sub(1, std::memory_order_release);
+    return nullptr;
+  }
+  if (!frame.ref.load(std::memory_order_relaxed)) {
+    frame.ref.store(true, std::memory_order_relaxed);
+  }
+  frame.hits.fetch_add(1, std::memory_order_relaxed);
+  *handle = reinterpret_cast<void*>(static_cast<uintptr_t>(slot));
+  return FrameData(slot - 1);
+}
+
 const std::byte* PageCache::PinPage(uint64_t page_no, void** handle) {
+  if (page_no >= file_pages_) return nullptr;
+  if (const std::byte* data = TryPinResident(page_no, handle)) return data;
+
   const uint64_t page_off = page_no * page_size_;
-  if (page_off >= file_->size()) return nullptr;
   const size_t load_len = static_cast<size_t>(
       std::min<uint64_t>(page_size_, file_->size() - page_off));
 
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    const auto it = page_to_frame_.find(page_no);
-    if (it != page_to_frame_.end()) {
-      Frame& frame = frames_[it->second];
-      if (frame.loading) {
-        // Another thread is filling this frame; its completion (or
-        // failure) is signalled under the lock.
-        load_done_.wait(lock);
-        continue;
-      }
-      ++frame.pins;
-      frame.ref = true;
-      ++hits_;
-      *handle = reinterpret_cast<void*>(static_cast<uintptr_t>(it->second) + 1);
-      return FrameData(it->second);
+    // Under `mu_` the table is authoritative (it only changes under the
+    // lock), and a frame is kBusy only while its loader is mid-pread.
+    const uint32_t slot = page_table_[page_no].load(std::memory_order_relaxed);
+    if (slot != 0) {
+      if (const std::byte* data = TryPinResident(page_no, handle)) return data;
+      // Another thread is filling this frame; its completion (or
+      // failure) is signalled under the lock.
+      load_done_.wait(lock);
+      continue;
     }
 
     const int victim = FindVictim();
     if (victim < 0) return nullptr;  // All pinned/loading: caller bypasses.
     Frame& frame = frames_[victim];
-    if (frame.valid) {
-      page_to_frame_.erase(frame.page_no);
+    const uint64_t old_page = frame.page_no.load(std::memory_order_relaxed);
+    if (old_page != kNoPage) {
+      page_table_[old_page].store(0, std::memory_order_relaxed);
       ++evictions_;
     }
-    frame.page_no = page_no;
-    frame.valid = false;
-    frame.loading = true;
-    frame.ref = true;
-    frame.pins = 1;
-    page_to_frame_.emplace(page_no, static_cast<uint32_t>(victim));
+    frame.page_no.store(page_no, std::memory_order_relaxed);
+    frame.ref.store(true, std::memory_order_relaxed);
+    page_table_[page_no].store(static_cast<uint32_t>(victim) + 1,
+                               std::memory_order_release);
     ++misses_;
 
     Status status;
     {
-      // The pread runs unlocked; the `loading` flag keeps every other
-      // thread (including the eviction sweep) off this frame meanwhile.
+      // The pread runs unlocked; kBusy keeps every other thread
+      // (including the eviction sweep) off this frame meanwhile.
       lock.unlock();
       std::byte* data = FrameData(static_cast<size_t>(victim));
       status = file_->ReadAt(page_off, load_len, data);
@@ -100,15 +132,15 @@ const std::byte* PageCache::PinPage(uint64_t page_no, void** handle) {
       }
       lock.lock();
     }
-    frame.loading = false;
     if (!status.ok()) {
-      frame.pins = 0;
-      frame.valid = false;
-      page_to_frame_.erase(page_no);
+      page_table_[page_no].store(0, std::memory_order_relaxed);
+      frame.page_no.store(kNoPage, std::memory_order_relaxed);
+      frame.state.store(0, std::memory_order_release);
       load_done_.notify_all();
       return nullptr;
     }
-    frame.valid = true;
+    // Publishes the bytes with the loader's own pin.
+    frame.state.store(1, std::memory_order_release);
     load_done_.notify_all();
     *handle = reinterpret_cast<void*>(static_cast<uintptr_t>(victim) + 1);
     return FrameData(static_cast<size_t>(victim));
@@ -117,9 +149,10 @@ const std::byte* PageCache::PinPage(uint64_t page_no, void** handle) {
 
 void PageCache::UnpinPage(void* handle) {
   const size_t idx = reinterpret_cast<uintptr_t>(handle) - 1;
-  std::lock_guard<std::mutex> lock(mu_);
-  GSR_DCHECK(idx < frames_.size() && frames_[idx].pins > 0);
-  --frames_[idx].pins;
+  GSR_DCHECK(idx < num_frames_);
+  [[maybe_unused]] const uint32_t before =
+      frames_[idx].state.fetch_sub(1, std::memory_order_release);
+  GSR_DCHECK((before & ~kBusy) > 0);
 }
 
 Status PageCache::Read(uint64_t offset, size_t len, void* out) {
@@ -157,7 +190,9 @@ void PageCache::Prefetch(uint64_t offset, size_t len) {
 PageCache::Stats PageCache::GetStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats stats;
-  stats.hits = hits_;
+  for (size_t i = 0; i < num_frames_; ++i) {
+    stats.hits += frames_[i].hits.load(std::memory_order_relaxed);
+  }
   stats.misses = misses_;
   stats.evictions = evictions_;
   stats.bypass_reads = bypass_reads_.load(std::memory_order_relaxed);
@@ -166,7 +201,9 @@ PageCache::Stats PageCache::GetStats() const {
 
 void PageCache::ResetStats() {
   std::lock_guard<std::mutex> lock(mu_);
-  hits_ = 0;
+  for (size_t i = 0; i < num_frames_; ++i) {
+    frames_[i].hits.store(0, std::memory_order_relaxed);
+  }
   misses_ = 0;
   evictions_ = 0;
   bypass_reads_.store(0, std::memory_order_relaxed);
@@ -174,12 +211,16 @@ void PageCache::ResetStats() {
 
 void PageCache::Drop() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < frames_.size(); ++i) {
+  for (size_t i = 0; i < num_frames_; ++i) {
     Frame& frame = frames_[i];
-    if (frame.pins > 0 || frame.loading) continue;
-    if (frame.valid) page_to_frame_.erase(frame.page_no);
-    frame.valid = false;
-    frame.ref = false;
+    if (!Claim(frame)) continue;  // Pinned: survives the drop.
+    const uint64_t page_no = frame.page_no.load(std::memory_order_relaxed);
+    if (page_no != kNoPage) {
+      page_table_[page_no].store(0, std::memory_order_relaxed);
+    }
+    frame.page_no.store(kNoPage, std::memory_order_relaxed);
+    frame.ref.store(false, std::memory_order_relaxed);
+    frame.state.store(0, std::memory_order_release);
   }
   hand_ = 0;
 }

@@ -7,8 +7,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <vector>
 
 #include "common/paged_array.h"
 #include "common/status.h"
@@ -20,7 +18,8 @@ namespace gsr::snapshot {
 /// A fixed-budget page cache over a PagedFile — the PagedSource behind
 /// LoadMode::kPaged. Unlike mmap, residency is explicit: at most
 /// `budget_bytes` of file pages are ever in memory, whatever the index
-/// size, and every hit/miss/eviction is counted.
+/// size, plus a page table of 4 bytes per file page, and every
+/// hit/miss/eviction is counted.
 ///
 /// Replacement is clock (second-chance): frames sit in one arena, a hand
 /// sweeps them circularly, a referenced bit grants one extra sweep of
@@ -35,9 +34,26 @@ namespace gsr::snapshot {
 /// non-blocking on capacity: no pin ever waits on another pin, so
 /// concurrent descents cannot deadlock however small the budget.
 ///
-/// Thread-safe throughout. Frame contents are published to waiters under
-/// the mutex before the frame becomes visible in the page map, and a
-/// frame is never re-used while any pin is outstanding.
+/// Concurrency. A hit takes no lock. Each frame owns one cache line with
+/// a state word — a kBusy bit (frame loading or being recycled) plus the
+/// pin count — its page number, its referenced bit and its hit counter.
+/// A dense page table maps page -> frame + 1 (0 = not resident). A hit
+/// loads the table entry, CASes the pin count up only while kBusy is
+/// clear, and then re-checks the frame's page number: between the table
+/// load and the pin the frame may have been recycled for another page,
+/// and a pinned frame can no longer be recycled, so a matching page
+/// number after the pin proves the bytes are the requested page. On a
+/// mismatch the hit unpins and takes the slow path. UnpinPage is one
+/// atomic decrement.
+///
+/// Misses, evictions and Drop() stay under `mu_`. A victim is claimed
+/// with a CAS of its state from 0 (unpinned, settled) to kBusy, so a
+/// racing pin either wins (the sweep skips the frame) or sees kBusy. The
+/// loader preads unlocked, then publishes the frame with a release store
+/// of state = 1 (its own pin) under `mu_`; threads that met the frame
+/// busy wait on `load_done_`. A failed load resets the frame to state 0
+/// with no page. GetStats() sums the per-frame hit counters, so it is
+/// exact once every pinner is quiescent.
 class PageCache final : public PagedSource {
  public:
   struct Options {
@@ -47,7 +63,8 @@ class PageCache final : public PagedSource {
     size_t page_size = kPageAlignment;
   };
 
-  /// Counter snapshot, drained like query counters.
+  /// Counter snapshot, drained like query counters. Exact once pinners
+  /// are quiescent; a read racing live pins may miss in-flight hits.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;       // Frame loads (each implies one page pread).
@@ -70,8 +87,8 @@ class PageCache final : public PagedSource {
   void UnpinPage(void* handle) override;
   void Prefetch(uint64_t offset, size_t len) override;
 
-  size_t num_frames() const { return frames_.size(); }
-  size_t budget_bytes() const { return frames_.size() * page_size_; }
+  size_t num_frames() const { return num_frames_; }
+  size_t budget_bytes() const { return num_frames_ * page_size_; }
   uint64_t file_size() const { return file_->size(); }
 
   Stats GetStats() const;
@@ -83,34 +100,47 @@ class PageCache final : public PagedSource {
   void Drop();
 
  private:
-  struct Frame {
-    uint64_t page_no = 0;
-    uint32_t pins = 0;
-    bool valid = false;    // Contents match page_no.
-    bool loading = false;  // A thread is mid-pread into this frame.
-    bool ref = false;      // Second-chance bit.
+  static constexpr uint32_t kBusy = 1u << 31;  // State bit; rest = pins.
+  static constexpr uint64_t kNoPage = ~uint64_t{0};
+
+  /// One cache line per frame: a hit writes only its own frame's line.
+  struct alignas(64) Frame {
+    std::atomic<uint32_t> state{0};
+    std::atomic<uint64_t> page_no{kNoPage};  // Written only while kBusy.
+    std::atomic<bool> ref{false};            // Second-chance bit.
+    std::atomic<uint64_t> hits{0};
   };
 
   std::byte* FrameData(size_t idx) {
     return arena_.get() + idx * page_size_;
   }
 
-  /// Clock sweep for a reusable frame; -1 when all are pinned/loading.
-  /// Caller holds `mu_`.
+  /// Lock-free pin of a resident, settled frame holding `page_no`;
+  /// nullptr sends the caller to the locked slow path.
+  const std::byte* TryPinResident(uint64_t page_no, void** handle);
+
+  /// CAS of an unpinned, settled frame's state 0 -> kBusy. Caller holds
+  /// `mu_`.
+  static bool Claim(Frame& frame);
+
+  /// Clock sweep for a reusable frame, returned claimed (state kBusy);
+  /// -1 when all are pinned/loading. Caller holds `mu_`.
   int FindVictim();
 
   const std::shared_ptr<PagedFile> file_;
   const size_t page_size_;
+  uint64_t file_pages_ = 0;
 
   std::unique_ptr<std::byte[]> arena_;
-  std::vector<Frame> frames_;
+  size_t num_frames_ = 0;
+  std::unique_ptr<Frame[]> frames_;
+  /// page -> frame index + 1, 0 when not resident. Written under `mu_`.
+  std::unique_ptr<std::atomic<uint32_t>[]> page_table_;
 
   mutable std::mutex mu_;
   std::condition_variable load_done_;
-  std::unordered_map<uint64_t, uint32_t> page_to_frame_;
   size_t hand_ = 0;
 
-  uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
   std::atomic<uint64_t> bypass_reads_{0};

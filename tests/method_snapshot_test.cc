@@ -175,8 +175,15 @@ TEST(MethodSnapshotTest, PagedConcurrentQueriesShareOneTinyCache) {
 
     exec::ThreadPool pool(exec::ThreadPool::DefaultThreads());
     const RangeReachMethod& method = *loaded->method;
-    pool.ParallelFor(queries.size(), 8, [&](size_t i, unsigned) {
-      GSR_CHECK(method.EvaluateQuery(queries[i]) == (expected[i] != 0));
+    // The scratch-less overload shares the method's DefaultScratch, which
+    // is single-threaded; each worker brings its own.
+    std::vector<std::unique_ptr<QueryScratch>> scratch;
+    for (unsigned w = 0; w < pool.size(); ++w) {
+      scratch.push_back(method.NewScratch());
+    }
+    pool.ParallelFor(queries.size(), 8, [&](size_t i, unsigned worker) {
+      GSR_CHECK(method.EvaluateQuery(queries[i], *scratch[worker]) ==
+                (expected[i] != 0));
     });
 
     const snapshot::PageCache::Stats stats = loaded->page_cache->GetStats();

@@ -6,10 +6,13 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "snapshot/paged_file.h"
 
@@ -19,7 +22,8 @@ namespace {
 /// The explicit-cache contract behind LoadMode::kPaged: a hard frame
 /// budget, clock/second-chance replacement, non-blocking pins (bypass
 /// preads instead of waiting), and exact counter accounting — including
-/// under concurrent readers.
+/// under concurrent readers racing evictions and Drop() on the lock-free
+/// hit path.
 
 constexpr size_t kPage = 256;  // Small pages keep the fixture file tiny.
 constexpr size_t kFullPages = 16;
@@ -242,6 +246,68 @@ TEST(PageCacheTest, ConcurrentReadersAccountExactly) {
     GSR_CHECK(cache->Read(p * kPage, kPage, buf).ok());
     GSR_CHECK(buf[11] == ByteAt(p * kPage + 11));
   });
+}
+
+TEST(PageCacheTest, LockFreeHitsNeverSeeARecycledFrame) {
+  // Every page is filled with its own page number, so a pin that lands on
+  // a frame recycled for another page between the page-table lookup and
+  // the pin (including an ABA recycle back and forth) shows up as wrong
+  // bytes. Four pinners over far more pages than frames keep the clock
+  // recycling frames under their hits, while a fifth thread Drop()s.
+  constexpr size_t kPages = 64;
+  constexpr size_t kWords = kPage / sizeof(uint32_t);
+  std::string path = ::testing::TempDir();
+  if (!path.empty() && path.back() != '/') path += '/';
+  path += "pc_aba.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (uint32_t p = 0; p < kPages; ++p) {
+      const std::vector<uint32_t> words(kWords, p);
+      out.write(reinterpret_cast<const char*>(words.data()), kPage);
+    }
+    ASSERT_TRUE(out.good()) << path;
+  }
+  auto cache = OpenCache(path, PageCache::kMinFrames * kPage);
+  ASSERT_EQ(cache->num_frames(), PageCache::kMinFrames);
+
+  constexpr unsigned kPinners = 4;
+  constexpr uint64_t kTouchesPerThread = 20000;
+  std::atomic<unsigned> running{kPinners};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kPinners; ++t) {
+    threads.emplace_back([&cache, &running, t] {
+      Rng rng(500 + t);
+      uint32_t words[kWords];
+      for (uint64_t i = 0; i < kTouchesPerThread; ++i) {
+        const uint32_t p = static_cast<uint32_t>(rng.NextBounded(kPages));
+        // One touch is one pin, or one aligned page Read when no frame
+        // is free — each lands as exactly one hit, miss or bypass.
+        void* handle = nullptr;
+        const std::byte* data = cache->PinPage(p, &handle);
+        if (data != nullptr) {
+          std::memcpy(words, data, kPage);
+        } else {
+          GSR_CHECK(cache->Read(uint64_t{p} * kPage, kPage, words).ok());
+        }
+        for (size_t w = 0; w < kWords; ++w) GSR_CHECK(words[w] == p);
+        if (data != nullptr) cache->UnpinPage(handle);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&cache, &running] {
+    while (running.load() > 0) {
+      cache->Drop();
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  const PageCache::Stats stats = cache->GetStats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.bypass_reads,
+            kPinners * kTouchesPerThread);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 }  // namespace
