@@ -368,9 +368,8 @@ void BenchFrozenRTree(std::vector<Row>& rows) {
                                rng.NextDoubleInRange(0, 1000)},
                        id});
   }
-  RTreePoints2D tree;
-  tree.BulkLoad(std::move(entries));
-  const FrozenRTreePoints2D frozen = FrozenRTreePoints2D::Freeze(tree);
+  const FrozenRTreePoints2D frozen =
+      FrozenRTreePoints2D::Build(std::move(entries));
 
   std::vector<Rect> queries;
   constexpr size_t kQueries = 1024;

@@ -1,6 +1,6 @@
-// Micro-benchmarks for the R-tree substrate (google-benchmark): STR bulk
-// loading vs repeated insertion (the bulk-load ablation), and the
-// existence/range queries that RangeReach methods issue.
+// Micro-benchmarks for the R-tree substrate (google-benchmark): the STR
+// bulk load into the packed FrozenRTree layout, and the existence/range
+// queries that RangeReach methods issue.
 
 #include <benchmark/benchmark.h>
 
@@ -8,16 +8,16 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "spatial/rtree.h"
+#include "spatial/frozen_rtree.h"
 
 namespace {
 
 using gsr::Box3D;
+using gsr::FrozenRTree2D;
+using gsr::FrozenRTree3D;
 using gsr::Point2D;
 using gsr::Rect;
 using gsr::Rng;
-using gsr::RTree2D;
-using gsr::RTree3D;
 
 std::vector<std::pair<Rect, uint64_t>> MakePoints(size_t n) {
   Rng rng(42);
@@ -35,29 +35,15 @@ std::vector<std::pair<Rect, uint64_t>> MakePoints(size_t n) {
 void BM_RTreeBulkLoad(benchmark::State& state) {
   const auto entries = MakePoints(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    RTree2D tree;
-    auto copy = entries;
-    tree.BulkLoad(std::move(copy));
+    const FrozenRTree2D tree = FrozenRTree2D::Build(entries);
     benchmark::DoNotOptimize(tree.Height());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RTreeBulkLoad)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_RTreeRepeatedInsert(benchmark::State& state) {
-  const auto entries = MakePoints(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    RTree2D tree;
-    for (const auto& [box, id] : entries) tree.Insert(box, id);
-    benchmark::DoNotOptimize(tree.Height());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RTreeRepeatedInsert)->Arg(1000)->Arg(10000);
-
 void BM_RTreeRangeQuery(benchmark::State& state) {
-  RTree2D tree;
-  tree.BulkLoad(MakePoints(100000));
+  const FrozenRTree2D tree = FrozenRTree2D::Build(MakePoints(100000));
   Rng rng(7);
   for (auto _ : state) {
     const double x = rng.NextDoubleInRange(0, 950);
@@ -69,8 +55,7 @@ void BM_RTreeRangeQuery(benchmark::State& state) {
 BENCHMARK(BM_RTreeRangeQuery);
 
 void BM_RTreeExistenceQuery(benchmark::State& state) {
-  RTree2D tree;
-  tree.BulkLoad(MakePoints(100000));
+  const FrozenRTree2D tree = FrozenRTree2D::Build(MakePoints(100000));
   Rng rng(8);
   for (auto _ : state) {
     const double x = rng.NextDoubleInRange(0, 950);
@@ -90,8 +75,7 @@ void BM_RTree3DCuboidQuery(benchmark::State& state) {
                          rng.NextDoubleInRange(0, 100000)),
         i);
   }
-  RTree3D tree;
-  tree.BulkLoad(std::move(entries));
+  const FrozenRTree3D tree = FrozenRTree3D::Build(std::move(entries));
   for (auto _ : state) {
     const double x = rng.NextDoubleInRange(0, 900);
     const double y = rng.NextDoubleInRange(0, 900);

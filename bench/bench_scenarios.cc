@@ -42,7 +42,7 @@
 #include "exec/batch_runner.h"
 #include "exec/query_group.h"
 #include "exec/thread_pool.h"
-#include "spatial/rtree.h"
+#include "spatial/frozen_rtree.h"
 
 namespace {
 
@@ -181,14 +181,14 @@ EnumVsBoolMeasurement MeasureEnumVsRepeatedBool(
 
   // The venue index the emulation scans; apps without RangeReachEnum
   // would hold exactly this.
-  RTreePoints2D venues;
+  FrozenRTreePoints2D venues;
   {
     std::vector<std::pair<Point2D, uint64_t>> entries;
     entries.reserve(network.spatial_vertices().size());
     for (const VertexId v : network.spatial_vertices()) {
       entries.emplace_back(network.PointOf(v), v);
     }
-    venues.BulkLoad(std::move(entries));
+    venues = FrozenRTreePoints2D::Build(std::move(entries));
   }
 
   const std::unique_ptr<QueryScratch> scratch = method.NewScratch();

@@ -7,7 +7,6 @@
 #include "common/binary_io.h"
 #include "core/condensed_network.h"
 #include "spatial/frozen_rtree.h"
-#include "spatial/rtree.h"
 
 namespace gsr {
 
@@ -24,10 +23,9 @@ namespace gsr {
 ///    occupy full rectangles, which is why this variant's index is larger
 ///    and slower (Section 6.2).
 ///
-/// The tree is built with a dynamic RTree (STR bulk load) and immediately
-/// frozen into the packed FrozenRTree layout, which is what queries run
-/// on and what snapshots persist/mmap. Move-only, like every span-backed
-/// structure.
+/// The tree is STR-packed straight into the FrozenRTree layout, which is
+/// what queries run on and what snapshots persist/mmap. Move-only, like
+/// every span-backed structure.
 class CondensedSpatialIndex {
  public:
   /// Builds the R-tree for `cn`. A non-null `pool` runs the STR bulk load
@@ -42,17 +40,13 @@ class CondensedSpatialIndex {
       for (const VertexId v : network.spatial_vertices()) {
         entries.emplace_back(network.PointOf(v), cn->ComponentOf(v));
       }
-      RTreePoints2D tree;
-      tree.BulkLoad(std::move(entries), pool);
-      points_ = FrozenRTreePoints2D::Freeze(tree);
+      points_ = FrozenRTreePoints2D::Build(std::move(entries), pool);
     } else {
       std::vector<std::pair<Rect, uint64_t>> entries;
       for (ComponentId c = 0; c < cn->num_components(); ++c) {
         if (cn->HasSpatialMember(c)) entries.emplace_back(cn->MbrOf(c), c);
       }
-      RTree2D tree;
-      tree.BulkLoad(std::move(entries), pool);
-      boxes_ = FrozenRTree2D::Freeze(tree);
+      boxes_ = FrozenRTree2D::Build(std::move(entries), pool);
     }
   }
 

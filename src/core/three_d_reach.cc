@@ -48,9 +48,7 @@ ThreeDReach::ThreeDReach(const CondensedNetwork* cn, const Options& options,
       entries[i] = {Point3D{p.x, p.y, static_cast<double>(labeling_.post(c))},
                     c};
     });
-    RTreePoints3D tree;
-    tree.BulkLoad(std::move(entries), pool);
-    points_ = FrozenRTreePoints3D::Freeze(tree);
+    points_ = FrozenRTreePoints3D::Build(std::move(entries), pool);
   } else {
     // One flat box (MBR(c) x post(c)) per component with spatial members.
     std::vector<std::pair<Box3D, uint64_t>> entries;
@@ -60,9 +58,7 @@ ThreeDReach::ThreeDReach(const CondensedNetwork* cn, const Options& options,
       entries.emplace_back(
           Box3D::FromRectAndInterval(cn->MbrOf(c), z, z), c);
     }
-    RTree3D tree;
-    tree.BulkLoad(std::move(entries), pool);
-    boxes_ = FrozenRTree3D::Freeze(tree);
+    boxes_ = FrozenRTree3D::Build(std::move(entries), pool);
   }
 }
 
@@ -348,9 +344,7 @@ ThreeDReachRev::ThreeDReachRev(const CondensedNetwork* cn,
       }
     }
   }
-  RTree3D tree;
-  tree.BulkLoad(std::move(entries), pool);
-  rtree_ = FrozenRTree3D::Freeze(tree);
+  rtree_ = FrozenRTree3D::Build(std::move(entries), pool);
 }
 
 bool ThreeDReachRev::Evaluate(VertexId vertex, const Rect& region,

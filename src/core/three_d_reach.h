@@ -9,7 +9,6 @@
 #include "core/range_reach.h"
 #include "labeling/interval_labeling.h"
 #include "spatial/frozen_rtree.h"
-#include "spatial/rtree.h"
 
 namespace gsr {
 

@@ -68,7 +68,7 @@ WorkloadGenerator::WorkloadGenerator(const GeoSocialNetwork* network,
   for (const VertexId v : network->spatial_vertices()) {
     entries.emplace_back(network->PointOf(v), v);
   }
-  points_rtree_.BulkLoad(std::move(entries));
+  points_rtree_ = FrozenRTreePoints2D::Build(std::move(entries));
 }
 
 std::vector<RangeReachQuery> WorkloadGenerator::Generate(

@@ -12,7 +12,7 @@
 #include "core/geosocial_network.h"
 #include "core/range_reach.h"
 #include "core/update_log.h"
-#include "spatial/rtree.h"
+#include "spatial/frozen_rtree.h"
 
 namespace gsr {
 
@@ -172,7 +172,7 @@ class WorkloadGenerator {
 
   const GeoSocialNetwork* network_;
   Rng rng_;
-  RTreePoints2D points_rtree_;  // Exact selectivity counting.
+  FrozenRTreePoints2D points_rtree_;  // Exact selectivity counting.
   // Cache of degree-bucket vertex lists, keyed by (lo, hi).
   std::vector<std::pair<std::pair<uint32_t, uint32_t>, std::vector<VertexId>>>
       bucket_cache_;

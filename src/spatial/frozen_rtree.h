@@ -8,24 +8,63 @@
 #include <memory>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
 #include "common/paged_array.h"
 #include "common/simd.h"
-#include "spatial/rtree.h"
+#include "exec/thread_pool.h"
+#include "geometry/geometry.h"
 
 namespace gsr {
 
-/// The immutable, cache-compact form of a built RTree: every node packed
+/// Geometry traits used by FrozenRTree's queries: a leaf geometry needs
+/// GeomToBox and GeomIntersects against its box type. The STR sort keys
+/// live with the builder in frozen_rtree.cc.
+
+/// Leaf-geometry -> bounding-box conversions.
+inline Rect GeomToBox(const Rect& r) { return r; }
+inline Box3D GeomToBox(const Box3D& b) { return b; }
+inline Rect GeomToBox(const Point2D& p) { return Rect::FromPoint(p); }
+inline Box3D GeomToBox(const Point3D& p) {
+  return Box3D::FromPoint(p.x, p.y, p.z);
+}
+
+/// Query-box vs leaf-geometry intersection tests.
+inline bool GeomIntersects(const Rect& query, const Rect& geom) {
+  return query.Intersects(geom);
+}
+inline bool GeomIntersects(const Box3D& query, const Box3D& geom) {
+  return query.Intersects(geom);
+}
+inline bool GeomIntersects(const Rect& query, const Point2D& geom) {
+  return query.Contains(geom);
+}
+inline bool GeomIntersects(const Box3D& query, const Point3D& geom) {
+  return geom.x >= query.min[0] && geom.x <= query.max[0] &&
+         geom.y >= query.min[1] && geom.y <= query.max[1] &&
+         geom.z >= query.min[2] && geom.z <= query.max[2];
+}
+
+/// A static, Sort-Tile-Recursive packed R-tree: the structure the paper
+/// (and GeoReach before it) uses for the spatial predicate of RangeReach,
+/// built once from a bulk load and only ever queried. Every node is packed
 /// into one contiguous array in breadth-first order, with all child boxes,
 /// child links, leaf geometries and leaf ids pooled into four flat arrays
 /// (SoA) — the spatial analogue of FlatLabelStore. Five allocations for
 /// the whole tree instead of four vectors per node, so a query descent
 /// touches sequential memory and the tree serializes as raw byte ranges.
 ///
+/// `BoxT` is the bounding-box type (Rect or Box3D); `LeafT` is how entries
+/// are *stored* in the leaves. Following the Boost behaviour the paper
+/// relies on, points are stored as genuine points (2 or 3 doubles) while
+/// rectangles, boxes and vertical segments all occupy a full box — this is
+/// exactly why the paper's replicate (non-MBR) SCC variant beats the MBR
+/// one, and why 3DReach-REV sees no difference between them.
+///
 /// The five arrays have three possible backings:
-///  - owned after Freeze (and owned-copy Deserialize);
+///  - owned after Build (and owned-copy Deserialize);
 ///  - borrowed zero-copy from a memory-mapped snapshot section
 ///    (Deserialize with BorrowContext::borrow, `keepalive_` pinning the
 ///    mapping);
@@ -39,10 +78,9 @@ namespace gsr {
 ///    mid-node); smaller node types occasionally straddle and take the
 ///    cursor's bounce-buffer path.
 ///
-/// Entry and child order are preserved exactly from the source RTree, and
-/// ForEachIntersecting recurses in the same order, so a frozen tree
-/// enumerates hits in the identical sequence — methods answer
-/// bit-identically whether they query the dynamic or the frozen form.
+/// Hit order — and with it every method answer — follows from the packed
+/// layout alone, which Build makes identical at any thread count and
+/// snapshots carry byte for byte.
 template <typename BoxT, typename LeafT = BoxT>
 class FrozenRTree {
  public:
@@ -65,10 +103,13 @@ class FrozenRTree {
   FrozenRTree(const FrozenRTree&) = delete;
   FrozenRTree& operator=(const FrozenRTree&) = delete;
 
-  /// Packs `tree` into the frozen layout (node 0 is the root; nodes are
-  /// laid out level by level). The dynamic tree is left untouched and is
-  /// typically discarded right after.
-  static FrozenRTree Freeze(const RTree<BoxT, LeafT>& tree);
+  /// STR-packs `entries` (fanout 32) straight into the frozen layout:
+  /// node 0 is the root and nodes are laid out level by level. When `pool`
+  /// is non-null the tile sorts and leaf packing run on its workers; tile
+  /// boundaries depend only on entry *counts* and the sort comparator is a
+  /// strict total order, so the bytes are identical at any thread count.
+  static FrozenRTree Build(std::vector<std::pair<LeafT, uint64_t>> entries,
+                           exec::ThreadPool* pool = nullptr);
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -78,8 +119,8 @@ class FrozenRTree {
   BoxT Bounds() const { return NumNodes() == 0 ? BoxT() : root_mbr_; }
 
   /// Calls `fn(geom, id)` for every entry intersecting `query` until `fn`
-  /// returns false, in exactly the order the source RTree would. Returns
-  /// true when the visit was stopped early.
+  /// returns false, in packed order. Returns true when the visit was
+  /// stopped early.
   template <typename Fn>
   bool ForEachIntersecting(const BoxT& query, Fn&& fn) const {
     if (NumNodes() == 0) return false;
@@ -138,6 +179,16 @@ class FrozenRTree {
       return true;
     });
     return out;
+  }
+
+  /// Number of entries intersecting `query`.
+  size_t CountIntersecting(const BoxT& query) const {
+    size_t n = 0;
+    ForEachIntersecting(query, [&n](const LeafT&, uint64_t) {
+      ++n;
+      return true;
+    });
+    return n;
   }
 
   /// Multi-query *enumeration*, the collection analogue of
@@ -275,7 +326,7 @@ class FrozenRTree {
   /// SIMD descent: tests a whole node's entries in one mask-kernel call
   /// per <= kMaskWidth chunk instead of one predicate per entry. Set bits
   /// are consumed low-to-high, so entries are still visited in exactly
-  /// the packed (source RTree) order — the bit-identical-answers
+  /// the packed order — the bit-identical-answers
   /// contract. Before recursing, the matched children's node records are
   /// software-prefetched so the next level is (mostly) in cache by the
   /// time the recursion reaches it.
@@ -482,10 +533,13 @@ class FrozenRTree {
   PagedArray<uint64_t> paged_leaf_ids_;
 };
 
-/// Frozen counterparts of the four RTree instantiations.
+/// 2-D tree over rectangles (the MBR SCC variant).
 using FrozenRTree2D = FrozenRTree<Rect, Rect>;
+/// 2-D tree over points (the replicate SCC variant).
 using FrozenRTreePoints2D = FrozenRTree<Rect, Point2D>;
+/// 3-D tree over boxes/segments (3DReach-REV, and 3DReach's MBR variant).
 using FrozenRTree3D = FrozenRTree<Box3D, Box3D>;
+/// 3-D tree over points (3DReach's replicate variant).
 using FrozenRTreePoints3D = FrozenRTree<Box3D, Point3D>;
 
 extern template class FrozenRTree<Rect, Rect>;

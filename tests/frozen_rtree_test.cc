@@ -4,117 +4,58 @@
 #include <cstring>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "exec/thread_pool.h"
 #include "spatial/frozen_rtree.h"
-#include "spatial/rtree.h"
+#include "tests/rtree_test_util.h"
 
 namespace gsr {
 namespace {
 
-/// FrozenRTree's contract: a frozen tree answers every query in exactly
-/// the order the source RTree would (the bit-identical-answers guarantee
-/// snapshot loading is built on), and survives a serialize round trip in
-/// both owned-copy and borrowed (mmap-style) modes.
+/// FrozenRTree's storage contract: the packed byte layout is pinned by the
+/// golden digests below (the bit-identical-answers guarantee snapshot
+/// loading is built on), the tree survives a serialize round trip in both
+/// owned-copy and borrowed (mmap-style) modes, and the masked multi-query
+/// descents answer exactly as the per-query ones. The full query-semantics
+/// suite against a linear scan is in rtree_test.cc.
 
-std::vector<std::pair<Point2D, uint64_t>> RandomPoints(size_t n,
-                                                       uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::pair<Point2D, uint64_t>> entries;
-  entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    entries.emplace_back(Point2D{rng.NextDoubleInRange(0, 100),
-                                 rng.NextDoubleInRange(0, 100)},
-                         static_cast<uint64_t>(i));
-  }
-  return entries;
-}
+using testing::ExpectMatchesLinearScan;
+using testing::ExpectWellFormed;
+using testing::RandomPoints;
+using testing::RandomQueryRect;
+using testing::RandomQueryBoxes;
+using testing::RandomSegments;
 
-std::vector<std::pair<Box3D, uint64_t>> RandomSegments(size_t n,
-                                                       uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::pair<Box3D, uint64_t>> entries;
-  entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double z_lo = rng.NextDoubleInRange(0, 50);
-    entries.emplace_back(
-        Box3D::VerticalSegment(rng.NextDoubleInRange(0, 100),
-                               rng.NextDoubleInRange(0, 100), z_lo,
-                               z_lo + rng.NextDoubleInRange(0, 50)),
-        static_cast<uint64_t>(i));
-  }
-  return entries;
-}
-
-Rect RandomQueryRect(Rng& rng) {
-  const double x = rng.NextDoubleInRange(-10, 100);
-  const double y = rng.NextDoubleInRange(-10, 100);
-  return Rect(x, y, x + rng.NextDoubleInRange(0, 40),
-              y + rng.NextDoubleInRange(0, 40));
-}
-
-template <typename BoxT, typename LeafT>
-void ExpectAgreesWithDynamic(const RTree<BoxT, LeafT>& dynamic,
-                             const FrozenRTree<BoxT, LeafT>& frozen,
-                             const std::vector<BoxT>& queries) {
-  EXPECT_EQ(frozen.size(), dynamic.size());
-  EXPECT_EQ(frozen.Height(), dynamic.Height());
-  EXPECT_EQ(frozen.SizeBytes() > 0, dynamic.size() > 0);
-  for (const BoxT& query : queries) {
-    EXPECT_EQ(frozen.AnyIntersecting(query), dynamic.AnyIntersecting(query));
-    // Same hits in the same order, not merely the same set.
-    EXPECT_EQ(frozen.CollectIntersecting(query),
-              dynamic.CollectIntersecting(query));
-  }
-}
-
-TEST(FrozenRTreeTest, AgreesWithBulkLoadedPoints2D) {
-  RTreePoints2D dynamic;
-  dynamic.BulkLoad(RandomPoints(500, 11));
-  const auto frozen = FrozenRTreePoints2D::Freeze(dynamic);
+TEST(FrozenRTreeTest, AgreesWithLinearScanPoints2D) {
+  const auto entries = RandomPoints(500, 11);
+  const auto frozen = FrozenRTreePoints2D::Build(entries);
+  ExpectWellFormed(frozen);
   Rng rng(12);
   std::vector<Rect> queries;
   for (int q = 0; q < 200; ++q) queries.push_back(RandomQueryRect(rng));
-  ExpectAgreesWithDynamic(dynamic, frozen, queries);
+  ExpectMatchesLinearScan(entries, frozen, queries);
 }
 
-TEST(FrozenRTreeTest, AgreesWithIncrementallyBuiltPoints2D) {
-  RTreePoints2D dynamic;
-  for (const auto& [point, id] : RandomPoints(400, 21)) {
-    dynamic.Insert(point, id);
-  }
-  const auto frozen = FrozenRTreePoints2D::Freeze(dynamic);
-  Rng rng(22);
-  std::vector<Rect> queries;
-  for (int q = 0; q < 200; ++q) queries.push_back(RandomQueryRect(rng));
-  ExpectAgreesWithDynamic(dynamic, frozen, queries);
-}
-
-TEST(FrozenRTreeTest, AgreesWithSegments3D) {
-  RTree3D dynamic;
-  dynamic.BulkLoad(RandomSegments(500, 31));
-  const auto frozen = FrozenRTree3D::Freeze(dynamic);
+TEST(FrozenRTreeTest, AgreesWithLinearScanSegments3D) {
+  const auto entries = RandomSegments(500, 31);
+  const auto frozen = FrozenRTree3D::Build(entries);
+  ExpectWellFormed(frozen);
   Rng rng(32);
-  std::vector<Box3D> queries;
-  for (int q = 0; q < 200; ++q) {
-    queries.push_back(Box3D::FromRectAndInterval(
-        RandomQueryRect(rng), rng.NextDoubleInRange(0, 50),
-        rng.NextDoubleInRange(50, 100)));
-  }
-  ExpectAgreesWithDynamic(dynamic, frozen, queries);
+  ExpectMatchesLinearScan(entries, frozen, RandomQueryBoxes(rng, 200));
 }
 
 TEST(FrozenRTreeTest, MaskedDescentMatchesPerQueryExistence) {
   // AnyIntersectingMasked (one shared descent answering up to 64
   // existence queries) must return exactly the per-query AnyIntersecting
   // bits, for every pending-mask shape and at every kernel level.
-  RTree3D dynamic;
-  dynamic.BulkLoad(RandomSegments(700, 61));
-  const auto frozen = FrozenRTree3D::Freeze(dynamic);
+  const auto frozen = FrozenRTree3D::Build(RandomSegments(700, 61));
 
   Rng rng(62);
   for (const simd::KernelLevel level :
@@ -146,14 +87,16 @@ TEST(FrozenRTreeTest, MaskedDescentMatchesPerQueryExistence) {
   // Empty pending mask and empty tree are both no-ops.
   Box3D one = Box3D::FromRectAndInterval(Rect(0, 0, 100, 100), 0, 100);
   EXPECT_EQ(frozen.AnyIntersectingMasked(&one, 0), 0u);
-  const auto empty = FrozenRTree3D::Freeze(RTree3D());
+  const auto empty = FrozenRTree3D::Build({});
   EXPECT_EQ(empty.AnyIntersectingMasked(&one, ~uint64_t{0}), 0u);
 }
 
 TEST(FrozenRTreeTest, EmptyTree) {
-  const auto frozen = FrozenRTreePoints2D::Freeze(RTreePoints2D());
+  const auto frozen = FrozenRTreePoints2D::Build({});
+  ExpectWellFormed(frozen);
   EXPECT_TRUE(frozen.empty());
   EXPECT_EQ(frozen.size(), 0u);
+  EXPECT_EQ(frozen.Height(), 0);
   EXPECT_FALSE(frozen.AnyIntersecting(Rect(0, 0, 100, 100)));
   EXPECT_TRUE(frozen.Bounds().IsEmpty());
 
@@ -165,10 +108,24 @@ TEST(FrozenRTreeTest, EmptyTree) {
   EXPECT_TRUE(restored->empty());
 }
 
+template <typename BoxT, typename LeafT>
+void ExpectRestoredAgrees(
+    const std::vector<std::pair<LeafT, uint64_t>>& entries,
+    const FrozenRTree<BoxT, LeafT>& built,
+    const FrozenRTree<BoxT, LeafT>& restored,
+    const std::vector<BoxT>& queries) {
+  EXPECT_EQ(restored.Height(), built.Height());
+  ExpectMatchesLinearScan(entries, restored, queries);
+  for (const BoxT& query : queries) {
+    // Same hits in the same order, not merely the same set.
+    EXPECT_EQ(restored.CollectIntersecting(query),
+              built.CollectIntersecting(query));
+  }
+}
+
 TEST(FrozenRTreeTest, SerializeRoundTripBothModes) {
-  RTreePoints2D dynamic;
-  dynamic.BulkLoad(RandomPoints(600, 41));
-  const auto frozen = FrozenRTreePoints2D::Freeze(dynamic);
+  const auto entries = RandomPoints(600, 41);
+  const auto frozen = FrozenRTreePoints2D::Build(entries);
 
   BinaryWriter writer;
   frozen.SerializeTo(writer);
@@ -184,7 +141,7 @@ TEST(FrozenRTreeTest, SerializeRoundTripBothModes) {
     BinaryReader reader(*buffer);
     auto restored = FrozenRTreePoints2D::Deserialize(reader, BorrowContext{});
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    ExpectAgreesWithDynamic(dynamic, *restored, queries);
+    ExpectRestoredAgrees(entries, frozen, *restored, queries);
   }
   {
     BinaryReader reader(*buffer);
@@ -193,7 +150,7 @@ TEST(FrozenRTreeTest, SerializeRoundTripBothModes) {
     borrow.keepalive = buffer;
     auto restored = FrozenRTreePoints2D::Deserialize(reader, borrow);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    ExpectAgreesWithDynamic(dynamic, *restored, queries);
+    ExpectRestoredAgrees(entries, frozen, *restored, queries);
   }
 }
 
@@ -201,9 +158,7 @@ TEST(FrozenRTreeTest, MaskedEnumerationMatchesPerQueryOrder) {
   // ForEachIntersectingMasked's contract: for every live query k, hits
   // arrive in exactly ForEachIntersecting(queries[k]) order, whatever
   // the mask shape and kernel level. Dead mask bits must never fire.
-  RTreePoints2D dynamic;
-  dynamic.BulkLoad(RandomPoints(900, 61));
-  const auto frozen = FrozenRTreePoints2D::Freeze(dynamic);
+  const auto frozen = FrozenRTreePoints2D::Build(RandomPoints(900, 61));
 
   Rng rng(62);
   std::vector<Rect> queries;
@@ -244,13 +199,7 @@ TEST(FrozenRTreeTest, MaskedEnumerationMatchesPerQueryOrder) {
 
 TEST(FrozenRTreeTest, MaskedEnumerationBoxesVariant) {
   // Same contract on the Box3D tree (the 3DReach MBR-mode shape).
-  RTree<Box3D, Box3D> dynamic;
-  std::vector<std::pair<Box3D, uint64_t>> entries;
-  for (auto& [segment, id] : RandomSegments(700, 71)) {
-    entries.emplace_back(segment, id);
-  }
-  dynamic.BulkLoad(std::move(entries));
-  const auto frozen = FrozenRTree<Box3D, Box3D>::Freeze(dynamic);
+  const auto frozen = FrozenRTree3D::Build(RandomSegments(700, 71));
 
   Rng rng(72);
   std::vector<Box3D> queries;
@@ -285,10 +234,8 @@ TEST(FrozenRTreeTest, MaskedEnumerationOnEmptyTree) {
 }
 
 TEST(FrozenRTreeTest, CorruptChildLinkIsRejected) {
-  RTreePoints2D dynamic;
-  dynamic.BulkLoad(RandomPoints(600, 51));
-  const auto frozen = FrozenRTreePoints2D::Freeze(dynamic);
-  ASSERT_GT(dynamic.Height(), 1);  // Need internal nodes to corrupt a link.
+  const auto frozen = FrozenRTreePoints2D::Build(RandomPoints(600, 51));
+  ASSERT_GT(frozen.Height(), 1);  // Need internal nodes to corrupt a link.
 
   BinaryWriter writer;
   frozen.SerializeTo(writer);
@@ -324,6 +271,96 @@ TEST(FrozenRTreeTest, CorruptChildLinkIsRejected) {
   ASSERT_FALSE(restored.ok());
   EXPECT_NE(restored.status().message().find("child link"), std::string::npos)
       << restored.status().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Golden layout. The STR packing is part of the on-disk format: snapshot
+// bytes, kPaged page-touch patterns and the hit order of every query follow
+// from it. These XXH64 digests of SerializeTo pin the packed bytes of all
+// four instantiations on inputs with tied coordinates (a 16-step grid) and
+// duplicate ids, serial and on a pool. A builder change that moves one byte
+// fails here.
+
+double GridCoord(Rng& rng) { return static_cast<double>(rng.NextBounded(16)); }
+
+template <typename LeafT>
+LeafT GoldenGeom(Rng& rng) {
+  if constexpr (std::is_same_v<LeafT, Point2D>) {
+    const double x = GridCoord(rng);
+    return Point2D{x, GridCoord(rng)};
+  } else if constexpr (std::is_same_v<LeafT, Point3D>) {
+    const double x = GridCoord(rng);
+    const double y = GridCoord(rng);
+    return Point3D{x, y, GridCoord(rng)};
+  } else if constexpr (std::is_same_v<LeafT, Rect>) {
+    const double x = GridCoord(rng);
+    const double y = GridCoord(rng);
+    const double w = GridCoord(rng) / 4;
+    return Rect(x, y, x + w, y + GridCoord(rng) / 4);
+  } else {
+    const double x = GridCoord(rng);
+    const double y = GridCoord(rng);
+    const double z = GridCoord(rng);
+    return Box3D::VerticalSegment(x, y, z, z + GridCoord(rng));
+  }
+}
+
+template <typename LeafT>
+std::vector<std::pair<LeafT, uint64_t>> GoldenEntries(size_t n,
+                                                      uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<LeafT, uint64_t>> entries;
+  for (size_t i = 0; i < n; ++i) {
+    // Roughly every other id repeats.
+    entries.emplace_back(GoldenGeom<LeafT>(rng), rng.NextBounded(n / 2 + 1));
+  }
+  return entries;
+}
+
+template <typename BoxT, typename LeafT>
+uint64_t LayoutDigest(const FrozenRTree<BoxT, LeafT>& tree) {
+  BinaryWriter writer;
+  tree.SerializeTo(writer);
+  return XxHash64(writer.bytes().data(), writer.bytes().size());
+}
+
+template <typename BoxT, typename LeafT>
+void ExpectGoldenLayout(uint64_t seed, const uint64_t (&digests)[4]) {
+  const size_t sizes[4] = {0, 1, 33, 5000};
+  exec::ThreadPool pool(4);
+  for (int i = 0; i < 4; ++i) {
+    const auto entries = GoldenEntries<LeafT>(sizes[i], seed + i);
+    EXPECT_EQ(LayoutDigest(FrozenRTree<BoxT, LeafT>::Build(entries)),
+              digests[i])
+        << "n = " << sizes[i];
+    EXPECT_EQ(LayoutDigest(FrozenRTree<BoxT, LeafT>::Build(entries, &pool)),
+              digests[i])
+        << "n = " << sizes[i] << " on 4 threads";
+  }
+}
+
+TEST(FrozenRTreeGoldenTest, Points2D) {
+  ExpectGoldenLayout<Rect, Point2D>(
+      101, {0x980d0b8e72041fe5ull, 0xd06d51b92b5b3b3aull,
+            0x1812480c1fe39b1dull, 0xbaacdadaa984b9d3ull});
+}
+
+TEST(FrozenRTreeGoldenTest, Rects2D) {
+  ExpectGoldenLayout<Rect, Rect>(
+      201, {0x980d0b8e72041fe5ull, 0xa4017c731cad1ef5ull,
+            0x35185da5eba78064ull, 0x67a52889a6997d79ull});
+}
+
+TEST(FrozenRTreeGoldenTest, Points3D) {
+  ExpectGoldenLayout<Box3D, Point3D>(
+      301, {0x980d0b8e72041fe5ull, 0x4362d232d6ed414dull,
+            0x808dd0c89032f757ull, 0xe081a218aaee79f4ull});
+}
+
+TEST(FrozenRTreeGoldenTest, Segments3D) {
+  ExpectGoldenLayout<Box3D, Box3D>(
+      401, {0x980d0b8e72041fe5ull, 0x1e190abc0fb788feull,
+            0x26096b199c2f60e7ull, 0x1822e3ce7c52d8d6ull});
 }
 
 }  // namespace

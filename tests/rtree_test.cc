@@ -1,29 +1,39 @@
-#include "spatial/rtree.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "spatial/frozen_rtree.h"
+#include "tests/rtree_test_util.h"
 
 namespace gsr {
 namespace {
 
+/// R-tree query semantics: FrozenRTree::Build STR-packs a well-formed tree
+/// whose queries return exactly what a linear scan over the input returns,
+/// for points and boxes in 2-D and 3-D, at every size around the fanout
+/// and its square, with duplicates, flat plane queries and closed
+/// (boundary-inclusive) boxes.
+
+using testing::ExpectMatchesLinearScan;
+using testing::ExpectWellFormed;
+using testing::RandomPoints;
+using testing::RandomQueryRect;
+
 std::vector<std::pair<Rect, uint64_t>> RandomPoints2D(size_t n,
                                                       uint64_t seed) {
-  Rng rng(seed);
   std::vector<std::pair<Rect, uint64_t>> entries;
   entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    entries.emplace_back(Rect::FromPoint(Point2D{rng.NextDoubleInRange(0, 100),
-                                                 rng.NextDoubleInRange(0, 100)}),
-                         i);
+  for (const auto& [p, id] : RandomPoints(n, seed)) {
+    entries.emplace_back(Rect::FromPoint(p), id);
   }
   return entries;
 }
 
+/// Cuboids with extent in x, y and z (up to 5 along each axis).
 std::vector<std::pair<Box3D, uint64_t>> RandomBoxes3D(size_t n,
                                                       uint64_t seed) {
   Rng rng(seed);
@@ -41,110 +51,55 @@ std::vector<std::pair<Box3D, uint64_t>> RandomBoxes3D(size_t n,
   return entries;
 }
 
-template <typename BoxT>
-std::set<uint64_t> LinearScan(
-    const std::vector<std::pair<BoxT, uint64_t>>& entries, const BoxT& query) {
-  std::set<uint64_t> out;
-  for (const auto& [box, id] : entries) {
-    if (box.Intersects(query)) out.insert(id);
-  }
-  return out;
-}
-
 TEST(RTreeTest, EmptyTree) {
-  RTree2D tree;
+  const auto tree = FrozenRTree2D::Build({});
+  ExpectWellFormed(tree);
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.Height(), 0);
   EXPECT_FALSE(tree.AnyIntersecting(Rect(0, 0, 100, 100)));
-  EXPECT_TRUE(tree.CheckInvariants());
   EXPECT_TRUE(tree.Bounds().IsEmpty());
 }
 
 TEST(RTreeTest, SingleEntry) {
-  RTree2D tree;
-  tree.Insert(Rect::FromPoint(Point2D{5, 5}), 42);
+  const auto tree =
+      FrozenRTree2D::Build({{Rect::FromPoint(Point2D{5, 5}), 42}});
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.Height(), 1);
+  EXPECT_EQ(tree.Bounds(), Rect(5, 5, 5, 5));
   EXPECT_TRUE(tree.AnyIntersecting(Rect(0, 0, 10, 10)));
   EXPECT_FALSE(tree.AnyIntersecting(Rect(6, 6, 10, 10)));
   EXPECT_EQ(tree.CollectIntersecting(Rect(0, 0, 10, 10)),
             std::vector<uint64_t>{42});
 }
 
-TEST(RTreeTest, InsertMatchesLinearScan) {
-  const auto entries = RandomPoints2D(2000, 11);
-  RTree2D tree;
-  for (const auto& [box, id] : entries) tree.Insert(box, id);
-  EXPECT_EQ(tree.size(), entries.size());
-  EXPECT_TRUE(tree.CheckInvariants());
-
-  Rng rng(99);
-  for (int q = 0; q < 50; ++q) {
-    const double x = rng.NextDoubleInRange(0, 100);
-    const double y = rng.NextDoubleInRange(0, 100);
-    const Rect query(x, y, x + rng.NextDoubleInRange(0, 30),
-                     y + rng.NextDoubleInRange(0, 30));
-    const auto got = tree.CollectIntersecting(query);
-    const std::set<uint64_t> got_set(got.begin(), got.end());
-    EXPECT_EQ(got_set, LinearScan(entries, query));
-    EXPECT_EQ(got.size(), got_set.size()) << "duplicate results";
-  }
-}
-
 TEST(RTreeTest, BulkLoadMatchesLinearScan) {
-  auto entries = RandomPoints2D(5000, 21);
-  RTree2D tree;
-  tree.BulkLoad(entries);
-  EXPECT_EQ(tree.size(), entries.size());
-  EXPECT_TRUE(tree.CheckInvariants());
-
+  const auto entries = RandomPoints2D(5000, 21);
+  const auto tree = FrozenRTree2D::Build(entries);
+  ExpectWellFormed(tree);
   Rng rng(77);
+  std::vector<Rect> queries;
   for (int q = 0; q < 50; ++q) {
     const double x = rng.NextDoubleInRange(0, 100);
     const double y = rng.NextDoubleInRange(0, 100);
-    const Rect query(x, y, x + rng.NextDoubleInRange(0, 20),
-                     y + rng.NextDoubleInRange(0, 20));
-    const auto got = tree.CollectIntersecting(query);
-    const std::set<uint64_t> got_set(got.begin(), got.end());
-    EXPECT_EQ(got_set, LinearScan(entries, query));
+    queries.emplace_back(x, y, x + rng.NextDoubleInRange(0, 20),
+                         y + rng.NextDoubleInRange(0, 20));
   }
-}
-
-TEST(RTreeTest, BulkLoadThenInsertMixed) {
-  auto entries = RandomPoints2D(1000, 31);
-  RTree2D tree;
-  tree.BulkLoad(entries);
-  auto more = RandomPoints2D(500, 32);
-  for (auto& [box, id] : more) {
-    id += 1000;
-    tree.Insert(box, id);
-  }
-  EXPECT_EQ(tree.size(), 1500u);
-  EXPECT_TRUE(tree.CheckInvariants());
-
-  std::vector<std::pair<Rect, uint64_t>> all = entries;
-  all.insert(all.end(), more.begin(), more.end());
-  const Rect query(10, 10, 60, 60);
-  const auto got = tree.CollectIntersecting(query);
-  EXPECT_EQ(std::set<uint64_t>(got.begin(), got.end()),
-            LinearScan(all, query));
+  ExpectMatchesLinearScan(entries, tree, queries);
 }
 
 TEST(RTreeTest, CountIntersecting) {
-  auto entries = RandomPoints2D(1000, 41);
-  RTree2D tree;
-  tree.BulkLoad(entries);
+  const auto entries = RandomPoints2D(1000, 41);
+  const auto tree = FrozenRTree2D::Build(entries);
   const Rect query(25, 25, 75, 75);
-  EXPECT_EQ(tree.CountIntersecting(query), LinearScan(entries, query).size());
+  EXPECT_EQ(tree.CountIntersecting(query),
+            testing::LinearScan(entries, query).size());
 }
 
 TEST(RTreeTest, EarlyTerminationStopsVisit) {
-  auto entries = RandomPoints2D(1000, 51);
-  RTree2D tree;
-  tree.BulkLoad(entries);
+  const auto tree = FrozenRTreePoints2D::Build(RandomPoints(1000, 51));
   int visits = 0;
-  const bool stopped =
-      tree.ForEachIntersecting(Rect(0, 0, 100, 100), [&](const Rect&, uint64_t) {
+  const bool stopped = tree.ForEachIntersecting(
+      Rect(0, 0, 100, 100), [&](const Point2D&, uint64_t) {
         ++visits;
         return visits < 5;
       });
@@ -153,190 +108,126 @@ TEST(RTreeTest, EarlyTerminationStopsVisit) {
 }
 
 TEST(RTree3DTest, BoxQueriesMatchLinearScan) {
-  auto entries = RandomBoxes3D(3000, 61);
-  RTree3D tree;
-  tree.BulkLoad(entries);
-  EXPECT_TRUE(tree.CheckInvariants());
-
+  const auto entries = RandomBoxes3D(3000, 61);
+  const auto tree = FrozenRTree3D::Build(entries);
+  ExpectWellFormed(tree);
   Rng rng(62);
+  std::vector<Box3D> queries;
   for (int q = 0; q < 40; ++q) {
     const double x = rng.NextDoubleInRange(0, 100);
     const double y = rng.NextDoubleInRange(0, 100);
     const double z = rng.NextDoubleInRange(0, 100);
-    const Box3D query(x, y, z, x + 15, y + 15, z + 15);
-    const auto got = tree.CollectIntersecting(query);
-    EXPECT_EQ(std::set<uint64_t>(got.begin(), got.end()),
-              LinearScan(entries, query));
+    queries.emplace_back(x, y, z, x + 15, y + 15, z + 15);
   }
+  ExpectMatchesLinearScan(entries, tree, queries);
 }
 
 TEST(RTree3DTest, PlaneQueryOverVerticalSegments) {
   // The 3DReach-REV shape: segments at (x, y) spanning z ranges, queried
-  // with flat planes.
+  // with flat planes. Plane z = 25 cuts the segments with i in [15, 25].
   std::vector<std::pair<Box3D, uint64_t>> entries;
   for (int i = 0; i < 100; ++i) {
-    entries.emplace_back(
-        Box3D::VerticalSegment(i, i, i, i + 10), static_cast<uint64_t>(i));
+    entries.emplace_back(Box3D::VerticalSegment(i, i, i, i + 10),
+                         static_cast<uint64_t>(i));
   }
-  RTree3D tree;
-  tree.BulkLoad(entries);
-
-  // Plane z = 25 over the whole xy extent: cuts segments with z-range
-  // covering 25, i.e. i in [15, 25].
+  const auto tree = FrozenRTree3D::Build(entries);
   const Box3D plane = Box3D::FromRectAndInterval(Rect(0, 0, 100, 100), 25, 25);
-  const auto got = tree.CollectIntersecting(plane);
-  std::set<uint64_t> expected;
-  for (uint64_t i = 15; i <= 25; ++i) expected.insert(i);
-  EXPECT_EQ(std::set<uint64_t>(got.begin(), got.end()), expected);
-}
-
-TEST(RTreeTest, InsertBuiltTreeRespectsFill) {
-  // Insert-built trees must respect min/max fill on non-root nodes; the
-  // structural check also validates MBR coverage.
-  RTree2D::Options options;
-  options.max_entries = 8;
-  options.min_entries = 3;
-  RTree2D tree(options);
-  auto entries = RandomPoints2D(500, 71);
-  for (const auto& [box, id] : entries) tree.Insert(box, id);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_GT(tree.Height(), 1);
+  std::vector<uint64_t> got = tree.CollectIntersecting(plane);
+  std::sort(got.begin(), got.end());
+  std::vector<uint64_t> expected;
+  for (uint64_t i = 15; i <= 25; ++i) expected.push_back(i);
+  EXPECT_EQ(got, expected);
 }
 
 TEST(RTreeTest, DuplicatePointsAllSurface) {
-  RTree2D tree;
-  for (uint64_t i = 0; i < 50; ++i) {
-    tree.Insert(Rect::FromPoint(Point2D{1, 1}), i);
-  }
-  EXPECT_EQ(tree.CountIntersecting(Rect(0, 0, 2, 2)), 50u);
+  // Identical points, half of them sharing ids: every entry is its own
+  // hit, and tiling bitwise-identical entries still packs a valid tree.
+  std::vector<std::pair<Point2D, uint64_t>> entries;
+  for (uint64_t i = 0; i < 100; ++i) entries.push_back({Point2D{1, 1}, i / 2});
+  const auto tree = FrozenRTreePoints2D::Build(entries);
+  ExpectWellFormed(tree);
+  EXPECT_EQ(tree.CountIntersecting(Rect(0, 0, 2, 2)), 100u);
+  ExpectMatchesLinearScan(entries, tree, {Rect(0, 0, 2, 2), Rect(1, 1, 1, 1),
+                                          Rect(1.5, 0, 2, 2)});
 }
 
 TEST(RTreeTest, SizeBytesGrowsWithContent) {
-  RTree2D small;
-  small.BulkLoad(RandomPoints2D(100, 81));
-  RTree2D large;
-  large.BulkLoad(RandomPoints2D(10000, 82));
+  const auto small = FrozenRTree2D::Build(RandomPoints2D(100, 81));
+  const auto large = FrozenRTree2D::Build(RandomPoints2D(10000, 82));
   EXPECT_GT(large.SizeBytes(), small.SizeBytes());
 }
 
 class RTreeParamTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(RTreeParamTest, BulkLoadAllSizesQueryExactly) {
+  // Sizes around the fanout (31..33) and its square (1023..1025) cross
+  // the tile-count and tree-height boundaries.
   const size_t n = GetParam();
-  auto entries = RandomPoints2D(n, 1000 + n);
-  RTree2D tree;
-  tree.BulkLoad(entries);
-  EXPECT_EQ(tree.size(), n);
-  EXPECT_TRUE(tree.CheckInvariants());
-  const Rect query(20, 20, 55, 55);
-  const auto got = tree.CollectIntersecting(query);
-  EXPECT_EQ(std::set<uint64_t>(got.begin(), got.end()),
-            LinearScan(entries, query));
+  const auto entries = RandomPoints2D(n, 1000 + n);
+  const auto tree = FrozenRTree2D::Build(entries);
+  ExpectWellFormed(tree);
+  EXPECT_EQ(tree.Height() == 1, n <= 32);
+  Rng rng(n);
+  std::vector<Rect> queries{Rect(20, 20, 55, 55)};
+  for (int q = 0; q < 20; ++q) queries.push_back(RandomQueryRect(rng));
+  ExpectMatchesLinearScan(entries, tree, queries);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, RTreeParamTest,
-                         ::testing::Values(1, 2, 31, 32, 33, 100, 1024, 1025,
-                                           4096, 20000));
+                         ::testing::Values(1, 2, 31, 32, 33, 100, 1023, 1024,
+                                           1025, 4096, 20000));
 
 // --- Point-leaf storage (the replicate-variant representation) ---
-
-std::vector<std::pair<Point2D, uint64_t>> RandomPointGeoms2D(size_t n,
-                                                             uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::pair<Point2D, uint64_t>> entries;
-  entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    entries.emplace_back(Point2D{rng.NextDoubleInRange(0, 100),
-                                 rng.NextDoubleInRange(0, 100)},
-                         i);
-  }
-  return entries;
-}
 
 TEST(RTreePointsTest, PointLeavesMatchBoxLeaves) {
   // The same data stored as points and as degenerate rectangles must give
   // identical query answers.
-  const auto point_entries = RandomPointGeoms2D(3000, 91);
-  std::vector<std::pair<Rect, uint64_t>> box_entries;
-  for (const auto& [p, id] : point_entries) {
-    box_entries.emplace_back(Rect::FromPoint(p), id);
-  }
-  RTreePoints2D points;
-  points.BulkLoad(point_entries);
-  RTree2D boxes;
-  boxes.BulkLoad(box_entries);
-  EXPECT_TRUE(points.CheckInvariants());
-
+  const auto point_entries = RandomPoints(3000, 91);
+  const auto points = FrozenRTreePoints2D::Build(point_entries);
+  const auto boxes = FrozenRTree2D::Build(RandomPoints2D(3000, 91));
+  ExpectWellFormed(points);
   Rng rng(92);
   for (int q = 0; q < 60; ++q) {
     const double x = rng.NextDoubleInRange(0, 90);
     const double y = rng.NextDoubleInRange(0, 90);
     const Rect query(x, y, x + rng.NextDoubleInRange(0, 25),
                      y + rng.NextDoubleInRange(0, 25));
-    auto a = points.CollectIntersecting(query);
-    auto b = boxes.CollectIntersecting(query);
-    EXPECT_EQ(std::set<uint64_t>(a.begin(), a.end()),
-              std::set<uint64_t>(b.begin(), b.end()));
+    EXPECT_EQ(points.CollectIntersecting(query),
+              boxes.CollectIntersecting(query));
   }
 }
 
 TEST(RTreePointsTest, PointStorageIsSmaller) {
   // The point representation is why the paper's non-MBR variant has the
   // smaller index (Section 6.2): 2 doubles per leaf entry instead of 4.
-  const auto point_entries = RandomPointGeoms2D(20000, 93);
-  std::vector<std::pair<Rect, uint64_t>> box_entries;
-  for (const auto& [p, id] : point_entries) {
-    box_entries.emplace_back(Rect::FromPoint(p), id);
-  }
-  RTreePoints2D points;
-  points.BulkLoad(point_entries);
-  RTree2D boxes;
-  boxes.BulkLoad(box_entries);
+  const auto points = FrozenRTreePoints2D::Build(RandomPoints(20000, 93));
+  const auto boxes = FrozenRTree2D::Build(RandomPoints2D(20000, 93));
   EXPECT_LT(points.SizeBytes(), boxes.SizeBytes());
-}
-
-TEST(RTreePointsTest, InsertPath) {
-  RTreePoints2D tree;
-  const auto entries = RandomPointGeoms2D(800, 94);
-  for (const auto& [p, id] : entries) tree.Insert(p, id);
-  EXPECT_TRUE(tree.CheckInvariants());
-  const Rect query(20, 20, 70, 70);
-  size_t expected = 0;
-  for (const auto& [p, id] : entries) {
-    if (query.Contains(p)) ++expected;
-  }
-  EXPECT_EQ(tree.CountIntersecting(query), expected);
 }
 
 TEST(RTreePoints3DTest, CuboidQueries) {
   Rng rng(95);
   std::vector<std::pair<Point3D, uint64_t>> entries;
-  for (size_t i = 0; i < 5000; ++i) {
+  for (uint64_t i = 0; i < 5000; ++i) {
     entries.emplace_back(Point3D{rng.NextDoubleInRange(0, 100),
                                  rng.NextDoubleInRange(0, 100),
                                  rng.NextDoubleInRange(0, 1000)},
                          i);
   }
-  RTreePoints3D tree;
-  tree.BulkLoad(entries);
-  EXPECT_TRUE(tree.CheckInvariants());
+  const auto tree = FrozenRTreePoints3D::Build(entries);
+  ExpectWellFormed(tree);
+  std::vector<Box3D> queries;
   for (int q = 0; q < 40; ++q) {
     const double x = rng.NextDoubleInRange(0, 80);
     const double y = rng.NextDoubleInRange(0, 80);
     const double z = rng.NextDoubleInRange(0, 800);
-    const Box3D cuboid(x, y, z, x + 20, y + 20, z + 200);
-    std::set<uint64_t> expected;
-    for (const auto& [p, id] : entries) {
-      if (GeomIntersects(cuboid, p)) expected.insert(id);
-    }
-    const auto got = tree.CollectIntersecting(cuboid);
-    EXPECT_EQ(std::set<uint64_t>(got.begin(), got.end()), expected);
+    queries.emplace_back(x, y, z, x + 20, y + 20, z + 200);
   }
+  ExpectMatchesLinearScan(entries, tree, queries);
 }
 
 TEST(RTreePoints3DTest, BoundaryInclusive) {
-  RTreePoints3D tree;
-  tree.Insert(Point3D{5, 5, 10}, 1);
+  const auto tree = FrozenRTreePoints3D::Build({{Point3D{5, 5, 10}, 1}});
   EXPECT_TRUE(tree.AnyIntersecting(Box3D(5, 5, 10, 6, 6, 11)));
   EXPECT_TRUE(tree.AnyIntersecting(Box3D(4, 4, 9, 5, 5, 10)));
   EXPECT_FALSE(tree.AnyIntersecting(Box3D(5.1, 5, 10, 6, 6, 11)));

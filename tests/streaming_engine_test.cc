@@ -165,12 +165,17 @@ TEST_P(ReadWhileUpdateTest, ConcurrentReadersSeeExactAnswers) {
   };
   std::vector<std::vector<Sample>> samples(readers);
   std::atomic<bool> done{false};
+  // Readers that have taken their first sample. The writer starts only
+  // once all are running, so a loaded machine cannot schedule the whole
+  // update stream before any reader (which would leave nothing to verify).
+  std::atomic<unsigned> started{0};
 
   std::vector<std::thread> reader_threads;
   for (unsigned r = 0; r < readers; ++r) {
     reader_threads.emplace_back([&, r] {
       Rng rng(1000 + r);
-      while (!done.load(std::memory_order_acquire)) {
+      for (bool first = true; !done.load(std::memory_order_acquire);
+           first = false) {
         const auto view = engine.Pin();
         auto scratch = view->NewScratch();
         for (int q = 0; q < 16; ++q) {
@@ -184,10 +189,14 @@ TEST_P(ReadWhileUpdateTest, ConcurrentReadersSeeExactAnswers) {
             samples[r].push_back(Sample{view->position(), v, region, answer});
           }
         }
+        if (first) started.fetch_add(1, std::memory_order_release);
       }
     });
   }
 
+  while (started.load(std::memory_order_acquire) < readers) {
+    std::this_thread::yield();
+  }
   for (const Update& update : stream) {
     ASSERT_TRUE(engine.Apply(update).ok());
   }
