@@ -308,16 +308,6 @@ bool GeoReachMethod::EvaluateAny(std::span<const VertexId> sources,
   return false;
 }
 
-void GeoReachMethod::DrainScratchCounters(QueryScratch& scratch) const {
-  if (IsDefaultScratch(scratch)) return;
-  Scratch& s = static_cast<Scratch&>(scratch);
-  Counters& into = MutableCounters();
-  into.queries += s.counters.queries;
-  into.vertices_visited += s.counters.vertices_visited;
-  into.pruned += s.counters.pruned;
-  s.counters = Counters{};
-}
-
 size_t GeoReachMethod::IndexSizeBytes() const {
   // The SPA-graph augmentation: one class tag per vertex, an RMBR per
   // R-vertex, a cell list per G-vertex (plus its exact RMBR, which our

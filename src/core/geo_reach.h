@@ -62,20 +62,13 @@ class GeoReachMethod : public RangeReachMethod {
   explicit GeoReachMethod(const CondensedNetwork* cn)
       : GeoReachMethod(cn, Options{}) {}
 
-  /// Per-query traversal counters: GeoReach's cost is the SPA-graph BFS.
-  struct Counters {
-    uint64_t queries = 0;
-    uint64_t vertices_visited = 0;  // Components popped by the BFS.
-    uint64_t pruned = 0;            // Visits answered kPrune.
-  };
-
-  /// Per-thread BFS state (epoch-stamped marks + frontier) and counters.
+  /// Per-thread BFS state (epoch-stamped marks + frontier). GeoReach's
+  /// cost is the SPA-graph BFS, which vertices_visited and pruned count.
   struct Scratch : QueryScratch {
     explicit Scratch(uint32_t num_components) : mark(num_components, 0) {}
     std::vector<uint32_t> mark;
     std::vector<ComponentId> queue;
     uint32_t epoch = 0;
-    Counters counters;
   };
 
   std::unique_ptr<QueryScratch> NewScratch() const override {
@@ -103,8 +96,6 @@ class GeoReachMethod : public RangeReachMethod {
   using RangeReachMethod::Evaluate;
   using RangeReachMethod::EvaluateAny;
 
-  void DrainScratchCounters(QueryScratch& scratch) const override;
-
   std::string name() const override { return "GeoReach"; }
 
   size_t IndexSizeBytes() const override;
@@ -124,9 +115,6 @@ class GeoReachMethod : public RangeReachMethod {
     uint64_t g = 0;
   };
   ClassCounts CountClasses() const;
-
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
 
  private:
   friend struct MethodSnapshotAccess;
@@ -149,10 +137,6 @@ class GeoReachMethod : public RangeReachMethod {
   /// Collection-BFS prune test: true only when the SPA-graph entry of
   /// `c` proves no spatial vertex reachable from `c` lies in `region`.
   bool PruneForCollect(ComponentId c, const Rect& region) const;
-
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
-  }
 
   const CondensedNetwork* cn_;
   Options options_;

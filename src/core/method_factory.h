@@ -13,22 +13,6 @@
 
 namespace gsr {
 
-/// The RangeReach evaluation methods of the experimental analysis
-/// (Section 6.1), plus the index-free ground truth and the cost-based
-/// planner that routes each query across a portfolio of them.
-enum class MethodKind {
-  kNaiveBfs,
-  kSpaReachBfl,
-  kSpaReachInt,
-  kSpaReachPll,
-  kSpaReachFeline,
-  kGeoReach,
-  kSocReach,
-  kThreeDReach,
-  kThreeDReachRev,
-  kPlanner,
-};
-
 /// Returns e.g. "SpaReach-BFL".
 const char* MethodKindName(MethodKind kind);
 

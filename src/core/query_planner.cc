@@ -1,6 +1,7 @@
 #include "core/query_planner.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <limits>
 #include <utility>
@@ -518,15 +519,7 @@ void PlannedMethod::DrainScratchCounters(QueryScratch& scratch) const {
   for (size_t m = 0; m < members_.size(); ++m) {
     members_[m]->DrainScratchCounters(*s.member_scratch[m]);
   }
-  if (IsDefaultScratch(scratch)) return;
-  Counters& into = MutableCounters();
-  into.queries += s.counters.queries;
-  into.settled_negative += s.counters.settled_negative;
-  into.settled_positive += s.counters.settled_positive;
-  for (size_t i = 0; i < kKindCount; ++i) {
-    into.routed[i] += s.counters.routed[i];
-  }
-  s.counters = Counters{};
+  RangeReachMethod::DrainScratchCounters(scratch);
 }
 
 size_t PlannedMethod::IndexSizeBytes() const {

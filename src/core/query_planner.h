@@ -1,7 +1,6 @@
 #ifndef GSR_CORE_QUERY_PLANNER_H_
 #define GSR_CORE_QUERY_PLANNER_H_
 
-#include <array>
 #include <memory>
 #include <span>
 #include <string>
@@ -53,10 +52,6 @@ Observations BuildNetworkObservations(const CondensedNetwork& cn,
 /// snapshot layer like any fixed method.
 class PlannedMethod : public RangeReachMethod {
  public:
-  /// One entry past the last MethodKind, for routed-query histograms.
-  static constexpr size_t kKindCount =
-      static_cast<size_t>(MethodKind::kPlanner) + 1;
-
   /// Fitted cost model of one portfolio member:
   /// cost_ns(query) = base_ns + per_unit_ns * feature(query).
   struct CostModel {
@@ -64,24 +59,12 @@ class PlannedMethod : public RangeReachMethod {
     double per_unit_ns = 0.0;
   };
 
-  /// Planner-level counters. Member-level counters (probe counts, their
-  /// own settles on routed queries) stay on the members and are drained
-  /// through them.
-  struct Counters {
-    uint64_t queries = 0;
-    /// Queries answered FALSE by stage 1 (empty region or no reachable
-    /// spatial vertex) without routing.
-    uint64_t settled_negative = 0;
-    /// Boolean queries answered TRUE by a reachable witness point.
-    uint64_t settled_positive = 0;
-    /// Routed queries per member kind (indexed by MethodKind).
-    std::array<uint64_t, kKindCount> routed{};
-  };
-
-  /// Composite per-thread state: one scratch per member plus the
-  /// planner's own counters and gather buffers for the grouped paths.
+  /// Composite per-thread state: one scratch per member plus gather
+  /// buffers for the grouped paths. The planner's own counters count
+  /// stage-1 settles and routed queries per member kind; member-level
+  /// counters (probe counts, their own settles on routed queries) stay
+  /// on the member scratches and are drained through the members.
   struct Scratch : QueryScratch {
-    Counters counters;
     std::vector<std::unique_ptr<QueryScratch>> member_scratch;
     // Grouped-path staging: per-region route, gathered regions/slots of
     // the member currently executing, and its boolean answer buffer
@@ -120,14 +103,13 @@ class PlannedMethod : public RangeReachMethod {
   using RangeReachMethod::Evaluate;
   using RangeReachMethod::EvaluateAny;
 
+  /// Drains every member scratch through its member, then the planner's
+  /// own counters through the base.
   void DrainScratchCounters(QueryScratch& scratch) const override;
 
   std::string name() const override { return "Planner"; }
 
   size_t IndexSizeBytes() const override;
-
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
 
   size_t num_members() const { return members_.size(); }
   const RangeReachMethod& member(size_t i) const { return *members_[i]; }
@@ -181,10 +163,6 @@ class PlannedMethod : public RangeReachMethod {
   /// (no-op without spatial vertices or with calibration_samples == 0 —
   /// the deterministic defaults stay).
   void Calibrate();
-
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
-  }
 
   const CondensedNetwork* cn_;
   PlannerOptions options_;

@@ -1,6 +1,7 @@
 #ifndef GSR_CORE_RANGE_REACH_H_
 #define GSR_CORE_RANGE_REACH_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -35,19 +36,27 @@ struct AnyReachQuery {
   Rect region;
 };
 
-/// Per-thread mutable query state (buffers, visited marks, cost counters).
-///
-/// Index structures are immutable after construction, so the only thing
-/// that stops Evaluate from running concurrently is its scratch space.
-/// A scratch is created by the method that will consume it (NewScratch)
-/// and must only ever be handed back to that same method; one scratch must
-/// not be used by two threads at the same time, but any number of threads
-/// may evaluate against the same method with one scratch each. Methods
-/// with no per-query state use this base class directly.
-class QueryScratch {
- public:
-  virtual ~QueryScratch() = default;
+/// The RangeReach evaluation methods of the experimental analysis
+/// (Section 6.1), plus the index-free ground truth and the cost-based
+/// planner that routes each query across a portfolio of them.
+enum class MethodKind {
+  kNaiveBfs,
+  kSpaReachBfl,
+  kSpaReachInt,
+  kSpaReachPll,
+  kSpaReachFeline,
+  kGeoReach,
+  kSocReach,
+  kThreeDReach,
+  kThreeDReachRev,
+  kPlanner,
 };
+
+/// One entry past the last MethodKind, for per-kind tallies.
+inline constexpr size_t kMethodKindCount =
+    static_cast<size_t>(MethodKind::kPlanner) + 1;
+
+class QueryScratch;
 
 /// Common interface of all RangeReach evaluation methods. Implementations
 /// build their (immutable) index structures in their constructor.
@@ -60,7 +69,45 @@ class QueryScratch {
 /// or with counter accessors.
 class RangeReachMethod {
  public:
-  virtual ~RangeReachMethod() = default;
+  /// Per-query cost counters: the units of work that explain each
+  /// method's cost in the paper's analysis. A method bumps only the
+  /// fields of its own work; the rest stay zero. Every scratch carries
+  /// one (so worker threads count without synchronization) and the
+  /// method's aggregate lives on DefaultScratch.
+  struct Counters {
+    uint64_t queries = 0;
+    /// Observation pre-check hits: whole queries, and for SpaReach also
+    /// per-candidate probes, settled without touching the index.
+    uint64_t settled_negative = 0;
+    uint64_t settled_positive = 0;
+    uint64_t candidates = 0;         // SpaReach: SRange results materialized.
+    uint64_t greach_calls = 0;       // SpaReach: reachability probes issued.
+    uint64_t descendants = 0;        // SocReach: |D(v)| summed over queries.
+    uint64_t containment_tests = 0;  // SocReach: spatial tests run.
+    uint64_t range_queries = 0;      // 3DReach: cuboids issued.
+    uint64_t vertices_visited = 0;   // GeoReach: components popped by the BFS.
+    uint64_t pruned = 0;             // GeoReach: visits answered kPrune.
+    /// Planner: routed queries per member kind (indexed by MethodKind).
+    std::array<uint64_t, kMethodKindCount> routed{};
+
+    Counters& operator+=(const Counters& other) {
+      queries += other.queries;
+      settled_negative += other.settled_negative;
+      settled_positive += other.settled_positive;
+      candidates += other.candidates;
+      greach_calls += other.greach_calls;
+      descendants += other.descendants;
+      containment_tests += other.containment_tests;
+      range_queries += other.range_queries;
+      vertices_visited += other.vertices_visited;
+      pruned += other.pruned;
+      for (size_t k = 0; k < routed.size(); ++k) routed[k] += other.routed[k];
+      return *this;
+    }
+    bool operator==(const Counters&) const = default;
+  };
+
+  virtual ~RangeReachMethod();
 
   /// Answers RangeReach(G, vertex, region) using `scratch` — which must
   /// come from this method's NewScratch() — for all mutable state.
@@ -150,20 +197,22 @@ class RangeReachMethod {
   }
 
   /// Creates a scratch for this method. One per thread.
-  virtual std::unique_ptr<QueryScratch> NewScratch() const {
-    return std::make_unique<QueryScratch>();
-  }
+  virtual std::unique_ptr<QueryScratch> NewScratch() const;
 
-  /// Folds the per-query cost counters accumulated in `scratch` into the
-  /// method's aggregate counters (the ones its counters() accessor
-  /// exposes, kept on DefaultScratch) and zeroes them in `scratch`, so a
-  /// scratch can be drained after every batch without double counting.
-  /// Calls must be serialized by the caller (BatchRunner drains worker
-  /// scratches one at a time after the batch completes). No-op for
-  /// methods without counters and for the default scratch itself.
-  virtual void DrainScratchCounters(QueryScratch& scratch) const {
-    (void)scratch;
-  }
+  /// Folds the cost counters accumulated in `scratch` into the method's
+  /// aggregate (counters(), kept on DefaultScratch) and zeroes them in
+  /// `scratch`, so a scratch can be drained after every batch without
+  /// double counting. Calls must be serialized by the caller (BatchRunner
+  /// drains worker scratches one at a time after the batch completes).
+  /// No-op for the default scratch itself. Overrides fan out to state the
+  /// base does not know about (planner members, labeling backends) and
+  /// then call this.
+  virtual void DrainScratchCounters(QueryScratch& scratch) const;
+
+  /// The aggregate counters: serial calls on DefaultScratch plus every
+  /// drained scratch. Single-threaded, like the DefaultScratch API.
+  const Counters& counters() const;
+  void ResetCounters() const;
 
   /// Answers RangeReach(G, vertex, region) on the method-owned scratch.
   /// Single-threaded convenience API; not safe for concurrent callers.
@@ -226,19 +275,14 @@ class RangeReachMethod {
     return EvaluateAny(query.sources, query.region, DefaultScratch());
   }
 
-  /// The scratch behind the single-threaded API, lazily created. Concrete
-  /// methods keep their aggregate counters here, which is what makes
-  /// counters() reflect both serial calls and drained batch runs. The
+  /// The scratch behind the single-threaded API, lazily created. Its
+  /// counters are the method's aggregate, which is what makes counters()
+  /// reflect both serial calls and drained batch runs. The
   /// create check is a single predicted-not-taken branch, so convenience
   /// calls pay no lazy-init cost after the first (no lock, no per-call
   /// allocation) — but the scratch itself is shared mutable state, which
   /// is why hot multi-threaded paths pass an explicit NewScratch().
-  QueryScratch& DefaultScratch() const {
-    if (default_scratch_ == nullptr) [[unlikely]] {
-      default_scratch_ = NewScratch();
-    }
-    return *default_scratch_;
-  }
+  QueryScratch& DefaultScratch() const;
 
   /// Attaches the O(1) observation pre-checks (src/labeling/observations)
   /// consulted by the wired query paths: SocReach, SpaReach and the
@@ -289,6 +333,50 @@ class RangeReachMethod {
   mutable std::unique_ptr<QueryScratch> default_scratch_;
   const Observations* observations_ = nullptr;
 };
+
+/// Per-thread mutable query state (buffers, visited marks, cost counters).
+///
+/// Index structures are immutable after construction, so the only thing
+/// that stops Evaluate from running concurrently is its scratch space.
+/// A scratch is created by the method that will consume it (NewScratch)
+/// and must only ever be handed back to that same method; one scratch must
+/// not be used by two threads at the same time, but any number of threads
+/// may evaluate against the same method with one scratch each. Methods
+/// with no per-query state beyond the counters use this class directly.
+class QueryScratch {
+ public:
+  virtual ~QueryScratch() = default;
+
+  RangeReachMethod::Counters counters;
+};
+
+inline RangeReachMethod::~RangeReachMethod() = default;
+
+inline std::unique_ptr<QueryScratch> RangeReachMethod::NewScratch() const {
+  return std::make_unique<QueryScratch>();
+}
+
+inline QueryScratch& RangeReachMethod::DefaultScratch() const {
+  if (default_scratch_ == nullptr) [[unlikely]] {
+    default_scratch_ = NewScratch();
+  }
+  return *default_scratch_;
+}
+
+inline void RangeReachMethod::DrainScratchCounters(
+    QueryScratch& scratch) const {
+  if (IsDefaultScratch(scratch)) return;
+  DefaultScratch().counters += scratch.counters;
+  scratch.counters = Counters{};
+}
+
+inline const RangeReachMethod::Counters& RangeReachMethod::counters() const {
+  return DefaultScratch().counters;
+}
+
+inline void RangeReachMethod::ResetCounters() const {
+  DefaultScratch().counters = Counters{};
+}
 
 }  // namespace gsr
 

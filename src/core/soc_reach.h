@@ -41,20 +41,11 @@ class SocReach : public RangeReachMethod {
                                           IntervalLabeling::Options{}, pool)) {}
   explicit SocReach(const CondensedNetwork* cn) : SocReach(cn, Options{}) {}
 
-  /// Per-query cost counters: SocReach's cost is dominated by the size of
-  /// the materialized descendant sets.
-  struct Counters {
-    uint64_t queries = 0;
-    uint64_t descendants = 0;        // |D(v)| summed over queries.
-    uint64_t containment_tests = 0;  // Spatial tests until the first hit.
-    uint64_t settled_negative = 0;   // Queries proven FALSE by pre-checks.
-    uint64_t settled_positive = 0;   // Queries proven TRUE by pre-checks.
-  };
-
-  /// Per-thread state: the reusable D(v) buffer plus counters.
+  /// Per-thread state: the reusable D(v) buffer. SocReach's cost is
+  /// dominated by the size of the materialized descendant sets, which the
+  /// descendants counter tracks.
   struct Scratch : QueryScratch {
     std::vector<VertexId> descendants;
-    Counters counters;
   };
 
   std::unique_ptr<QueryScratch> NewScratch() const override {
@@ -211,21 +202,6 @@ class SocReach : public RangeReachMethod {
 
   using RangeReachMethod::Evaluate;
 
-  void DrainScratchCounters(QueryScratch& scratch) const override {
-    if (IsDefaultScratch(scratch)) return;
-    Scratch& s = static_cast<Scratch&>(scratch);
-    Counters& into = MutableCounters();
-    into.queries += s.counters.queries;
-    into.descendants += s.counters.descendants;
-    into.containment_tests += s.counters.containment_tests;
-    into.settled_negative += s.counters.settled_negative;
-    into.settled_positive += s.counters.settled_positive;
-    s.counters = Counters{};
-  }
-
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
-
   const Options& options() const { return options_; }
 
   std::string name() const override { return "SocReach"; }
@@ -241,10 +217,6 @@ class SocReach : public RangeReachMethod {
   SocReach(const CondensedNetwork* cn, const Options& options,
            IntervalLabeling labeling)
       : cn_(cn), options_(options), labeling_(std::move(labeling)) {}
-
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
-  }
 
   const CondensedNetwork* cn_;
   Options options_;

@@ -28,26 +28,11 @@ namespace gsr {
 /// reachability backend is injected by the subclass.
 class SpaReachBase : public RangeReachMethod {
  public:
-  /// Per-query cost counters (accumulated across Evaluate calls; reset
-  /// with ResetCounters). Explains the method's sensitivity to the
-  /// spatial selectivity: every candidate inside the region may cost one
-  /// GReach probe.
-  struct Counters {
-    uint64_t queries = 0;
-    uint64_t candidates = 0;    // SRange results materialized.
-    uint64_t greach_calls = 0;  // Reachability probes issued.
-    /// Pre-check hits (attached observations): whole queries *and*
-    /// per-candidate probes settled without touching the backend.
-    uint64_t settled_negative = 0;
-    uint64_t settled_positive = 0;
-  };
-
   /// Per-thread state shared by every spatial-first method: the SRange
-  /// result buffer plus counters. Backends with their own search state
-  /// (BFL, Feline) derive from it.
+  /// result buffer. Backends with their own search state (BFL, Feline)
+  /// derive from it.
   struct Scratch : QueryScratch {
     std::vector<std::pair<ComponentId, bool>> candidates;
-    Counters counters;
     /// Group-shared GReach memo (SpaReachInt::EvaluateGroup): the probe
     /// result per component, epoch-stamped so resetting between groups is
     /// O(1) instead of O(#components). Lazily sized on first grouped call.
@@ -294,22 +279,6 @@ class SpaReachBase : public RangeReachMethod {
   using RangeReachMethod::Evaluate;
   using RangeReachMethod::EvaluateAny;
 
-  void DrainScratchCounters(QueryScratch& scratch) const override {
-    if (IsDefaultScratch(scratch)) return;
-    Scratch& s = static_cast<Scratch&>(scratch);
-    Counters& into = MutableCounters();
-    into.queries += s.counters.queries;
-    into.candidates += s.counters.candidates;
-    into.greach_calls += s.counters.greach_calls;
-    into.settled_negative += s.counters.settled_negative;
-    into.settled_positive += s.counters.settled_positive;
-    s.counters = Counters{};
-    DrainBackendCounters(s);
-  }
-
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
-
   std::string name() const override {
     std::string out = base_name_;
     if (spatial_index_.mode() == SccSpatialMode::kMbr) out += " (mbr)";
@@ -350,19 +319,10 @@ class SpaReachBase : public RangeReachMethod {
     return 0;
   }
 
-  /// Folds backend counters (e.g. BFL's) out of `scratch`; default none.
-  virtual void DrainBackendCounters(Scratch& scratch) const {
-    (void)scratch;
-  }
-
   const CondensedNetwork* cn_;
   CondensedSpatialIndex spatial_index_;
 
  private:
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
-  }
-
   std::string base_name_;
 };
 
@@ -397,6 +357,12 @@ class SpaReachBfl : public SpaReachBase {
 
   const BflIndex& bfl() const { return bfl_; }
 
+  /// The spatial-first counters plus BFL's own (BflIndex::counters()).
+  void DrainScratchCounters(QueryScratch& scratch) const override {
+    SpaReachBase::DrainScratchCounters(scratch);
+    bfl_.DrainScratchCounters(static_cast<Scratch&>(scratch).bfl);
+  }
+
  protected:
   bool CanReachComponent(ComponentId from, ComponentId to,
                          SpaReachBase::Scratch& scratch) const override {
@@ -404,10 +370,6 @@ class SpaReachBfl : public SpaReachBase {
     // advances live, exactly like standalone BflIndex usage.
     if (IsDefaultScratch(scratch)) return bfl_.CanReach(from, to);
     return bfl_.CanReach(from, to, static_cast<Scratch&>(scratch).bfl);
-  }
-
-  void DrainBackendCounters(SpaReachBase::Scratch& scratch) const override {
-    bfl_.DrainScratchCounters(static_cast<Scratch&>(scratch).bfl);
   }
 
  private:
@@ -654,16 +616,18 @@ class SpaReachFeline : public SpaReachBase {
 
   const FelineIndex& feline() const { return feline_; }
 
+  /// The spatial-first counters plus Feline's own (FelineIndex::counters()).
+  void DrainScratchCounters(QueryScratch& scratch) const override {
+    SpaReachBase::DrainScratchCounters(scratch);
+    feline_.DrainScratchCounters(static_cast<Scratch&>(scratch).feline);
+  }
+
  protected:
   bool CanReachComponent(ComponentId from, ComponentId to,
                          SpaReachBase::Scratch& scratch) const override {
     // Serial path: index-owned scratch keeps feline().counters() live.
     if (IsDefaultScratch(scratch)) return feline_.CanReach(from, to);
     return feline_.CanReach(from, to, static_cast<Scratch&>(scratch).feline);
-  }
-
-  void DrainBackendCounters(SpaReachBase::Scratch& scratch) const override {
-    feline_.DrainScratchCounters(static_cast<Scratch&>(scratch).feline);
   }
 
  private:

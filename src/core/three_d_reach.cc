@@ -64,7 +64,7 @@ ThreeDReach::ThreeDReach(const CondensedNetwork* cn, const Options& options,
 
 bool ThreeDReach::Evaluate(VertexId vertex, const Rect& region,
                            QueryScratch& scratch) const {
-  Counters& counters = static_cast<Scratch&>(scratch).counters;
+  Counters& counters = scratch.counters;
   ++counters.queries;
   const ComponentId source = cn_->ComponentOf(vertex);
   // Observation pre-checks settle the whole query — every label's
@@ -117,7 +117,7 @@ void ThreeDReach::EvaluateGroup(VertexId vertex,
     RangeReachMethod::EvaluateGroup(vertex, regions, out, scratch);
     return;
   }
-  Counters& counters = static_cast<Scratch&>(scratch).counters;
+  Counters& counters = scratch.counters;
   const ComponentId source = cn_->ComponentOf(vertex);
   const auto labels = labeling_.Labels(source).intervals();
   Box3D cuboids[simd::kMaskWidth];
@@ -280,17 +280,6 @@ bool ThreeDReach::EvaluateAny(std::span<const VertexId> sources,
   return flush();
 }
 
-void ThreeDReach::DrainScratchCounters(QueryScratch& scratch) const {
-  if (IsDefaultScratch(scratch)) return;
-  Counters& from = static_cast<Scratch&>(scratch).counters;
-  Counters& into = MutableCounters();
-  into.queries += from.queries;
-  into.range_queries += from.range_queries;
-  into.settled_negative += from.settled_negative;
-  into.settled_positive += from.settled_positive;
-  from = Counters{};
-}
-
 std::string ThreeDReach::name() const {
   std::string out = "3DReach";
   if (options_.scc_mode == SccSpatialMode::kMbr) out += " (mbr)";
@@ -349,7 +338,7 @@ ThreeDReachRev::ThreeDReachRev(const CondensedNetwork* cn,
 
 bool ThreeDReachRev::Evaluate(VertexId vertex, const Rect& region,
                               QueryScratch& scratch) const {
-  Counters& counters = static_cast<Scratch&>(scratch).counters;
+  Counters& counters = scratch.counters;
   ++counters.queries;
   const ComponentId source = cn_->ComponentOf(vertex);
   // Observation pre-checks settle the whole query without the plane
@@ -511,16 +500,6 @@ bool ThreeDReachRev::EvaluateAny(std::span<const VertexId> sources,
     if (filled == simd::kMaskWidth && flush()) return true;
   }
   return flush();
-}
-
-void ThreeDReachRev::DrainScratchCounters(QueryScratch& scratch) const {
-  if (IsDefaultScratch(scratch)) return;
-  Counters& from = static_cast<Scratch&>(scratch).counters;
-  Counters& into = MutableCounters();
-  into.queries += from.queries;
-  into.settled_negative += from.settled_negative;
-  into.settled_positive += from.settled_positive;
-  from = Counters{};
 }
 
 std::string ThreeDReachRev::name() const {

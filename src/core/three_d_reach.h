@@ -39,20 +39,12 @@ class ThreeDReach : public RangeReachMethod {
   explicit ThreeDReach(const CondensedNetwork* cn)
       : ThreeDReach(cn, Options{}) {}
 
-  /// Per-query counters: one 3-D existence query per label of the query
-  /// vertex (until a hit).
-  struct Counters {
-    uint64_t queries = 0;
-    uint64_t range_queries = 0;   // Cuboids issued.
-    uint64_t settled_negative = 0;  // Queries proven FALSE by pre-checks.
-    uint64_t settled_positive = 0;  // Queries proven TRUE by pre-checks.
-  };
-
-  /// Per-thread state: counters plus the collection-path dedup marks
-  /// (the replicate tree yields one hit per member point, but a
-  /// component's members must be emitted once).
+  /// Per-thread state: the collection-path dedup marks (the replicate
+  /// tree yields one hit per member point, but a component's members must
+  /// be emitted once). The range_queries counter tracks the dominant
+  /// cost: one 3-D existence query per label of the query vertex (until
+  /// a hit).
   struct Scratch : QueryScratch {
-    Counters counters;
     SeenMarks seen;
     GroupSeenMarks group_seen;
   };
@@ -98,8 +90,6 @@ class ThreeDReach : public RangeReachMethod {
   using RangeReachMethod::Evaluate;
   using RangeReachMethod::EvaluateAny;
 
-  void DrainScratchCounters(QueryScratch& scratch) const override;
-
   std::string name() const override;
 
   size_t IndexSizeBytes() const override {
@@ -107,9 +97,6 @@ class ThreeDReach : public RangeReachMethod {
   }
 
   const IntervalLabeling& labeling() const { return labeling_; }
-
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
 
  private:
   friend struct MethodSnapshotAccess;
@@ -129,10 +116,6 @@ class ThreeDReach : public RangeReachMethod {
     return options_.scc_mode == SccSpatialMode::kReplicate
                ? points_.SizeBytes()
                : boxes_.SizeBytes();
-  }
-
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
   }
 
   const CondensedNetwork* cn_;
@@ -161,19 +144,10 @@ class ThreeDReachRev : public RangeReachMethod {
   explicit ThreeDReachRev(const CondensedNetwork* cn)
       : ThreeDReachRev(cn, Options{}) {}
 
-  /// Per-query counters: pre-check settles only — the plane probe
-  /// itself issues exactly one 3-D query per RangeReach, so there is
-  /// nothing else to count.
-  struct Counters {
-    uint64_t queries = 0;
-    uint64_t settled_negative = 0;
-    uint64_t settled_positive = 0;
-  };
-
-  /// Per-thread state: counters plus the collection/AnyReach dedup
-  /// marks — the boolean probe itself is stateless per query.
+  /// Per-thread state: the collection/AnyReach dedup marks. The plane
+  /// probe issues exactly one 3-D query per RangeReach, so range_queries
+  /// stays zero; queries and pre-check settles are counted as usual.
   struct Scratch : QueryScratch {
-    Counters counters;
     SeenMarks seen;
     GroupSeenMarks group_seen;
   };
@@ -182,8 +156,8 @@ class ThreeDReachRev : public RangeReachMethod {
     return std::make_unique<Scratch>();
   }
 
-  /// The boolean paths never touch the scratch (the plane probe is
-  /// stateless); collection paths use its dedup marks.
+  /// The boolean paths use the scratch only for its counters (queries
+  /// and pre-check settles); collection paths also use its dedup marks.
   bool Evaluate(VertexId vertex, const Rect& region,
                 QueryScratch& scratch) const override;
 
@@ -215,8 +189,6 @@ class ThreeDReachRev : public RangeReachMethod {
   using RangeReachMethod::Evaluate;
   using RangeReachMethod::EvaluateAny;
 
-  void DrainScratchCounters(QueryScratch& scratch) const override;
-
   std::string name() const override;
 
   size_t IndexSizeBytes() const override {
@@ -226,15 +198,8 @@ class ThreeDReachRev : public RangeReachMethod {
   /// The reversed labeling (post numbers refer to the reversed forest).
   const IntervalLabeling& labeling() const { return labeling_; }
 
-  const Counters& counters() const { return MutableCounters(); }
-  void ResetCounters() const { MutableCounters() = Counters{}; }
-
  private:
   friend struct MethodSnapshotAccess;
-
-  Counters& MutableCounters() const {
-    return static_cast<Scratch&>(DefaultScratch()).counters;
-  }
 
   /// From-parts constructor used by the snapshot loader. The reversed DAG
   /// is a construction-only artifact (Evaluate never touches it), so a

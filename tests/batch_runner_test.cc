@@ -67,11 +67,22 @@ TEST(BatchRunnerTest, ParallelMatchesSerialForEveryMethod) {
       serial.push_back(answer ? 1 : 0);
       serial_true += answer ? 1 : 0;
     }
+    const RangeReachMethod::Counters serial_counters = method->counters();
 
     const exec::BatchResult parallel = runner.Run(*method, queries);
     ASSERT_EQ(parallel.answers.size(), queries.size()) << method->name();
     EXPECT_EQ(parallel.answers, serial) << method->name();
     EXPECT_EQ(parallel.true_count, serial_true) << method->name();
+
+    // A twin that only runs the parallel batch ends with the serial
+    // pass's counters, every field; `method` (serial pass plus the same
+    // batch) holds exactly twice that.
+    const auto parallel_twin = CreateMethod(&cn, config);
+    (void)runner.Run(*parallel_twin, queries);
+    RangeReachMethod::Counters serial_twice = serial_counters;
+    serial_twice += serial_counters;
+    EXPECT_EQ(parallel_twin->counters(), serial_counters) << method->name();
+    EXPECT_EQ(method->counters(), serial_twice) << method->name();
   }
 }
 

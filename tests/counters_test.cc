@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/geo_reach.h"
+#include "core/method_factory.h"
 #include "core/soc_reach.h"
 #include "core/spa_reach.h"
 #include "core/three_d_reach.h"
@@ -121,6 +122,52 @@ TEST(CountersTest, CountersAccumulateAcrossQueries) {
   EXPECT_EQ(geo.counters().queries, 25u);
   spa.ResetCounters();
   EXPECT_EQ(spa.counters().queries, 0u);
+}
+
+TEST(CountersTest, DrainIsExactlyOnceForEveryMethodKind) {
+  // Every kind answers the same queries on its default scratch, then
+  // (after a reset) on a worker scratch. Draining the worker scratch
+  // reproduces the serial counters exactly; draining it again, or
+  // draining the default scratch into itself, changes nothing.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(120, 2.5, 0.4, 23);
+  const CondensedNetwork cn(&network);
+  std::vector<RangeReachQuery> queries;
+  Rng rng(24);
+  for (int q = 0; q < 40; ++q) {
+    const double x = rng.NextDoubleInRange(-20, 100);
+    const double y = rng.NextDoubleInRange(-20, 100);
+    queries.push_back(
+        {static_cast<VertexId>(rng.NextBounded(network.num_vertices())),
+         Rect(x, y, x + 20, y + 20)});
+  }
+  for (size_t k = 0; k < kMethodKindCount; ++k) {
+    MethodConfig config;
+    config.kind = static_cast<MethodKind>(k);
+    const auto method = CreateMethod(&cn, config);
+    SCOPED_TRACE(method->name());
+    method->ResetCounters();
+    for (const RangeReachQuery& query : queries) {
+      (void)method->EvaluateQuery(query);
+    }
+    const RangeReachMethod::Counters serial = method->counters();
+    if (config.kind != MethodKind::kNaiveBfs) {
+      EXPECT_EQ(serial.queries, queries.size());
+    }
+
+    method->ResetCounters();
+    const auto scratch = method->NewScratch();
+    for (const RangeReachQuery& query : queries) {
+      (void)method->EvaluateQuery(query, *scratch);
+    }
+    EXPECT_EQ(method->counters(), RangeReachMethod::Counters{});
+    method->DrainScratchCounters(*scratch);
+    EXPECT_EQ(method->counters(), serial);
+    method->DrainScratchCounters(*scratch);
+    EXPECT_EQ(method->counters(), serial);
+    method->DrainScratchCounters(method->DefaultScratch());
+    EXPECT_EQ(method->counters(), serial);
+  }
 }
 
 }  // namespace
