@@ -50,6 +50,7 @@ struct Measurement {
   double budget_fraction = 0.0;
   size_t budget_bytes = 0;
   size_t frames = 0;
+  size_t resident_bytes = 0;  // R-tree prefix kept out of budget_bytes.
   double cold_avg_us = 0.0;
   double warm_avg_us = 0.0;
   double mmap_avg_us = 0.0;
@@ -130,12 +131,14 @@ void WriteJson(const std::string& path, const std::vector<Measurement>& all,
         "    {\"dataset\": \"%s\", \"method\": \"%s\", "
         "\"file_bytes\": %zu, \"index_bytes\": %zu, "
         "\"budget_fraction\": %.2f, \"budget_bytes\": %zu, "
-        "\"frames\": %zu, \"cold_avg_us\": %.3f, \"warm_avg_us\": %.3f, "
+        "\"frames\": %zu, \"resident_bytes\": %zu, "
+        "\"cold_avg_us\": %.3f, \"warm_avg_us\": %.3f, "
         "\"mmap_avg_us\": %.3f, \"warm_over_mmap\": %.2f, "
         "\"cold_misses\": %llu, \"cold_evictions\": %llu, "
         "\"warm_hits\": %llu, \"warm_misses\": %llu}%s\n",
         m.dataset.c_str(), m.method.c_str(), m.file_bytes, m.index_bytes,
-        m.budget_fraction, m.budget_bytes, m.frames, m.cold_avg_us,
+        m.budget_fraction, m.budget_bytes, m.frames, m.resident_bytes,
+        m.cold_avg_us,
         m.warm_avg_us, m.mmap_avg_us, m.warm_over_mmap,
         static_cast<unsigned long long>(m.cold_misses),
         static_cast<unsigned long long>(m.cold_evictions),
@@ -178,8 +181,8 @@ int main(int argc, char** argv) {
     TablePrinter table(
         "paged serving / " + bundle.name() +
             ": explicit cache vs resident mmap (avg microseconds per query)",
-        {"method", "budget", "frames", "cold", "warm", "mmap", "warm/mmap",
-         "warm hit%"});
+        {"method", "budget", "frames", "resident", "cold", "warm", "mmap",
+         "warm/mmap", "warm hit%"});
 
     for (const MethodConfig& config : configs) {
       const std::string method_name = MethodKindName(config.kind);
@@ -233,6 +236,7 @@ int main(int argc, char** argv) {
         m.budget_fraction = fraction;
         m.budget_bytes = budget;
         m.frames = paged.page_cache->num_frames();
+        m.resident_bytes = paged.resident_bytes;
         m.cold_avg_us = cold.avg_micros;
         m.warm_avg_us = warm.avg_micros;
         m.mmap_avg_us = mmap_stats.avg_micros;
@@ -254,6 +258,7 @@ int main(int argc, char** argv) {
         std::snprintf(budget_label, sizeof(budget_label), "%.0f%%",
                       fraction * 100.0);
         table.AddRow({method_name, budget_label, std::to_string(m.frames),
+                      std::to_string(m.resident_bytes),
                       Micros(m.cold_avg_us), Micros(m.warm_avg_us),
                       Micros(m.mmap_avg_us),
                       TablePrinter::FormatNumber(m.warm_over_mmap, 3),

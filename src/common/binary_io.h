@@ -105,11 +105,18 @@ class BinaryWriter {
 /// time. In that mode the reader's backing buffer is a TEMPORARY section
 /// materialization — views into it are valid during Deserialize (for
 /// validation) but must not be retained.
+///
+/// `resident_bytes_left`, when set alongside `paged`, is the part of the
+/// reader's budget still free for resident prefixes (PagedArray). It is
+/// shared by every structure loaded from one reader: each structure that
+/// keeps a prefix copies it out of the section buffer and subtracts what
+/// it kept, so structures draw from it in load order.
 struct BorrowContext {
   bool borrow = false;
   std::shared_ptr<const void> keepalive;
   std::shared_ptr<PagedSource> paged;
   uint64_t section_file_offset = 0;  // Absolute offset of the section.
+  std::shared_ptr<size_t> resident_bytes_left;
 };
 
 /// Bounds-checked deserializer over a read-only byte span. Every read

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "common/check.h"
 #include "common/status.h"
@@ -55,11 +56,19 @@ class PagedSource {
 /// never consults this struct. Offsets inherit the snapshot writer's
 /// array alignment (>= 8), so element addresses inside page frames are
 /// correctly aligned for every POD we store (alignof <= 8).
+///
+/// `resident` optionally holds owned copies of elements
+/// [0, resident.size()) — a prefix the owner chose to keep in memory
+/// (FrozenRTree keeps the top of its BFS node order there). Cursors
+/// serve any run inside the prefix from it without calling `source`;
+/// runs that reach past it take the paged path unchanged. An empty
+/// prefix is plain paging.
 template <typename T>
 struct PagedArray {
   std::shared_ptr<PagedSource> source;
   uint64_t file_offset = 0;
   size_t count = 0;
+  std::vector<T> resident;
 
   bool paged() const { return source != nullptr; }
   size_t size() const { return count; }
@@ -71,6 +80,9 @@ struct PagedArray {
 /// descent with k live cursors pins at most k frames — the bound the
 /// cache's bypass path relies on to stay deadlock-free. Consecutive
 /// accesses to the pinned page reuse the pin without calling the source.
+/// A run wholly inside the array's resident prefix is served from it
+/// before any of that: one compare, no pin, no source call, and the
+/// current pin (if any) is kept for the next paged access.
 ///
 /// IO errors in the access path are process-fatal (GSR_CHECK): a snapshot
 /// file vanishing under a live server is not a recoverable per-query
@@ -83,6 +95,8 @@ class PagedArrayCursor {
       : source_(array.source.get()),
         base_offset_(array.file_offset),
         count_(array.count),
+        resident_(array.resident.data()),
+        resident_count_(array.resident.size()),
         page_size_(source_ != nullptr ? source_->page_size() : 1) {}
 
   PagedArrayCursor(const PagedArrayCursor&) = delete;
@@ -101,13 +115,15 @@ class PagedArrayCursor {
   }
 
   /// A pointer to elements [base, base + n), n <= MaxChunk. Zero-copy
-  /// into the pinned page frame when the run stays inside one page;
-  /// otherwise assembled in the cursor's bounce buffer. The pointer is
+  /// into the resident prefix or into the pinned page frame when the run
+  /// stays inside one of them; otherwise assembled in the cursor's bounce
+  /// buffer. The pointer is
   /// invalidated by the NEXT call to any method of this cursor (and by
   /// its destruction) — consume it fully before touching the cursor
   /// again, and never hold it across recursion that shares the cursor.
   const T* Chunk(size_t base, size_t n) {
     GSR_DCHECK(n > 0 && n <= MaxChunk && base + n <= count_);
+    if (base + n <= resident_count_) return resident_ + base;
     const uint64_t off = base_offset_ + base * sizeof(T);
     const size_t len = n * sizeof(T);
     const size_t in_page = static_cast<size_t>(off % page_size_);
@@ -123,6 +139,10 @@ class PagedArrayCursor {
   void ReadInto(size_t base, size_t n, T* out) {
     GSR_DCHECK(base + n <= count_);
     if (n == 0) return;
+    if (base + n <= resident_count_) {
+      std::memcpy(out, resident_ + base, n * sizeof(T));
+      return;
+    }
     const uint64_t off = base_offset_ + base * sizeof(T);
     const size_t len = n * sizeof(T);
     const size_t in_page = static_cast<size_t>(off % page_size_);
@@ -138,6 +158,7 @@ class PagedArrayCursor {
 
   /// Readahead hint for elements [base, base + n).
   void Prefetch(size_t base, size_t n) {
+    if (base + n <= resident_count_) return;
     source_->Prefetch(base_offset_ + base * sizeof(T), n * sizeof(T));
   }
 
@@ -171,6 +192,8 @@ class PagedArrayCursor {
   PagedSource* const source_;
   const uint64_t base_offset_;
   const size_t count_;
+  const T* const resident_;
+  const size_t resident_count_;
   const size_t page_size_;
 
   const std::byte* pin_data_ = nullptr;

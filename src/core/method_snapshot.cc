@@ -400,6 +400,7 @@ struct MethodSnapshotAccess {
         break;
       }
     }
+    out.resident_bytes = reader->resident_bytes();
     return out;
   }
 

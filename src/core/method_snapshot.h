@@ -30,8 +30,9 @@ struct SnapshotLoadOptions {
   snapshot::LoadMode mode = snapshot::LoadMode::kOwnedCopy;
   /// When non-null, per-section checksum verification fans out here.
   exec::ThreadPool* pool = nullptr;
-  /// kPaged only: the page-cache budget shared by all of the method's
-  /// paged structures.
+  /// kPaged only: the memory budget shared by all of the method's paged
+  /// structures — the page cache plus the resident R-tree prefixes (see
+  /// snapshot::OpenOptions::page_cache_bytes).
   size_t page_cache_bytes = 64u << 20;
 };
 
@@ -44,6 +45,11 @@ struct LoadedMethod {
   /// Drop() in cold-page benchmarks; must outlive `method`, which the
   /// struct guarantees by holding it here.
   std::shared_ptr<snapshot::PageCache> page_cache;
+  /// kPaged only (0 otherwise): bytes of R-tree node prefixes kept
+  /// resident out of page_cache_bytes. resident_bytes plus
+  /// page_cache->budget_bytes() never exceed page_cache_bytes above the
+  /// cache's kMinFrames floor.
+  size_t resident_bytes = 0;
 };
 
 /// Loads a method from a snapshot written by SaveMethodSnapshot. `cn` must

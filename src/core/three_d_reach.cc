@@ -397,6 +397,7 @@ void ThreeDReachRev::EvaluateGroup(VertexId vertex,
   Box3D planes[simd::kMaskWidth];
   for (size_t base = 0; base < regions.size(); base += simd::kMaskWidth) {
     const size_t chunk = std::min(simd::kMaskWidth, regions.size() - base);
+    scratch.counters.queries += chunk;
     const uint64_t pending = chunk == simd::kMaskWidth
                                  ? ~uint64_t{0}
                                  : (uint64_t{1} << chunk) - 1;
@@ -452,6 +453,7 @@ void ThreeDReachRev::CollectGroupInto(VertexId vertex,
   Box3D planes[simd::kMaskWidth];
   for (size_t base = 0; base < regions.size(); base += simd::kMaskWidth) {
     const size_t chunk = std::min(simd::kMaskWidth, regions.size() - base);
+    s.counters.queries += chunk;
     const uint64_t live = chunk == simd::kMaskWidth
                               ? ~uint64_t{0}
                               : (uint64_t{1} << chunk) - 1;

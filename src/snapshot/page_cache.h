@@ -21,6 +21,12 @@ namespace gsr::snapshot {
 /// size, plus a page table of 4 bytes per file page, and every
 /// hit/miss/eviction is counted.
 ///
+/// Under SnapshotReader the budget is split: the cache gets 7/8 of the
+/// load's page_cache_bytes (never fewer than kMinFrames frames) and the
+/// rest pays for resident R-tree prefixes that cursors serve without
+/// pinning (see PagedArray). The two together stay within
+/// page_cache_bytes above the frame floor.
+///
 /// Replacement is clock (second-chance): frames sit in one arena, a hand
 /// sweeps them circularly, a referenced bit grants one extra sweep of
 /// life, and pinned or mid-load frames are skipped. Pins are held by

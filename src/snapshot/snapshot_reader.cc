@@ -1,5 +1,6 @@
 #include "snapshot/snapshot_reader.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -148,8 +149,22 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path,
     // Payload verification is deferred to Section(id): checksumming here
     // would read the whole file, which is the one thing this mode exists
     // to avoid.
+    //
+    // The budget is split: a fixed 1/8, in whole pages, pays for the
+    // resident tree prefixes and the cache gets the rest. The slice never
+    // takes the cache below its kMinFrames floor, so at the floor it is
+    // empty and every structure pages in full.
     PageCache::Options cache_options;
-    cache_options.budget_bytes = options.page_cache_bytes;
+    const size_t page_size = cache_options.page_size;
+    const size_t pages = options.page_cache_bytes / page_size;
+    const size_t slice_pages =
+        pages > PageCache::kMinFrames
+            ? std::min(pages / 8, pages - PageCache::kMinFrames)
+            : 0;
+    reader.resident_slice_bytes_ = slice_pages * page_size;
+    reader.resident_bytes_left_ =
+        std::make_shared<size_t>(reader.resident_slice_bytes_);
+    cache_options.budget_bytes = (pages - slice_pages) * page_size;
     reader.page_cache_ =
         std::make_shared<PageCache>(reader.file_, cache_options);
     return reader;
@@ -225,6 +240,7 @@ BorrowContext SnapshotReader::borrow_context(SectionId id) const {
   if (const SectionEntry* entry = FindSection(id)) {
     ctx.paged = page_cache_;
     ctx.section_file_offset = entry->offset;
+    ctx.resident_bytes_left = resident_bytes_left_;
   }
   return ctx;
 }

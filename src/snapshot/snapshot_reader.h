@@ -39,8 +39,10 @@ struct OpenOptions {
   LoadMode mode = LoadMode::kOwnedCopy;
   /// When non-null, per-section checksum verification fans out here.
   exec::ThreadPool* pool = nullptr;
-  /// kPaged only: the page-cache budget shared by every structure loaded
-  /// from this reader.
+  /// kPaged only: the memory budget shared by every structure loaded
+  /// from this reader. A fixed 1/8 of it, in whole pages, pays for the
+  /// resident tree prefixes (see resident_bytes()); the PageCache gets
+  /// the rest, never below PageCache::kMinFrames frames.
   size_t page_cache_bytes = 64u << 20;
 };
 
@@ -88,7 +90,8 @@ class SnapshotReader {
 
   /// Per-section context. Identical to borrow_context() except in kPaged
   /// mode, where it carries the page cache and the section's absolute
-  /// file offset so pageable structures can record in-file addresses.
+  /// file offset so pageable structures can record in-file addresses,
+  /// plus what is left of the resident slice of the budget.
   /// Call AFTER Section(id) and deserialize before the next Section call.
   BorrowContext borrow_context(SectionId id) const;
 
@@ -100,6 +103,15 @@ class SnapshotReader {
   /// from this reader reads through. Callers that outlive the reader
   /// (LoadedMethod) retain it to drain stats and drop pages.
   const std::shared_ptr<PageCache>& page_cache() const { return page_cache_; }
+
+  /// kPaged only (0 otherwise): bytes of resident prefixes the structures
+  /// loaded so far kept. Together with page_cache()->budget_bytes() it
+  /// stays within page_cache_bytes whenever that exceeds the frame floor.
+  size_t resident_bytes() const {
+    return resident_bytes_left_ == nullptr
+               ? 0
+               : resident_slice_bytes_ - *resident_bytes_left_;
+  }
 
  private:
   SnapshotReader() = default;
@@ -116,6 +128,8 @@ class SnapshotReader {
   // kPaged state. section_buf_ holds the single materialized section.
   std::shared_ptr<PagedFile> file_;
   std::shared_ptr<PageCache> page_cache_;
+  size_t resident_slice_bytes_ = 0;
+  std::shared_ptr<size_t> resident_bytes_left_;
   mutable std::vector<std::byte> section_buf_;
   mutable uint32_t section_buf_id_ = 0;  // 0 = no section materialized.
 };

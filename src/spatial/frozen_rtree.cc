@@ -309,8 +309,13 @@ Result<FrozenRTree<BoxT, LeafT>> FrozenRTree<BoxT, LeafT>::Deserialize(
   if (!out.nodes_.empty()) out.root_mbr_ = out.nodes_[0].mbr;
   if (ctx.paged != nullptr) {
     // Validation above ran against the reader's transient section buffer;
-    // from here on only the on-disk PagedArrays are touched. Clear the
-    // spans so nothing dangles once the buffer is reused.
+    // from here on only the on-disk PagedArrays (and the resident prefix
+    // copied out of that buffer) are touched. Clear the spans so nothing
+    // dangles once the buffer is reused.
+    if (ctx.resident_bytes_left != nullptr) {
+      *ctx.resident_bytes_left -=
+          out.KeepResidentPrefix(*ctx.resident_bytes_left);
+    }
     out.paged_ = true;
     out.nodes_ = {};
     out.child_boxes_ = {};
@@ -320,6 +325,36 @@ Result<FrozenRTree<BoxT, LeafT>> FrozenRTree<BoxT, LeafT>::Deserialize(
   }
   if (ctx.borrow) out.keepalive_ = ctx.keepalive;
   return out;
+}
+
+template <typename BoxT, typename LeafT>
+size_t FrozenRTree<BoxT, LeafT>::KeepResidentPrefix(size_t budget) {
+  // Cost of the prefix of k nodes: k records plus every child entry an
+  // internal node among them owns. BFS order puts the root and the upper
+  // levels first, and costs only grow with k, so one forward scan finds
+  // the longest prefix that fits.
+  constexpr size_t kChildBytes = sizeof(BoxT) + sizeof(uint32_t);
+  size_t nodes = 0;
+  size_t children = 0;
+  size_t bytes = 0;
+  for (size_t k = 0; k < nodes_.size(); ++k) {
+    const Node& node = nodes_[k];
+    const size_t kids =
+        node.is_leaf
+            ? children
+            : std::max<size_t>(children, size_t{node.first} + node.count);
+    const size_t next = (k + 1) * sizeof(Node) + kids * kChildBytes;
+    if (next > budget) break;
+    nodes = k + 1;
+    children = kids;
+    bytes = next;
+  }
+  paged_nodes_.resident.assign(nodes_.begin(), nodes_.begin() + nodes);
+  paged_child_boxes_.resident.assign(child_boxes_.begin(),
+                                     child_boxes_.begin() + children);
+  paged_child_nodes_.resident.assign(child_nodes_.begin(),
+                                     child_nodes_.begin() + children);
+  return bytes;
 }
 
 template class FrozenRTree<Rect, Rect>;

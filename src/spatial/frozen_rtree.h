@@ -68,11 +68,16 @@ inline bool GeomIntersects(const Box3D& query, const Point3D& geom) {
 ///  - borrowed zero-copy from a memory-mapped snapshot section
 ///    (Deserialize with BorrowContext::borrow, `keepalive_` pinning the
 ///    mapping);
-///  - PAGED: left on disk entirely (Deserialize with BorrowContext::paged)
-///    and read through a PagedSource at query time. Descents then run on
-///    a stack-constructed PagedView whose cursors pin one cache page per
+///  - PAGED: left on disk (Deserialize with BorrowContext::paged) and
+///    read through a PagedSource at query time. Descents then run on a
+///    stack-constructed PagedView whose cursors pin one cache page per
 ///    array; everything else — traversal order, kernels, answers — is
 ///    identical, which is how kPaged keeps the bit-identical contract.
+///    When the context carries a resident budget, Deserialize also copies
+///    the longest BFS node prefix that fits — node records plus the child
+///    boxes and ids those nodes own — into memory and subtracts its bytes
+///    from the budget. The root and upper levels every descent shares are
+///    then served without a pin; leaf entries always stay paged.
 ///    In the page-aligned snapshot format the 64-byte Node<Box3D> records
 ///    tile 4 KiB pages exactly (a BFS level never straddles a page
 ///    mid-node); smaller node types occasionally straddle and take the
@@ -312,6 +317,12 @@ class FrozenRTree {
     PagedArrayCursor<LeafT, simd::kMaskWidth> leaf_geoms;
     PagedArrayCursor<uint64_t, 1> leaf_ids;
   };
+
+  /// Copies the longest BFS node prefix whose records plus the child
+  /// boxes and ids those nodes own fit in `budget` bytes into the paged
+  /// arrays' resident prefixes; returns the bytes kept. Runs in paged
+  /// Deserialize while the spans still view the section buffer.
+  size_t KeepResidentPrefix(size_t budget);
 
   size_t NumNodes() const {
     return paged_ ? paged_nodes_.count : nodes_.size();

@@ -5,6 +5,8 @@
 #include "core/soc_reach.h"
 #include "core/spa_reach.h"
 #include "core/three_d_reach.h"
+#include "exec/batch_runner.h"
+#include "exec/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace gsr {
@@ -167,6 +169,32 @@ TEST(CountersTest, DrainIsExactlyOnceForEveryMethodKind) {
     EXPECT_EQ(method->counters(), serial);
     method->DrainScratchCounters(method->DefaultScratch());
     EXPECT_EQ(method->counters(), serial);
+  }
+}
+
+TEST(CountersTest, ThreeDReachRevGroupedQueriesCountUnderRunShared) {
+  // One vertex, 20 distinct regions: a single scheduler group, large
+  // enough for 3DReach-REV's masked plane descent (boolean) and its
+  // masked enumeration (count). Each path must count every query once.
+  const GeoSocialNetwork network = StarNetwork(30);
+  const CondensedNetwork cn(&network);
+  const ThreeDReachRev method(
+      &cn, ThreeDReachRev::Options{.scc_mode = SccSpatialMode::kReplicate});
+  std::vector<RangeReachQuery> queries;
+  for (int i = 0; i < 20; ++i) {
+    const double x = static_cast<double>(i);
+    queries.push_back({0, Rect(x - 0.5, -1, x + 2.5, 1)});
+  }
+  exec::ThreadPool pool(2);
+  exec::BatchRunner runner(&pool);
+  for (const QueryKind kind : {QueryKind::kBool, QueryKind::kCount}) {
+    exec::SchedulerOptions options;
+    options.min_window_to_group = 1;
+    options.kind = kind;
+    method.ResetCounters();
+    const exec::BatchResult result = runner.RunShared(method, queries, options);
+    EXPECT_EQ(result.true_count, queries.size());
+    EXPECT_EQ(method.counters().queries, queries.size());
   }
 }
 

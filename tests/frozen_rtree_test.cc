@@ -154,6 +154,69 @@ TEST(FrozenRTreeTest, SerializeRoundTripBothModes) {
   }
 }
 
+/// A PagedSource over an in-memory byte buffer (the serialized tree
+/// stands in for a snapshot file).
+class BufferSource final : public PagedSource {
+ public:
+  explicit BufferSource(std::vector<std::byte> bytes)
+      : bytes_(std::move(bytes)) {
+    bytes_.resize((bytes_.size() / kPage + 1) * kPage);
+  }
+  size_t page_size() const override { return kPage; }
+  Status Read(uint64_t offset, size_t len, void* out) override {
+    std::memcpy(out, bytes_.data() + offset, len);
+    return Status::Ok();
+  }
+  const std::byte* PinPage(uint64_t page_no, void** handle) override {
+    *handle = nullptr;
+    return bytes_.data() + page_no * kPage;
+  }
+  void UnpinPage(void*) override {}
+  void Prefetch(uint64_t, size_t) override {}
+
+ private:
+  static constexpr size_t kPage = 256;
+  std::vector<std::byte> bytes_;
+};
+
+TEST(FrozenRTreeTest, PagedResidentPrefixFitsTheBudgetAndAnswersExactly) {
+  // A paged load keeps the longest BFS node prefix (records plus the
+  // child entries they own) that fits the budget it is handed, subtracts
+  // exactly what it kept, and answers like the built tree at any size.
+  const auto entries = RandomPoints(5000, 43);
+  const auto frozen = FrozenRTreePoints2D::Build(entries);
+  BinaryWriter writer;
+  frozen.SerializeTo(writer);
+  const auto source = std::make_shared<BufferSource>(writer.bytes());
+  using Tree = FrozenRTreePoints2D;
+  const size_t full = frozen.SizeBytes() -
+                      frozen.size() * (sizeof(Point2D) + sizeof(uint64_t));
+
+  Rng rng(44);
+  std::vector<Rect> queries;
+  for (int q = 0; q < 150; ++q) queries.push_back(RandomQueryRect(rng));
+
+  size_t previous = 0;
+  for (const size_t budget :
+       {size_t{0}, size_t{100}, size_t{2000}, size_t{8000}, full - 1, full,
+        full * 4}) {
+    BinaryReader reader(writer.bytes());
+    BorrowContext ctx;
+    ctx.paged = source;
+    ctx.resident_bytes_left = std::make_shared<size_t>(budget);
+    auto restored = Tree::Deserialize(reader, ctx);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    ASSERT_TRUE(restored->paged());
+    ASSERT_LE(*ctx.resident_bytes_left, budget);
+    const size_t kept = budget - *ctx.resident_bytes_left;
+    EXPECT_GE(kept, previous) << "budget " << budget;
+    EXPECT_EQ(kept == full, budget >= full) << "budget " << budget;
+    previous = kept;
+    ExpectRestoredAgrees(entries, frozen, *restored, queries);
+  }
+  EXPECT_GT(previous, 0u);
+}
+
 TEST(FrozenRTreeTest, MaskedEnumerationMatchesPerQueryOrder) {
   // ForEachIntersectingMasked's contract: for every live query k, hits
   // arrive in exactly ForEachIntersecting(queries[k]) order, whatever

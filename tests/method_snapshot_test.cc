@@ -192,6 +192,100 @@ TEST(MethodSnapshotTest, PagedConcurrentQueriesShareOneTinyCache) {
   }
 }
 
+TEST(MethodSnapshotTest, ResidentPrefixStaysInsideThePageCacheBudget) {
+  // kPaged splits page_cache_bytes between cache frames and the resident
+  // R-tree prefixes; together they never exceed it above the frame
+  // floor, and at the floor (4 frames = 16 KiB) nothing is kept resident.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(600, 2.5, 0.5, 115);
+  const CondensedNetwork cn(&network);
+  for (const MethodKind kind :
+       {MethodKind::kThreeDReach, MethodKind::kThreeDReachRev,
+        MethodKind::kSpaReachBfl}) {
+    MethodConfig config;
+    config.kind = kind;
+    const auto built = CreateMethod(&cn, config);
+    const std::string path = TempPath("method_resident.snap");
+    ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path).ok());
+    for (const size_t budget :
+         {size_t{32} << 10, size_t{64} << 10, size_t{1} << 20}) {
+      auto loaded = LoadMethodSnapshot(
+          &cn, path,
+          {.mode = snapshot::LoadMode::kPaged, .page_cache_bytes = budget});
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_GT(loaded->resident_bytes, 0u) << built->name();
+      EXPECT_LE(loaded->resident_bytes + loaded->page_cache->budget_bytes(),
+                budget)
+          << built->name() << " budget " << budget;
+      ExpectIdenticalAnswers(*built, *loaded->method, network, 208);
+    }
+    auto floor = LoadMethodSnapshot(
+        &cn, path,
+        {.mode = snapshot::LoadMode::kPaged, .page_cache_bytes = 16 << 10});
+    ASSERT_TRUE(floor.ok()) << floor.status().ToString();
+    EXPECT_EQ(floor->resident_bytes, 0u) << built->name();
+    EXPECT_EQ(floor->page_cache->num_frames(),
+              snapshot::PageCache::kMinFrames);
+    auto mapped =
+        LoadMethodSnapshot(&cn, path, {.mode = snapshot::LoadMode::kMmap});
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    EXPECT_EQ(mapped->resident_bytes, 0u) << built->name();
+  }
+}
+
+TEST(MethodSnapshotTest, PagedConcurrentDescentsCrossThePrefixBoundary) {
+  // Four workers, each with its own scratch, descend one paged 3DReach
+  // whose tree prefix is only partly resident (a one-page slice of an
+  // 8-page budget), so descents run from resident node records into
+  // pinned frames of a 7-frame cache. The TSan target for the boundary.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(3000, 2.5, 0.5, 116);
+  const CondensedNetwork cn(&network);
+  MethodConfig config;
+  config.kind = MethodKind::kThreeDReach;
+  const auto built = CreateMethod(&cn, config);
+  const std::string path = TempPath("method_paged_prefix_mt.snap");
+  ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path).ok());
+  auto full = LoadMethodSnapshot(&cn, path,
+                                 {.mode = snapshot::LoadMode::kPaged});
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const size_t budget = 8 * snapshot::kPageAlignment;
+  auto loaded = LoadMethodSnapshot(
+      &cn, path,
+      {.mode = snapshot::LoadMode::kPaged, .page_cache_bytes = budget});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_GT(loaded->resident_bytes, 0u);
+  ASSERT_LT(loaded->resident_bytes, full->resident_bytes);
+
+  Rng rng(117);
+  std::vector<RangeReachQuery> queries;
+  std::vector<uint8_t> expected;
+  for (int q = 0; q < 400; ++q) {
+    const VertexId v =
+        static_cast<VertexId>(rng.NextBounded(network.num_vertices()));
+    const double x = rng.NextDoubleInRange(-10, 100);
+    const double y = rng.NextDoubleInRange(-10, 100);
+    const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
+                      y + rng.NextDoubleInRange(0, 60));
+    queries.push_back({v, region});
+    expected.push_back(built->Evaluate(v, region) ? 1 : 0);
+  }
+
+  exec::ThreadPool pool(4);
+  const RangeReachMethod& method = *loaded->method;
+  std::vector<std::unique_ptr<QueryScratch>> scratch;
+  for (unsigned w = 0; w < pool.size(); ++w) {
+    scratch.push_back(method.NewScratch());
+  }
+  pool.ParallelFor(queries.size(), 4, [&](size_t i, unsigned worker) {
+    GSR_CHECK(method.EvaluateQuery(queries[i], *scratch[worker]) ==
+              (expected[i] != 0));
+  });
+  const snapshot::PageCache::Stats stats = loaded->page_cache->GetStats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.misses, 0u);
+}
+
 TEST(MethodSnapshotTest, FingerprintMismatchIsRejected) {
   const GeoSocialNetwork network_a =
       testing::RandomGeoSocialNetwork(150, 2.0, 0.5, 107);

@@ -219,6 +219,31 @@ TEST(MethodsAgreementTest, SnapshotLoadedMethodsMatchNaiveBfs) {
   }
 }
 
+/// 40 random queries of every kind against the BFS ground truth, for a
+/// kPaged-loaded method under `budget`.
+void ExpectPagedAnswersExact(const RangeReachMethod& method,
+                             const NaiveBfsMethod& oracle,
+                             const GeoSocialNetwork& network, uint64_t seed,
+                             size_t budget) {
+  Rng rng(seed);
+  for (int q = 0; q < 40; ++q) {
+    const VertexId v =
+        static_cast<VertexId>(rng.NextBounded(network.num_vertices()));
+    const double x = rng.NextDoubleInRange(-10, 100);
+    const double y = rng.NextDoubleInRange(-10, 100);
+    const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
+                      y + rng.NextDoubleInRange(0, 60));
+    ASSERT_EQ(method.Evaluate(v, region), oracle.Evaluate(v, region))
+        << method.name() << " budget " << budget << " vertex " << v
+        << " region " << region.ToString();
+    ASSERT_EQ(method.EvaluateCount(v, region),
+              oracle.EvaluateCount(v, region))
+        << method.name() << " budget " << budget;
+    ASSERT_EQ(method.EvaluateEnum(v, region), oracle.EvaluateEnum(v, region))
+        << method.name() << " budget " << budget;
+  }
+}
+
 TEST(MethodsAgreementTest, PagedTinyCacheBudgetsStayExactUnderEviction) {
   // The out-of-core guarantee: kPaged answers bit-identically to the
   // ground truth even when the cache budget is far below the index size,
@@ -251,25 +276,9 @@ TEST(MethodsAgreementTest, PagedTinyCacheBudgetsStayExactUnderEviction) {
           << built->name() << ": " << loaded.status().ToString();
       ASSERT_NE(loaded->page_cache, nullptr) << built->name();
 
-      Rng rng(0xBADB00C + config_index);
-      for (int q = 0; q < 40; ++q) {
-        const VertexId v =
-            static_cast<VertexId>(rng.NextBounded(network.num_vertices()));
-        const double x = rng.NextDoubleInRange(-10, 100);
-        const double y = rng.NextDoubleInRange(-10, 100);
-        const Rect region(x, y, x + rng.NextDoubleInRange(0, 60),
-                          y + rng.NextDoubleInRange(0, 60));
-        ASSERT_EQ(loaded->method->Evaluate(v, region),
-                  oracle.Evaluate(v, region))
-            << loaded->method->name() << " budget " << budget << " vertex "
-            << v << " region " << region.ToString();
-        ASSERT_EQ(loaded->method->EvaluateCount(v, region),
-                  oracle.EvaluateCount(v, region))
-            << loaded->method->name() << " budget " << budget;
-        ASSERT_EQ(loaded->method->EvaluateEnum(v, region),
-                  oracle.EvaluateEnum(v, region))
-            << loaded->method->name() << " budget " << budget;
-      }
+      ASSERT_NO_FATAL_FAILURE(ExpectPagedAnswersExact(
+          *loaded->method, oracle, network, 0xBADB00C + config_index,
+          budget));
 
       const snapshot::PageCache::Stats stats =
           loaded->page_cache->GetStats();
@@ -283,6 +292,48 @@ TEST(MethodsAgreementTest, PagedTinyCacheBudgetsStayExactUnderEviction) {
   EXPECT_GT(total.hits, 0u);
   EXPECT_GT(total.misses, 0u);
   EXPECT_GT(total.evictions, 0u);
+
+  // An 8-page budget keeps a one-page resident slice: on this larger
+  // network it holds the top of each tree but not the whole node array,
+  // so descents cross from resident node records into pinned frames.
+  const GeoSocialNetwork large =
+      testing::RandomGeoSocialNetwork(3000, 2.5, 0.5, 178);
+  const CondensedNetwork large_cn(&large);
+  const NaiveBfsMethod large_oracle(&large);
+  const size_t budget = 8 * snapshot::kPageAlignment;
+  int partial = 0;
+  for (const MethodConfig& config : AllConfigs()) {
+    const auto built = CreateMethod(&large_cn, config);
+    const std::string path =
+        dir + "paged_prefix_" + std::to_string(config_index++) + ".snap";
+    ASSERT_TRUE(SaveMethodSnapshot(*built, config, large_cn, path).ok())
+        << built->name();
+    auto full = LoadMethodSnapshot(&large_cn, path,
+                                   {.mode = snapshot::LoadMode::kPaged});
+    ASSERT_TRUE(full.ok()) << built->name() << ": "
+                           << full.status().ToString();
+    auto loaded = LoadMethodSnapshot(
+        &large_cn, path,
+        {.mode = snapshot::LoadMode::kPaged, .page_cache_bytes = budget});
+    ASSERT_TRUE(loaded.ok())
+        << built->name() << ": " << loaded.status().ToString();
+    EXPECT_LE(loaded->resident_bytes + loaded->page_cache->budget_bytes(),
+              budget)
+        << built->name();
+    if (full->resident_bytes > budget / 8) {
+      EXPECT_GT(loaded->resident_bytes, 0u) << built->name();
+      EXPECT_LT(loaded->resident_bytes, full->resident_bytes)
+          << built->name();
+      ++partial;
+    } else {
+      EXPECT_EQ(loaded->resident_bytes, full->resident_bytes)
+          << built->name();
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectPagedAnswersExact(
+        *loaded->method, large_oracle, large, 0xBADB00C + config_index,
+        budget));
+  }
+  EXPECT_GT(partial, 0);
 }
 
 TEST(MethodsAgreementTest, AllKernelLevelsMatchNaiveBfs) {
