@@ -130,15 +130,82 @@ Result<MethodConfig> ReadMeta(BinaryReader& r, const CondensedNetwork& cn) {
   return config;
 }
 
+/// Where SaveStructures writes a method's structures: one section each
+/// (a top-level snapshot) or, in order, the planner's single stream (a
+/// portfolio member — section ids name structures, and a planner may own
+/// several labelings / spatial indexes, so per-structure sections would
+/// collide).
+class StructureOut {
+ public:
+  explicit StructureOut(SnapshotWriter& writer) : writer_(&writer) {}
+  explicit StructureOut(BinaryWriter& stream) : stream_(&stream) {}
+
+  /// The writer for the next structure, which `id` names.
+  BinaryWriter& Next(SectionId id) {
+    return writer_ != nullptr ? writer_->BeginSection(id) : *stream_;
+  }
+
+ private:
+  SnapshotWriter* writer_ = nullptr;
+  BinaryWriter* stream_ = nullptr;
+};
+
+/// Where LoadStructures reads them back: `id`'s own section under that
+/// section's context (in kPaged mode it carries the section's file offset,
+/// so pageable structures can record on-disk addresses, and the resident
+/// prefix budget), or the planner's stream under the kPlanner context.
+class StructureIn {
+ public:
+  explicit StructureIn(const SnapshotReader& reader) : reader_(&reader) {}
+  StructureIn(BinaryReader& stream, const BorrowContext& ctx)
+      : stream_(&stream), ctx_(ctx) {}
+
+  /// Moves to the next structure, which `id` names; stream() and ctx()
+  /// then read it. Fetching a section invalidates the previous one's
+  /// reader (kPaged keeps one section resident at a time).
+  Status Next(SectionId id) {
+    if (reader_ == nullptr) return Status::Ok();
+    auto section = reader_->Section(id);
+    if (!section.ok()) return section.status();
+    section_ = std::move(*section);
+    ctx_ = reader_->borrow_context(id);
+    stream_ = &section_;
+    return Status::Ok();
+  }
+  BinaryReader& stream() { return *stream_; }
+  const BorrowContext& ctx() const { return ctx_; }
+
+ private:
+  const SnapshotReader* reader_ = nullptr;
+  BinaryReader section_{{}};
+  BinaryReader* stream_ = nullptr;
+  BorrowContext ctx_;
+};
+
 /// A labeling loaded for a method over `cn` must label exactly the
 /// condensation's components.
-Status CheckLabelingSize(const IntervalLabeling& labeling,
-                         const CondensedNetwork& cn) {
-  if (labeling.num_vertices() != cn.num_components()) {
+Result<IntervalLabeling> LoadLabeling(StructureIn& in,
+                                      const CondensedNetwork& cn) {
+  GSR_RETURN_IF_ERROR(in.Next(SectionId::kLabeling));
+  auto labeling = IntervalLabeling::Deserialize(in.stream(), in.ctx());
+  if (!labeling.ok()) return labeling.status();
+  if (labeling->num_vertices() != cn.num_components()) {
     return Status::InvalidArgument(
         "snapshot labeling does not match the condensation size");
   }
-  return Status::Ok();
+  return labeling;
+}
+
+Result<CondensedSpatialIndex> LoadSpatialIndex(StructureIn& in,
+                                               SccSpatialMode expected_mode) {
+  GSR_RETURN_IF_ERROR(in.Next(SectionId::kSpatialIndex));
+  auto index = CondensedSpatialIndex::Deserialize(in.stream(), in.ctx());
+  if (!index.ok()) return index.status();
+  if (index->mode() != expected_mode) {
+    return Status::InvalidArgument(
+        "snapshot spatial index disagrees with the meta SCC mode");
+  }
+  return index;
 }
 
 }  // namespace
@@ -151,83 +218,28 @@ struct MethodSnapshotAccess {
                      const std::string& path, exec::ThreadPool* pool) {
     SnapshotWriter writer;
     WriteMeta(writer.BeginSection(SectionId::kMeta), config, cn);
-    switch (config.kind) {
-      case MethodKind::kNaiveBfs:
-        return Status::InvalidArgument(
-            "NaiveBFS is index-free and has no snapshot representation");
-      case MethodKind::kSocReach:
-        static_cast<const SocReach&>(method).labeling_.SerializeTo(
-            writer.BeginSection(SectionId::kLabeling));
-        break;
-      case MethodKind::kSpaReachBfl: {
-        const auto& m = static_cast<const SpaReachBfl&>(method);
-        m.spatial_index_.SerializeTo(
-            writer.BeginSection(SectionId::kSpatialIndex));
-        m.bfl_.SerializeTo(writer.BeginSection(SectionId::kBfl));
-        break;
-      }
-      case MethodKind::kSpaReachInt: {
-        const auto& m = static_cast<const SpaReachInt&>(method);
-        m.spatial_index_.SerializeTo(
-            writer.BeginSection(SectionId::kSpatialIndex));
-        m.labeling_.SerializeTo(writer.BeginSection(SectionId::kLabeling));
-        break;
-      }
-      case MethodKind::kSpaReachPll: {
-        const auto& m = static_cast<const SpaReachPll&>(method);
-        m.spatial_index_.SerializeTo(
-            writer.BeginSection(SectionId::kSpatialIndex));
-        m.pll_.SerializeTo(writer.BeginSection(SectionId::kPll));
-        break;
-      }
-      case MethodKind::kSpaReachFeline: {
-        const auto& m = static_cast<const SpaReachFeline&>(method);
-        m.spatial_index_.SerializeTo(
-            writer.BeginSection(SectionId::kSpatialIndex));
-        m.feline_.SerializeTo(writer.BeginSection(SectionId::kFeline));
-        break;
-      }
-      case MethodKind::kGeoReach:
-        SaveGeoReach(static_cast<const GeoReachMethod&>(method),
-                     writer.BeginSection(SectionId::kGeoReach));
-        break;
-      case MethodKind::kThreeDReach: {
-        const auto& m = static_cast<const ThreeDReach&>(method);
-        m.labeling_.SerializeTo(writer.BeginSection(SectionId::kLabeling));
-        BinaryWriter& s = writer.BeginSection(SectionId::kRTree);
-        if (config.scc_mode == SccSpatialMode::kReplicate) {
-          m.points_.SerializeTo(s);
-        } else {
-          m.boxes_.SerializeTo(s);
-        }
-        break;
-      }
-      case MethodKind::kThreeDReachRev: {
-        const auto& m = static_cast<const ThreeDReachRev&>(method);
-        m.labeling_.SerializeTo(writer.BeginSection(SectionId::kLabeling));
-        m.rtree_.SerializeTo(writer.BeginSection(SectionId::kRTree));
-        break;
-      }
-      case MethodKind::kPlanner: {
-        // One section holds the whole portfolio inline: section ids
-        // identify structures, and a planner may own several labelings /
-        // spatial indexes, so per-structure sections would collide.
-        const auto& m = static_cast<const PlannedMethod&>(method);
-        BinaryWriter& s = writer.BeginSection(SectionId::kPlanner);
-        s.WriteU32(static_cast<uint32_t>(m.members_.size()));
-        for (size_t i = 0; i < m.members_.size(); ++i) {
-          s.WriteU32(static_cast<uint32_t>(m.member_kinds_[i]));
-          SaveMemberInline(*m.members_[i], m.member_kinds_[i],
-                           config.scc_mode, s);
-        }
-        m.observations_.SerializeTo(s);
-        m.histogram_.SerializeTo(s);
-        for (const PlannedMethod::CostModel& cm : m.cost_models_) {
-          s.WriteF64(cm.base_ns);
-          s.WriteF64(cm.per_unit_ns);
-        }
-        break;
-      }
+    if (config.kind != MethodKind::kPlanner) {
+      StructureOut out(writer);
+      GSR_RETURN_IF_ERROR(
+          SaveStructures(method, config.kind, config.scc_mode, out));
+      return writer.WriteFile(path, pool);
+    }
+    // One section holds the whole portfolio inline, each member in its
+    // kind's structure order.
+    const auto& m = static_cast<const PlannedMethod&>(method);
+    BinaryWriter& s = writer.BeginSection(SectionId::kPlanner);
+    StructureOut out(s);
+    s.WriteU32(static_cast<uint32_t>(m.members_.size()));
+    for (size_t i = 0; i < m.members_.size(); ++i) {
+      s.WriteU32(static_cast<uint32_t>(m.member_kinds_[i]));
+      GSR_RETURN_IF_ERROR(SaveStructures(*m.members_[i], m.member_kinds_[i],
+                                         config.scc_mode, out));
+    }
+    m.observations_.SerializeTo(s);
+    m.histogram_.SerializeTo(s);
+    for (const PlannedMethod::CostModel& cm : m.cost_models_) {
+      s.WriteF64(cm.base_ns);
+      s.WriteF64(cm.per_unit_ns);
     }
     return writer.WriteFile(path, pool);
   }
@@ -244,217 +256,113 @@ struct MethodSnapshotAccess {
     auto config = ReadMeta(*meta_reader, *cn);
     if (!config.ok()) return config.status();
 
-    // Contexts are fetched per section (after that section's Section()
-    // call): in kPaged mode each carries the section's file offset so
-    // pageable structures can record on-disk addresses, and only one
-    // section is resident at a time while loading.
     LoadedMethod out;
     out.config = *config;
     out.page_cache = reader->page_cache();
-    switch (config->kind) {
-      case MethodKind::kNaiveBfs:
-        return Status::Internal("unreachable: meta rejects NaiveBFS");
-      case MethodKind::kSocReach: {
-        auto labeling = LoadLabeling(*reader, *cn);
-        if (!labeling.ok()) return labeling.status();
-        out.method.reset(
-            new SocReach(cn, config->soc_reach, std::move(*labeling)));
-        break;
-      }
-      case MethodKind::kSpaReachBfl: {
-        auto index = LoadSpatialIndex(*reader, config->scc_mode);
-        if (!index.ok()) return index.status();
-        auto section = reader->Section(SectionId::kBfl);
-        if (!section.ok()) return section.status();
-        auto bfl = BflIndex::Deserialize(*section, &cn->dag());
-        if (!bfl.ok()) return bfl.status();
-        out.method.reset(
-            new SpaReachBfl(cn, std::move(*index), std::move(*bfl)));
-        break;
-      }
-      case MethodKind::kSpaReachInt: {
-        auto index = LoadSpatialIndex(*reader, config->scc_mode);
-        if (!index.ok()) return index.status();
-        auto labeling = LoadLabeling(*reader, *cn);
-        if (!labeling.ok()) return labeling.status();
-        out.method.reset(
-            new SpaReachInt(cn, std::move(*index), std::move(*labeling)));
-        break;
-      }
-      case MethodKind::kSpaReachPll: {
-        auto index = LoadSpatialIndex(*reader, config->scc_mode);
-        if (!index.ok()) return index.status();
-        auto section = reader->Section(SectionId::kPll);
-        if (!section.ok()) return section.status();
-        auto pll = PllIndex::Deserialize(*section);
-        if (!pll.ok()) return pll.status();
-        if (pll->num_vertices() != cn->num_components()) {
-          return Status::InvalidArgument(
-              "snapshot PLL index does not match the condensation size");
-        }
-        out.method.reset(
-            new SpaReachPll(cn, std::move(*index), std::move(*pll)));
-        break;
-      }
-      case MethodKind::kSpaReachFeline: {
-        auto index = LoadSpatialIndex(*reader, config->scc_mode);
-        if (!index.ok()) return index.status();
-        auto section = reader->Section(SectionId::kFeline);
-        if (!section.ok()) return section.status();
-        auto feline = FelineIndex::Deserialize(*section, &cn->dag());
-        if (!feline.ok()) return feline.status();
-        out.method.reset(
-            new SpaReachFeline(cn, std::move(*index), std::move(*feline)));
-        break;
-      }
-      case MethodKind::kGeoReach: {
-        auto method = LoadGeoReach(*reader, cn, *config);
-        if (!method.ok()) return method.status();
-        out.method = std::move(*method);
-        break;
-      }
-      case MethodKind::kThreeDReach: {
-        auto labeling = LoadLabeling(*reader, *cn);
-        if (!labeling.ok()) return labeling.status();
-        auto section = reader->Section(SectionId::kRTree);
-        if (!section.ok()) return section.status();
-        const BorrowContext ctx = reader->borrow_context(SectionId::kRTree);
-        const ThreeDReach::Options method_options{
-            .scc_mode = config->scc_mode,
-            .forest_strategy = config->forest_strategy};
-        if (config->scc_mode == SccSpatialMode::kReplicate) {
-          auto points = FrozenRTreePoints3D::Deserialize(*section, ctx);
-          if (!points.ok()) return points.status();
-          out.method.reset(new ThreeDReach(cn, method_options,
-                                           std::move(*labeling),
-                                           std::move(*points),
-                                           FrozenRTree3D()));
-        } else {
-          auto boxes = FrozenRTree3D::Deserialize(*section, ctx);
-          if (!boxes.ok()) return boxes.status();
-          out.method.reset(new ThreeDReach(cn, method_options,
-                                           std::move(*labeling),
-                                           FrozenRTreePoints3D(),
-                                           std::move(*boxes)));
-        }
-        break;
-      }
-      case MethodKind::kThreeDReachRev: {
-        auto labeling = LoadLabeling(*reader, *cn);
-        if (!labeling.ok()) return labeling.status();
-        auto section = reader->Section(SectionId::kRTree);
-        if (!section.ok()) return section.status();
-        const BorrowContext ctx = reader->borrow_context(SectionId::kRTree);
-        auto rtree = FrozenRTree3D::Deserialize(*section, ctx);
-        if (!rtree.ok()) return rtree.status();
-        out.method.reset(new ThreeDReachRev(
-            cn, ThreeDReachRev::Options{.scc_mode = config->scc_mode},
-            std::move(*labeling), std::move(*rtree)));
-        break;
-      }
-      case MethodKind::kPlanner: {
-        auto section = reader->Section(SectionId::kPlanner);
-        if (!section.ok()) return section.status();
-        const BorrowContext ctx =
-            reader->borrow_context(SectionId::kPlanner);
-        BinaryReader& s = *section;
-        uint32_t member_count = 0;
-        GSR_RETURN_IF_ERROR(s.ReadU32(&member_count));
-        if (member_count != config->planner.portfolio.size()) {
-          return Status::InvalidArgument(
-              "planner snapshot: member count disagrees with meta portfolio");
-        }
-        std::vector<std::unique_ptr<RangeReachMethod>> members;
-        std::vector<MethodKind> kinds;
-        for (uint32_t i = 0; i < member_count; ++i) {
-          uint32_t kind_tag = 0;
-          GSR_RETURN_IF_ERROR(s.ReadU32(&kind_tag));
-          if (kind_tag !=
-              static_cast<uint32_t>(config->planner.portfolio[i])) {
-            return Status::InvalidArgument(
-                "planner snapshot: member kind disagrees with meta portfolio");
-          }
-          const MethodKind member_kind = static_cast<MethodKind>(kind_tag);
-          auto member = LoadMemberInline(s, ctx, cn, *config, member_kind);
-          if (!member.ok()) return member.status();
-          members.push_back(std::move(*member));
-          kinds.push_back(member_kind);
-        }
-        auto observations = Observations::Deserialize(s);
-        if (!observations.ok()) return observations.status();
-        if (observations->num_components() != cn->num_components()) {
-          return Status::InvalidArgument(
-              "planner snapshot: observations do not match the condensation");
-        }
-        auto histogram = GridHistogram::Deserialize(s);
-        if (!histogram.ok()) return histogram.status();
-        std::vector<PlannedMethod::CostModel> cost_models(member_count);
-        for (PlannedMethod::CostModel& cm : cost_models) {
-          GSR_RETURN_IF_ERROR(s.ReadF64(&cm.base_ns));
-          GSR_RETURN_IF_ERROR(s.ReadF64(&cm.per_unit_ns));
-        }
-        out.method.reset(new PlannedMethod(
-            cn, config->planner, std::move(members), std::move(kinds),
-            std::move(*observations), std::move(*histogram),
-            std::move(cost_models)));
-        break;
-      }
+    if (config->kind != MethodKind::kPlanner) {
+      StructureIn in(*reader);
+      auto method = LoadStructures(in, cn, *config, config->kind);
+      if (!method.ok()) return method.status();
+      out.method = std::move(*method);
+      out.resident_bytes = reader->resident_bytes();
+      return out;
     }
+
+    auto section = reader->Section(SectionId::kPlanner);
+    if (!section.ok()) return section.status();
+    BinaryReader& s = *section;
+    StructureIn in(s, reader->borrow_context(SectionId::kPlanner));
+    uint32_t member_count = 0;
+    GSR_RETURN_IF_ERROR(s.ReadU32(&member_count));
+    if (member_count != config->planner.portfolio.size()) {
+      return Status::InvalidArgument(
+          "planner snapshot: member count disagrees with meta portfolio");
+    }
+    std::vector<std::unique_ptr<RangeReachMethod>> members;
+    std::vector<MethodKind> kinds;
+    for (uint32_t i = 0; i < member_count; ++i) {
+      uint32_t kind_tag = 0;
+      GSR_RETURN_IF_ERROR(s.ReadU32(&kind_tag));
+      if (kind_tag != static_cast<uint32_t>(config->planner.portfolio[i])) {
+        return Status::InvalidArgument(
+            "planner snapshot: member kind disagrees with meta portfolio");
+      }
+      const MethodKind member_kind = static_cast<MethodKind>(kind_tag);
+      auto member = LoadStructures(in, cn, *config, member_kind);
+      if (!member.ok()) return member.status();
+      members.push_back(std::move(*member));
+      kinds.push_back(member_kind);
+    }
+    auto observations = Observations::Deserialize(s);
+    if (!observations.ok()) return observations.status();
+    if (observations->num_components() != cn->num_components()) {
+      return Status::InvalidArgument(
+          "planner snapshot: observations do not match the condensation");
+    }
+    auto histogram = GridHistogram::Deserialize(s);
+    if (!histogram.ok()) return histogram.status();
+    std::vector<PlannedMethod::CostModel> cost_models(member_count);
+    for (PlannedMethod::CostModel& cm : cost_models) {
+      GSR_RETURN_IF_ERROR(s.ReadF64(&cm.base_ns));
+      GSR_RETURN_IF_ERROR(s.ReadF64(&cm.per_unit_ns));
+    }
+    out.method.reset(new PlannedMethod(
+        cn, config->planner, std::move(members), std::move(kinds),
+        std::move(*observations), std::move(*histogram),
+        std::move(cost_models)));
     out.resident_bytes = reader->resident_bytes();
     return out;
   }
 
  private:
-  static Result<IntervalLabeling> LoadLabeling(const SnapshotReader& reader,
-                                               const CondensedNetwork& cn) {
-    auto section = reader.Section(SectionId::kLabeling);
-    if (!section.ok()) return section.status();
-    const BorrowContext ctx = reader.borrow_context(SectionId::kLabeling);
-    auto labeling = IntervalLabeling::Deserialize(*section, ctx);
-    if (!labeling.ok()) return labeling.status();
-    GSR_RETURN_IF_ERROR(CheckLabelingSize(*labeling, cn));
-    return labeling;
-  }
-
-  /// Planner members live inline in the kPlanner section stream, in a
-  /// fixed per-kind structure order mirrored by LoadMemberInline.
-  static void SaveMemberInline(const RangeReachMethod& method,
+  /// The one per-kind codec: which structures a method of `kind`
+  /// persists, and in what order. LoadStructures mirrors it.
+  static Status SaveStructures(const RangeReachMethod& method,
                                MethodKind kind, SccSpatialMode scc_mode,
-                               BinaryWriter& s) {
+                               StructureOut& out) {
     switch (kind) {
+      case MethodKind::kNaiveBfs:
+        return Status::InvalidArgument(
+            "NaiveBFS is index-free and has no snapshot representation");
+      case MethodKind::kPlanner:
+        return Status::InvalidArgument(
+            "a planner cannot be a planner portfolio member");
       case MethodKind::kSocReach:
-        static_cast<const SocReach&>(method).labeling_.SerializeTo(s);
+        static_cast<const SocReach&>(method).labeling_.SerializeTo(
+            out.Next(SectionId::kLabeling));
         break;
       case MethodKind::kSpaReachBfl: {
         const auto& m = static_cast<const SpaReachBfl&>(method);
-        m.spatial_index_.SerializeTo(s);
-        m.bfl_.SerializeTo(s);
+        m.spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
+        m.bfl_.SerializeTo(out.Next(SectionId::kBfl));
         break;
       }
       case MethodKind::kSpaReachInt: {
         const auto& m = static_cast<const SpaReachInt&>(method);
-        m.spatial_index_.SerializeTo(s);
-        m.labeling_.SerializeTo(s);
+        m.spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
+        m.labeling_.SerializeTo(out.Next(SectionId::kLabeling));
         break;
       }
       case MethodKind::kSpaReachPll: {
         const auto& m = static_cast<const SpaReachPll&>(method);
-        m.spatial_index_.SerializeTo(s);
-        m.pll_.SerializeTo(s);
+        m.spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
+        m.pll_.SerializeTo(out.Next(SectionId::kPll));
         break;
       }
       case MethodKind::kSpaReachFeline: {
         const auto& m = static_cast<const SpaReachFeline&>(method);
-        m.spatial_index_.SerializeTo(s);
-        m.feline_.SerializeTo(s);
+        m.spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
+        m.feline_.SerializeTo(out.Next(SectionId::kFeline));
         break;
       }
       case MethodKind::kGeoReach:
-        SaveGeoReach(static_cast<const GeoReachMethod&>(method), s);
+        SaveGeoReach(static_cast<const GeoReachMethod&>(method),
+                     out.Next(SectionId::kGeoReach));
         break;
       case MethodKind::kThreeDReach: {
         const auto& m = static_cast<const ThreeDReach&>(method);
-        m.labeling_.SerializeTo(s);
+        m.labeling_.SerializeTo(out.Next(SectionId::kLabeling));
+        BinaryWriter& s = out.Next(SectionId::kRTree);
         if (scc_mode == SccSpatialMode::kReplicate) {
           m.points_.SerializeTo(s);
         } else {
@@ -464,50 +372,52 @@ struct MethodSnapshotAccess {
       }
       case MethodKind::kThreeDReachRev: {
         const auto& m = static_cast<const ThreeDReachRev&>(method);
-        m.labeling_.SerializeTo(s);
-        m.rtree_.SerializeTo(s);
+        m.labeling_.SerializeTo(out.Next(SectionId::kLabeling));
+        m.rtree_.SerializeTo(out.Next(SectionId::kRTree));
         break;
       }
-      case MethodKind::kNaiveBfs:
-      case MethodKind::kPlanner:
-        break;  // Excluded from portfolios by construction.
     }
+    return Status::Ok();
   }
 
-  static Result<std::unique_ptr<RangeReachMethod>> LoadMemberInline(
-      BinaryReader& s, const BorrowContext& ctx, const CondensedNetwork* cn,
-      const MethodConfig& config, MethodKind kind) {
+  static Result<std::unique_ptr<RangeReachMethod>> LoadStructures(
+      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config,
+      MethodKind kind) {
     std::unique_ptr<RangeReachMethod> method;
     switch (kind) {
+      case MethodKind::kNaiveBfs:
+      case MethodKind::kPlanner:
+        // Meta validation rejects both, as a snapshot and as a member.
+        return Status::Internal("unreachable: no structures for this kind");
       case MethodKind::kSocReach: {
-        auto labeling = IntervalLabeling::Deserialize(s, ctx);
+        auto labeling = LoadLabeling(in, *cn);
         if (!labeling.ok()) return labeling.status();
-        GSR_RETURN_IF_ERROR(CheckLabelingSize(*labeling, *cn));
         method.reset(new SocReach(cn, config.soc_reach, std::move(*labeling)));
         break;
       }
       case MethodKind::kSpaReachBfl: {
-        auto index = LoadSpatialIndexInline(s, ctx, config.scc_mode);
+        auto index = LoadSpatialIndex(in, config.scc_mode);
         if (!index.ok()) return index.status();
-        auto bfl = BflIndex::Deserialize(s, &cn->dag());
+        GSR_RETURN_IF_ERROR(in.Next(SectionId::kBfl));
+        auto bfl = BflIndex::Deserialize(in.stream(), &cn->dag());
         if (!bfl.ok()) return bfl.status();
         method.reset(new SpaReachBfl(cn, std::move(*index), std::move(*bfl)));
         break;
       }
       case MethodKind::kSpaReachInt: {
-        auto index = LoadSpatialIndexInline(s, ctx, config.scc_mode);
+        auto index = LoadSpatialIndex(in, config.scc_mode);
         if (!index.ok()) return index.status();
-        auto labeling = IntervalLabeling::Deserialize(s, ctx);
+        auto labeling = LoadLabeling(in, *cn);
         if (!labeling.ok()) return labeling.status();
-        GSR_RETURN_IF_ERROR(CheckLabelingSize(*labeling, *cn));
         method.reset(
             new SpaReachInt(cn, std::move(*index), std::move(*labeling)));
         break;
       }
       case MethodKind::kSpaReachPll: {
-        auto index = LoadSpatialIndexInline(s, ctx, config.scc_mode);
+        auto index = LoadSpatialIndex(in, config.scc_mode);
         if (!index.ok()) return index.status();
-        auto pll = PllIndex::Deserialize(s);
+        GSR_RETURN_IF_ERROR(in.Next(SectionId::kPll));
+        auto pll = PllIndex::Deserialize(in.stream());
         if (!pll.ok()) return pll.status();
         if (pll->num_vertices() != cn->num_components()) {
           return Status::InvalidArgument(
@@ -517,35 +427,37 @@ struct MethodSnapshotAccess {
         break;
       }
       case MethodKind::kSpaReachFeline: {
-        auto index = LoadSpatialIndexInline(s, ctx, config.scc_mode);
+        auto index = LoadSpatialIndex(in, config.scc_mode);
         if (!index.ok()) return index.status();
-        auto feline = FelineIndex::Deserialize(s, &cn->dag());
+        GSR_RETURN_IF_ERROR(in.Next(SectionId::kFeline));
+        auto feline = FelineIndex::Deserialize(in.stream(), &cn->dag());
         if (!feline.ok()) return feline.status();
         method.reset(
             new SpaReachFeline(cn, std::move(*index), std::move(*feline)));
         break;
       }
       case MethodKind::kGeoReach: {
-        auto loaded = LoadGeoReachFrom(s, cn, config);
+        GSR_RETURN_IF_ERROR(in.Next(SectionId::kGeoReach));
+        auto loaded = LoadGeoReach(in.stream(), cn, config);
         if (!loaded.ok()) return loaded.status();
         method = std::move(*loaded);
         break;
       }
       case MethodKind::kThreeDReach: {
-        auto labeling = IntervalLabeling::Deserialize(s, ctx);
+        auto labeling = LoadLabeling(in, *cn);
         if (!labeling.ok()) return labeling.status();
-        GSR_RETURN_IF_ERROR(CheckLabelingSize(*labeling, *cn));
+        GSR_RETURN_IF_ERROR(in.Next(SectionId::kRTree));
         const ThreeDReach::Options method_options{
             .scc_mode = config.scc_mode,
             .forest_strategy = config.forest_strategy};
         if (config.scc_mode == SccSpatialMode::kReplicate) {
-          auto points = FrozenRTreePoints3D::Deserialize(s, ctx);
+          auto points = FrozenRTreePoints3D::Deserialize(in.stream(), in.ctx());
           if (!points.ok()) return points.status();
           method.reset(new ThreeDReach(cn, method_options,
                                        std::move(*labeling),
                                        std::move(*points), FrozenRTree3D()));
         } else {
-          auto boxes = FrozenRTree3D::Deserialize(s, ctx);
+          auto boxes = FrozenRTree3D::Deserialize(in.stream(), in.ctx());
           if (!boxes.ok()) return boxes.status();
           method.reset(new ThreeDReach(cn, method_options,
                                        std::move(*labeling),
@@ -555,49 +467,18 @@ struct MethodSnapshotAccess {
         break;
       }
       case MethodKind::kThreeDReachRev: {
-        auto labeling = IntervalLabeling::Deserialize(s, ctx);
+        auto labeling = LoadLabeling(in, *cn);
         if (!labeling.ok()) return labeling.status();
-        GSR_RETURN_IF_ERROR(CheckLabelingSize(*labeling, *cn));
-        auto rtree = FrozenRTree3D::Deserialize(s, ctx);
+        GSR_RETURN_IF_ERROR(in.Next(SectionId::kRTree));
+        auto rtree = FrozenRTree3D::Deserialize(in.stream(), in.ctx());
         if (!rtree.ok()) return rtree.status();
         method.reset(new ThreeDReachRev(
             cn, ThreeDReachRev::Options{.scc_mode = config.scc_mode},
             std::move(*labeling), std::move(*rtree)));
         break;
       }
-      case MethodKind::kNaiveBfs:
-      case MethodKind::kPlanner:
-        return Status::InvalidArgument(
-            "planner snapshot: unsupported portfolio member");
     }
     return method;
-  }
-
-  static Result<CondensedSpatialIndex> LoadSpatialIndexInline(
-      BinaryReader& s, const BorrowContext& ctx,
-      SccSpatialMode expected_mode) {
-    auto index = CondensedSpatialIndex::Deserialize(s, ctx);
-    if (!index.ok()) return index.status();
-    if (index->mode() != expected_mode) {
-      return Status::InvalidArgument(
-          "snapshot spatial index disagrees with the meta SCC mode");
-    }
-    return index;
-  }
-
-  static Result<CondensedSpatialIndex> LoadSpatialIndex(
-      const SnapshotReader& reader, SccSpatialMode expected_mode) {
-    auto section = reader.Section(SectionId::kSpatialIndex);
-    if (!section.ok()) return section.status();
-    const BorrowContext ctx =
-        reader.borrow_context(SectionId::kSpatialIndex);
-    auto index = CondensedSpatialIndex::Deserialize(*section, ctx);
-    if (!index.ok()) return index.status();
-    if (index->mode() != expected_mode) {
-      return Status::InvalidArgument(
-          "snapshot spatial index disagrees with the meta SCC mode");
-    }
-    return index;
   }
 
   /// GeoReach section: class tags, RMBRs, and the ReachGrids as a CSR of
@@ -632,14 +513,6 @@ struct MethodSnapshotAccess {
   }
 
   static Result<std::unique_ptr<RangeReachMethod>> LoadGeoReach(
-      const SnapshotReader& reader, const CondensedNetwork* cn,
-      const MethodConfig& config) {
-    auto section = reader.Section(SectionId::kGeoReach);
-    if (!section.ok()) return section.status();
-    return LoadGeoReachFrom(*section, cn, config);
-  }
-
-  static Result<std::unique_ptr<RangeReachMethod>> LoadGeoReachFrom(
       BinaryReader& s, const CondensedNetwork* cn,
       const MethodConfig& config) {
     std::vector<uint8_t> classes;

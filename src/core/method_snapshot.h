@@ -13,8 +13,10 @@ namespace gsr {
 /// Saves a built method to a versioned binary snapshot file. `method` must
 /// be the instance CreateMethod produced for `config` over `cn`; the
 /// snapshot records the config and a fingerprint of the dataset, and one
-/// section per index component (labeling, R-tree, filters, ...). Section
-/// checksums are computed on `pool` when it is non-null.
+/// section per index component (labeling, R-tree, filters, ...) — except
+/// for a planner, whose single section holds every portfolio member's
+/// components inline, each in its kind's own order. Section checksums are
+/// computed on `pool` when it is non-null.
 ///
 /// NaiveBFS is index-free and cannot be snapshotted (InvalidArgument).
 Status SaveMethodSnapshot(const RangeReachMethod& method,

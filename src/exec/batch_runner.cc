@@ -1,6 +1,7 @@
 #include "exec/batch_runner.h"
 
 #include <chrono>
+#include <exception>
 
 #include "exec/query_scheduler.h"
 
@@ -17,6 +18,23 @@ void BatchRunner::EnsureScratches(const RangeReachMethod& method) {
     scratches_.push_back(method.NewScratch());
   }
   scratch_method_id_ = method.instance_id();
+}
+
+void BatchRunner::ParallelForThenDrain(
+    const RangeReachMethod& method, size_t n, size_t chunk,
+    const std::function<void(size_t index, unsigned worker)>& fn) {
+  std::exception_ptr error;
+  try {
+    pool_->ParallelFor(n, chunk, fn);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // Fold per-worker counters into the method aggregate on this thread;
+  // the pool is idle now, so no query races with the drain.
+  for (const std::unique_ptr<QueryScratch>& scratch : scratches_) {
+    method.DrainScratchCounters(*scratch);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 BatchResult BatchRunner::Run(const RangeReachMethod& method,
@@ -63,8 +81,8 @@ BatchResult BatchRunner::Run(const RangeReachMethod& method,
     }
   };
 
-  pool_->ParallelFor(
-      queries.size(), options.chunk,
+  ParallelForThenDrain(
+      method, queries.size(), options.chunk,
       [&](size_t i, unsigned worker) {
         QueryScratch& scratch = *scratches_[worker];
         if (options.record_latencies) {
@@ -77,12 +95,6 @@ BatchResult BatchRunner::Run(const RangeReachMethod& method,
           eval_one(i, scratch);
         }
       });
-
-  // Fold per-worker counters into the method aggregate on this thread;
-  // the pool is idle now, so no query races with the drain.
-  for (const std::unique_ptr<QueryScratch>& scratch : scratches_) {
-    method.DrainScratchCounters(*scratch);
-  }
 
   for (const uint8_t answer : result.answers) result.true_count += answer;
   return result;
@@ -99,8 +111,8 @@ BatchResult BatchRunner::RunAny(const RangeReachMethod& method,
     result.latencies_us.assign(queries.size(), 0.0);
   }
 
-  pool_->ParallelFor(
-      queries.size(), options.chunk,
+  ParallelForThenDrain(
+      method, queries.size(), options.chunk,
       [&](size_t i, unsigned worker) {
         const AnyReachQuery& query = queries[i];
         QueryScratch& scratch = *scratches_[worker];
@@ -116,10 +128,6 @@ BatchResult BatchRunner::RunAny(const RangeReachMethod& method,
               method.EvaluateAny(query.sources, query.region, scratch) ? 1 : 0;
         }
       });
-
-  for (const std::unique_ptr<QueryScratch>& scratch : scratches_) {
-    method.DrainScratchCounters(*scratch);
-  }
 
   for (const uint8_t answer : result.answers) result.true_count += answer;
   return result;

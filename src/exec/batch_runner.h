@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -101,6 +102,14 @@ class BatchRunner {
  private:
   /// (Re)fills the per-worker scratch cache for `method`.
   void EnsureScratches(const RangeReachMethod& method);
+
+  /// pool_->ParallelFor(n, chunk, fn), then drains the scratches into
+  /// `method`'s counters — also when a query threw, before rethrowing, so
+  /// a failed batch's completed queries are neither lost nor billed to
+  /// the next batch.
+  void ParallelForThenDrain(
+      const RangeReachMethod& method, size_t n, size_t chunk,
+      const std::function<void(size_t index, unsigned worker)>& fn);
 
   ThreadPool* pool_;
   /// Scratch cache, one slot per pool worker, valid for the method whose

@@ -5,25 +5,27 @@
 #include <utility>
 
 #include "common/simd.h"
-#include "spatial/grid_histogram.h"
 
 namespace gsr::exec {
 
 namespace {
 
-/// Row-major cell id of the region's center on a `resolution` x
-/// `resolution` grid over `bounds`. Centers outside the bounds clamp to
-/// the border cells, so arbitrary regions always bucket somewhere.
-uint32_t CellOf(const Rect& region, const Rect& bounds, int resolution) {
+/// Cells per axis of the overlap bucketing grid.
+constexpr int kGridCells = 64;
+
+/// Row-major cell id of the region's center on the overlap grid over
+/// `bounds`. Centers outside the bounds clamp to the border cells, so
+/// arbitrary regions always bucket somewhere.
+uint32_t CellOf(const Rect& region, const Rect& bounds) {
   const Point2D center = region.Center();
   const double w = bounds.Width();
   const double h = bounds.Height();
   const double fx = w > 0.0 ? (center.x - bounds.min_x) / w : 0.0;
   const double fy = h > 0.0 ? (center.y - bounds.min_y) / h : 0.0;
-  const int max_cell = resolution - 1;
-  const int ix = std::clamp(static_cast<int>(fx * resolution), 0, max_cell);
-  const int iy = std::clamp(static_cast<int>(fy * resolution), 0, max_cell);
-  return static_cast<uint32_t>(iy) * static_cast<uint32_t>(resolution) +
+  const int max_cell = kGridCells - 1;
+  const int ix = std::clamp(static_cast<int>(fx * kGridCells), 0, max_cell);
+  const int iy = std::clamp(static_cast<int>(fy * kGridCells), 0, max_cell);
+  return static_cast<uint32_t>(iy) * static_cast<uint32_t>(kGridCells) +
          static_cast<uint32_t>(ix);
 }
 
@@ -98,20 +100,11 @@ std::span<const QueryGroup> GroupingArena::Build(
     buckets_[bucket].push_back(static_cast<uint32_t>(i));
   }
 
-  // Axis (b): the bounds the spatial bucketing snaps to — the workload
-  // histogram when the caller has one, else the union of this window's
-  // region centers.
-  const bool by_overlap =
-      options.group_by_overlap && options.grid_resolution >= 2;
+  // Axis (b): the bounds the spatial bucketing snaps to — the union of
+  // this window's region centers.
   Rect bounds;
-  if (by_overlap) {
-    if (options.histogram != nullptr) {
-      bounds = options.histogram->bounds();
-    } else {
-      for (const RangeReachQuery& query : window) {
-        bounds.Expand(query.region.Center());
-      }
-    }
+  for (const RangeReachQuery& query : window) {
+    bounds.Expand(query.region.Center());
   }
 
   for (size_t b = 0; b < buckets_used_; ++b) {
@@ -122,18 +115,12 @@ std::span<const QueryGroup> GroupingArena::Build(
     ordered_.clear();
     ordered_.reserve(bucket.size());
     for (const uint32_t index : bucket) {
-      const uint32_t cell =
-          by_overlap
-              ? CellOf(window[index].region, bounds, options.grid_resolution)
-              : 0;
-      ordered_.emplace_back(cell, index);
+      ordered_.emplace_back(CellOf(window[index].region, bounds), index);
     }
-    if (by_overlap) {
-      std::stable_sort(ordered_.begin(), ordered_.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.first < b.first;
-                       });
-    }
+    std::stable_sort(ordered_.begin(), ordered_.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
 
     QueryGroup* group = nullptr;
     for (const auto& [cell, index] : ordered_) {

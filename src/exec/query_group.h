@@ -9,14 +9,14 @@
 
 #include "core/range_reach.h"
 
-namespace gsr {
-class GridHistogram;
-}  // namespace gsr
-
 namespace gsr::exec {
 
 /// Knobs for turning an admitted window of queries into shared-work
-/// groups (see QueryScheduler).
+/// groups (see QueryScheduler). A vertex's regions are always ordered by
+/// a coarse 64x64 grid cell of their center, over the bounds of the
+/// window's region centers, before the max_group_regions split (axis (b):
+/// spatially close regions land in the same group, so one shared R-tree
+/// descent prunes them together instead of fanning out across the tree).
 struct GroupingOptions {
   /// Queries admitted per scheduling window. Grouping only happens within
   /// one window, so this is also the fairness bound: no query is
@@ -31,16 +31,6 @@ struct GroupingOptions {
   /// interval probes). When off, every query forms its own group — the
   /// degenerate scheduler that must behave exactly like BatchRunner.
   bool group_by_vertex = true;
-  /// Order a vertex's regions by a coarse grid cell of their center
-  /// before splitting into max_group_regions chunks (axis (b): spatially
-  /// close regions land in the same group, so one shared R-tree descent
-  /// prunes them together instead of fanning out across the tree).
-  bool group_by_overlap = true;
-  /// Cells per axis of the overlap bucketing grid.
-  int grid_resolution = 64;
-  /// Optional selectivity histogram whose bounds the overlap bucketing
-  /// snaps to; nullptr derives bounds from the window's own regions.
-  const GridHistogram* histogram = nullptr;
 };
 
 /// One shared-work unit: every member query has the same query vertex and

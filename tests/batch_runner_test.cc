@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/dynamic_range_reach.h"
@@ -188,6 +191,57 @@ TEST(BatchRunnerTest, MethodSwitchMidStreamRebuildsScratchesAndDrainsOnce) {
   (void)runner.RunShared(parallel_a, queries, scheduler_options);
   (void)runner.RunShared(parallel_a, queries, scheduler_options);
   EXPECT_EQ(parallel_a.counters().queries, before + 2 * queries.size());
+}
+
+/// Counts every completed Evaluate, on its scratch and in `evaluations`,
+/// and throws on a poison vertex — so a test can tell what a failed batch
+/// did and compare it with what the runner drained.
+class PoisonedCountingMethod : public RangeReachMethod {
+ public:
+  static constexpr VertexId kPoison = 7;
+
+  bool Evaluate(VertexId vertex, const Rect& region,
+                QueryScratch& scratch) const override {
+    (void)region;
+    if (vertex == kPoison) throw std::runtime_error("poison vertex");
+    ++scratch.counters.queries;
+    evaluations.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  std::string name() const override { return "PoisonedCounting"; }
+  size_t IndexSizeBytes() const override { return 1; }
+
+  mutable std::atomic<uint64_t> evaluations{0};
+};
+
+TEST(BatchRunnerTest, FailedBatchStillDrainsItsCounters) {
+  // A throwing query aborts the batch, but the counters of the queries
+  // that did complete must reach the method aggregate before the
+  // rethrow — not linger in the worker scratches until the next batch
+  // (or vanish when the runner switches methods).
+  std::vector<RangeReachQuery> queries;
+  std::vector<AnyReachQuery> any_queries;
+  for (VertexId v = 0; v < 200; ++v) {
+    queries.push_back({v, Rect(0, 0, 1, 1)});
+    any_queries.push_back({{v}, Rect(0, 0, 1, 1)});
+  }
+  const PoisonedCountingMethod method;
+  exec::ThreadPool pool(2);
+  exec::BatchRunner runner(&pool);
+
+  EXPECT_THROW((void)runner.Run(method, queries), std::runtime_error);
+  EXPECT_GT(method.evaluations.load(), 0u);
+  EXPECT_EQ(method.counters().queries, method.evaluations.load());
+
+  EXPECT_THROW((void)runner.RunAny(method, any_queries), std::runtime_error);
+  EXPECT_EQ(method.counters().queries, method.evaluations.load());
+
+  // The runner stays usable; a clean batch adds exactly its own queries.
+  queries.erase(queries.begin() + PoisonedCountingMethod::kPoison);
+  const uint64_t before = method.counters().queries;
+  (void)runner.Run(method, queries);
+  EXPECT_EQ(method.counters().queries, before + queries.size());
+  EXPECT_EQ(method.counters().queries, method.evaluations.load());
 }
 
 TEST(BatchRunnerTest, StreamingSocReachAgreesInParallel) {

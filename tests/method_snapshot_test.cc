@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "core/condensed_network.h"
 #include "core/method_factory.h"
@@ -284,6 +289,163 @@ TEST(MethodSnapshotTest, PagedConcurrentDescentsCrossThePrefixBoundary) {
   const snapshot::PageCache::Stats stats = loaded->page_cache->GetStats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.misses, 0u);
+}
+
+/// Every snapshot-able kind in both SCC modes, then a planner over all
+/// eight kinds in each mode (no calibration, so its cost models are the
+/// deterministic defaults).
+std::vector<MethodConfig> GoldenConfigs() {
+  std::vector<MethodConfig> configs;
+  const std::vector<MethodKind> kinds = {
+      MethodKind::kSpaReachBfl,    MethodKind::kSpaReachInt,
+      MethodKind::kSpaReachPll,    MethodKind::kSpaReachFeline,
+      MethodKind::kGeoReach,       MethodKind::kSocReach,
+      MethodKind::kThreeDReach,    MethodKind::kThreeDReachRev};
+  for (const SccSpatialMode mode :
+       {SccSpatialMode::kReplicate, SccSpatialMode::kMbr}) {
+    for (const MethodKind kind : kinds) {
+      MethodConfig config;
+      config.kind = kind;
+      config.scc_mode = mode;
+      configs.push_back(config);
+    }
+  }
+  for (const SccSpatialMode mode :
+       {SccSpatialMode::kReplicate, SccSpatialMode::kMbr}) {
+    MethodConfig config;
+    config.kind = MethodKind::kPlanner;
+    config.scc_mode = mode;
+    config.planner.portfolio = kinds;
+    config.planner.calibration_samples = 0;
+    configs.push_back(config);
+  }
+  return configs;
+}
+
+uint64_t FileDigest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  return XxHash64(bytes.data(), bytes.size());
+}
+
+TEST(MethodSnapshotTest, GoldenSnapshotBytes) {
+  // XXH64 of every file SaveMethodSnapshot writes for GoldenConfigs() on
+  // the fixed 250-vertex network. They pin the file format and, per
+  // method kind, which structures are persisted in which order — both
+  // as top-level sections and inline in the planner's stream. A change
+  // here means existing snapshot files no longer load the same way.
+  constexpr uint64_t kDigests[] = {
+      0xfee0316ebc1c908bull, 0x7762ebfc384b00fbull,
+      0x66d877194579fc9bull, 0xe2a643c9bd51333full,
+      0x1d09e2f999c33a1aull, 0xf545b5d9827c7be8ull,
+      0xa44651333d73a8b9ull, 0x460508e9ddc21a99ull,
+      0x2ef7a7838dd3d8ebull, 0xe4ac7312a0a2da8bull,
+      0x16e99a8b2e812e89ull, 0xcddb7c1551ccd343ull,
+      0x1e8385039f911715ull, 0xb0002ac3c7ef0dbbull,
+      0x47fa4de0a3171f3eull, 0x69a2a0083be877e3ull,
+      0xd415ea8e1ca2943dull, 0x25dd95bc7a85433aull};
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(250, 2.5, 0.4, 101);
+  const CondensedNetwork cn(&network);
+  const std::vector<MethodConfig> configs = GoldenConfigs();
+  ASSERT_EQ(configs.size(), std::size(kDigests));
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const auto built = CreateMethod(&cn, configs[i]);
+    const std::string path = TempPath("method_golden.snap");
+    ASSERT_TRUE(SaveMethodSnapshot(*built, configs[i], cn, path).ok());
+    EXPECT_EQ(FileDigest(path), kDigests[i])
+        << "config " << i << ": " << built->name() << " scc_mode "
+        << static_cast<int>(configs[i].scc_mode);
+  }
+}
+
+/// Raw payload of section `id` of the snapshot file at `path`.
+std::vector<std::byte> SectionPayload(const std::string& path,
+                                      snapshot::SectionId id) {
+  auto reader = snapshot::SnapshotReader::Open(path);
+  GSR_CHECK(reader.ok());
+  auto section = reader->Section(id);
+  GSR_CHECK(section.ok());
+  std::vector<std::byte> bytes(section->remaining());
+  for (std::byte& b : bytes) GSR_CHECK(section->ReadPod(&b).ok());
+  return bytes;
+}
+
+/// Writes a well-formed snapshot file (valid header, table and checksums)
+/// holding exactly `sections`, so the method loader, not the container,
+/// is what meets the damage.
+void WriteSections(
+    const std::string& path,
+    const std::vector<std::pair<snapshot::SectionId, std::vector<std::byte>>>&
+        sections) {
+  snapshot::SnapshotWriter writer;
+  for (const auto& [id, bytes] : sections) {
+    writer.BeginSection(id).WriteBytes(bytes.data(), bytes.size());
+  }
+  GSR_CHECK(writer.WriteFile(path).ok());
+}
+
+constexpr snapshot::LoadMode kAllLoadModes[] = {
+    snapshot::LoadMode::kOwnedCopy, snapshot::LoadMode::kMmap,
+    snapshot::LoadMode::kPaged};
+
+TEST(MethodSnapshotTest, MissingStructureSectionIsNotFound) {
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(250, 2.5, 0.4, 101);
+  const CondensedNetwork cn(&network);
+  MethodConfig config;
+  config.kind = MethodKind::kSpaReachBfl;
+  const auto built = CreateMethod(&cn, config);
+  const std::string path = TempPath("method_no_bfl.snap");
+  ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path).ok());
+  WriteSections(path,
+                {{snapshot::SectionId::kMeta,
+                  SectionPayload(path, snapshot::SectionId::kMeta)},
+                 {snapshot::SectionId::kSpatialIndex,
+                  SectionPayload(path, snapshot::SectionId::kSpatialIndex)}});
+
+  for (const snapshot::LoadMode mode : kAllLoadModes) {
+    auto loaded = LoadMethodSnapshot(&cn, path, {.mode = mode});
+    ASSERT_FALSE(loaded.ok()) << static_cast<int>(mode);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(MethodSnapshotTest, TruncatedPlannerStreamFails) {
+  // The planner's stream cut short at points spread over its whole
+  // length — through every member's structures and the trailing
+  // observations, histogram and cost models — must fail with an error
+  // Status in every load mode, never crash.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(250, 2.5, 0.4, 101);
+  const CondensedNetwork cn(&network);
+  MethodConfig config;
+  config.kind = MethodKind::kPlanner;
+  config.planner.calibration_samples = 0;
+  const auto built = CreateMethod(&cn, config);
+  const std::string path = TempPath("method_planner_cut.snap");
+  ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path).ok());
+  const std::vector<std::byte> meta =
+      SectionPayload(path, snapshot::SectionId::kMeta);
+  const std::vector<std::byte> planner =
+      SectionPayload(path, snapshot::SectionId::kPlanner);
+  // Members begin after the member count and the first kind tag.
+  ASSERT_GT(planner.size(), 8u);
+
+  for (size_t cut = 9; cut < planner.size(); cut += 1021) {
+    const std::vector<std::byte> prefix(
+        planner.begin(), planner.begin() + static_cast<std::ptrdiff_t>(cut));
+    WriteSections(path, {{snapshot::SectionId::kMeta, meta},
+                         {snapshot::SectionId::kPlanner, prefix}});
+    for (const snapshot::LoadMode mode : kAllLoadModes) {
+      auto loaded = LoadMethodSnapshot(&cn, path, {.mode = mode});
+      EXPECT_FALSE(loaded.ok())
+          << "cut at " << cut << " of " << planner.size() << " bytes, mode "
+          << static_cast<int>(mode);
+    }
+  }
 }
 
 TEST(MethodSnapshotTest, FingerprintMismatchIsRejected) {
