@@ -43,15 +43,18 @@ class ThreadPool;
 ///  - Rebuild() (or a background rebuild through InstallBase) folds the
 ///    log into a fresh Base; the delta shrinks to the log suffix.
 ///
-/// Query strategy: the delta search runs an *optimistic* evaluation that
-/// treats the base index as exact. With an insert-only delta (no deleted
-/// base edges, no moved/cleared base points) that evaluation IS exact.
+/// Query strategy: with an insert-only delta (no deleted base edges, no
+/// moved/cleared base points) the delta search runs an *optimistic*
+/// evaluation that treats the base index as exact — and it IS exact.
 /// Once the delta turns risky() — a base edge was deleted or a base
-/// point went stale — the optimistic result over-approximates: FALSE
-/// stays exact (the optimistic search explores a superset of the live
-/// reachability), and TRUE answers are re-verified with an exact BFS over
-/// the overlay graph (base edges minus deleted, plus inserted, current
-/// points). Risky deltas therefore degrade speed, never correctness.
+/// point went stale — the base index may over-approximate, so a query is
+/// first answered by a budgeted exact search of the live overlay graph
+/// (base edges minus deleted, plus inserted, current points; O'Reach's
+/// "cheap exact test first"). A witness found or the search exhausted
+/// decides the query; only when the budget runs out does the optimistic
+/// pass run, whose FALSE stays exact (it explores a superset of the live
+/// reachability) and whose TRUE is settled by an unbounded overlay
+/// search. Risky deltas therefore degrade speed, never correctness.
 ///
 /// Concurrency: the engine itself is single-writer — one thread mutates
 /// (Apply/AddEdge/.../Rebuild/InstallBase). Readers take an immutable
@@ -134,8 +137,8 @@ class DynamicRangeReach {
              point_overrides.size() + deleted_edges.size();
     }
     /// True when the base index may over-approximate: a base edge was
-    /// deleted or a base point is stale. Optimistic TRUE answers then
-    /// need exact overlay verification; FALSE answers stay exact.
+    /// deleted or a base point is stale. Queries then go to the exact
+    /// overlay search first; optimistic FALSE answers stay exact.
     bool risky() const {
       return stale_base_points > 0 || !deleted_edges.empty();
     }
@@ -146,7 +149,7 @@ class DynamicRangeReach {
 
   /// Per-thread query state: a scratch for the base index (re-created
   /// when the view's base changes under it — hot swaps invalidate it),
-  /// the stitch-search marks, and the overlay-BFS buffers. Obtain via
+  /// the stitch-search marks, and the overlay-search buffers. Obtain via
   /// NewScratch; one per reader thread.
   struct Scratch {
     std::unique_ptr<QueryScratch> base;
@@ -154,12 +157,15 @@ class DynamicRangeReach {
     std::vector<uint8_t> node_visited;
     std::vector<uint32_t> queue;
     std::vector<VertexId> extra_targets;
-    std::vector<uint8_t> overlay_visited;
     std::vector<VertexId> overlay_queue;
-    // Collection-path state: exactly-once delivery marks and the arena
-    // the base index's per-anchor collections land in before dedup.
+    // Overlay-search visit marks (also exactly-once delivery marks of the
+    // insert-only collection) and the arena the base index's per-anchor
+    // collections land in before dedup.
     SeenMarks seen;
     std::vector<VertexId> collect_arena;
+    /// Overlay vertices expanded since the owner last took this count
+    /// (EpochView moves it into Counters::vertices_visited).
+    uint64_t overlay_expansions = 0;
   };
 
   /// An immutable point-in-time view: shared base + delta copy. Safe to
@@ -306,16 +312,26 @@ class DynamicRangeReach {
   /// state changed; errors on out-of-range vertices.
   Result<bool> ApplyToDelta(const Update& update);
 
-  /// The one evaluation routine behind both the engine and View paths.
+  /// The one evaluation routine behind both the engine and View paths
+  /// (strategy in the class comment).
   static bool EvaluateImpl(const Base& base, const Delta& delta,
                            VertexId vertex, const Rect& region,
                            Scratch& scratch);
   static bool OptimisticEvaluate(const Base& base, const Delta& delta,
                                  VertexId vertex, const Rect& region,
                                  Scratch& scratch);
-  static bool ExactOverlayBfs(const Base& base, const Delta& delta,
-                              VertexId vertex, const Rect& region,
-                              Scratch& scratch);
+
+  enum class SearchOutcome { kFound, kExhausted, kBudget };
+  /// BFS of the live overlay graph from `vertex` (base out-edges minus
+  /// deleted, plus inserted), testing each vertex's current point when it
+  /// is discovered: a witness among `vertex`'s out-neighbors ends it
+  /// after one expansion. kBudget means `max_expansions` expansions left
+  /// vertices unexpanded. With a non-null `sink` it collects instead: no
+  /// early exit, each discovered vertex inside `region` Add()ed once.
+  static SearchOutcome OverlaySearch(const Base& base, const Delta& delta,
+                                     VertexId vertex, const Rect& region,
+                                     size_t max_expansions, ResultSink* sink,
+                                     Scratch& scratch);
   /// The one collection routine behind both the engine and View paths.
   static void CollectImpl(const Base& base, const Delta& delta,
                           VertexId vertex, const Rect& region,

@@ -85,7 +85,10 @@ class RangeReachMethod {
     uint64_t descendants = 0;        // SocReach: |D(v)| summed over queries.
     uint64_t containment_tests = 0;  // SocReach: spatial tests run.
     uint64_t range_queries = 0;      // 3DReach: cuboids issued.
-    uint64_t vertices_visited = 0;   // GeoReach: components popped by the BFS.
+    /// GeoReach: components popped by the BFS. EpochView: live-graph
+    /// vertices expanded by the overlay search of risky-delta queries
+    /// (0 on views whose delta is insert-only).
+    uint64_t vertices_visited = 0;
     uint64_t pruned = 0;             // GeoReach: visits answered kPrune.
     /// Planner: routed queries per member kind (indexed by MethodKind).
     std::array<uint64_t, kMethodKindCount> routed{};

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic_range_reach.h"
@@ -59,14 +60,17 @@ class EpochView : public RangeReachMethod {
 
   bool Evaluate(VertexId vertex, const Rect& region,
                 QueryScratch& scratch) const override {
-    return view_->Evaluate(vertex, region,
-                           static_cast<Scratch&>(scratch).inner);
+    auto& s = static_cast<Scratch&>(scratch);
+    const bool found = view_->Evaluate(vertex, region, s.inner);
+    Count(s);
+    return found;
   }
 
   void CollectInto(VertexId vertex, const Rect& region, ResultSink& sink,
                    QueryScratch& scratch) const override {
-    view_->CollectInto(vertex, region, sink,
-                       static_cast<Scratch&>(scratch).inner);
+    auto& s = static_cast<Scratch&>(scratch);
+    view_->CollectInto(vertex, region, sink, s.inner);
+    Count(s);
   }
 
   using RangeReachMethod::Evaluate;
@@ -84,6 +88,13 @@ class EpochView : public RangeReachMethod {
   VertexId num_vertices() const { return view_->num_vertices(); }
 
  private:
+  /// Bills one query and the overlay vertices it expanded.
+  static void Count(Scratch& s) {
+    ++s.counters.queries;
+    s.counters.vertices_visited +=
+        std::exchange(s.inner.overlay_expansions, 0);
+  }
+
   std::shared_ptr<const DynamicRangeReach::View> view_;
   uint64_t epoch_ = 0;
 };

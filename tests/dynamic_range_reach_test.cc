@@ -505,6 +505,113 @@ TEST(DynamicRangeReachTest, CollectThroughViewAndEpochViewMatchesOracle) {
   check_all(2);
 }
 
+TEST(DynamicRangeReachTest, BudgetedOverlaySearchCoversEveryBranch) {
+  // A path v0 -> ... -> v199 with vertex i at (i, 0), longer than the
+  // risky-delta search's expansion budget, so far witnesses force the
+  // optimistic fallback. The side edge 200 -> 201 carries the unrelated
+  // delete and point move that make the delta risky.
+  static constexpr VertexId kPath = 200;
+  const auto make_network = [] {
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    std::vector<std::optional<Point2D>> points;
+    for (VertexId v = 0; v < kPath; ++v) {
+      if (v + 1 < kPath) edges.emplace_back(v, v + 1);
+      points.push_back(Point2D{static_cast<double>(v), 0});
+    }
+    edges.emplace_back(kPath, kPath + 1);
+    points.push_back(Point2D{0, 50});
+    points.push_back(Point2D{10, 50});
+    auto graph = DiGraph::FromEdges(kPath + 2, std::move(edges));
+    GSR_CHECK(graph.ok());
+    auto network = GeoSocialNetwork::Create(std::move(graph).value(), points);
+    GSR_CHECK(network.ok());
+    return std::move(network).value();
+  };
+  const GeoSocialNetwork base = make_network();
+  ReferenceNetwork reference(base);
+  DynamicRangeReach dynamic{make_network()};
+  ASSERT_TRUE(dynamic.DeleteEdge(kPath, kPath + 1).ok());
+  reference.DeleteEdge(kPath, kPath + 1);
+  ASSERT_TRUE(dynamic.SetPoint(kPath + 1, Point2D{20, 50}).ok());
+  reference.SetPoint(kPath + 1, Point2D{20, 50});
+  ASSERT_TRUE(dynamic.Snapshot()->delta.risky());
+
+  const auto around = [](VertexId v) {
+    const double x = static_cast<double>(v);
+    return Rect(x - 0.5, -0.5, x + 0.5, 0.5);
+  };
+  const Rect nowhere(-10, -10, -5, -5);
+
+  // Answers every kind on the engine and through an EpochView, checks
+  // each against the reference, and returns the boolean answer with the
+  // overlay vertices its evaluation expanded.
+  struct Outcome {
+    bool answer;
+    uint64_t expansions;
+  };
+  const auto check = [&](VertexId vertex, const Rect& region) {
+    const std::vector<VertexId> expected =
+        reference.RangeReachEnum(vertex, region);
+    DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
+    const bool answer = dynamic.Evaluate(vertex, region, scratch);
+    EXPECT_EQ(answer, !expected.empty()) << "vertex " << vertex;
+    const uint64_t expansions = scratch.overlay_expansions;
+    ResultSink count = ResultSink::Count();
+    dynamic.CollectInto(vertex, region, count, scratch);
+    EXPECT_EQ(count.count(), expected.size()) << "vertex " << vertex;
+    std::vector<VertexId> got;
+    ResultSink enumerated = ResultSink::Enum(&got);
+    dynamic.CollectInto(vertex, region, enumerated, scratch);
+    enumerated.Finalize();
+    EXPECT_EQ(got, expected) << "vertex " << vertex;
+
+    const exec::EpochView view(dynamic.Snapshot(), /*epoch=*/1);
+    EXPECT_EQ(view.Evaluate(vertex, region), answer) << "vertex " << vertex;
+    EXPECT_EQ(view.counters().vertices_visited, expansions);
+    EXPECT_EQ(view.EvaluateCount(vertex, region), expected.size());
+    EXPECT_EQ(view.EvaluateEnum(vertex, region), expected);
+    EXPECT_EQ(view.counters().queries, 3u);
+    return Outcome{answer, expansions};
+  };
+
+  // A witness among the query vertex's out-neighbors is found when it is
+  // discovered: one expansion.
+  Outcome o = check(10, around(11));
+  EXPECT_TRUE(o.answer);
+  EXPECT_EQ(o.expansions, 1u);
+
+  // A witness at v199: the budget runs out, the optimistic pass says
+  // TRUE and the unbounded search confirms it, expanding v0..v198 on top
+  // of the budgeted attempt.
+  o = check(0, around(kPath - 1));
+  EXPECT_TRUE(o.answer);
+  EXPECT_GT(o.expansions, kPath - 1);
+
+  // A region nothing reaches: from v190 the search exhausts v190..v199
+  // within the budget; from v0 the budget runs out first and the
+  // optimistic FALSE is exact, so the path is never walked in full.
+  o = check(190, nowhere);
+  EXPECT_FALSE(o.answer);
+  EXPECT_EQ(o.expansions, 10u);
+  o = check(0, nowhere);
+  EXPECT_FALSE(o.answer);
+  EXPECT_GT(o.expansions, 10u);
+  EXPECT_LT(o.expansions, kPath);
+
+  // Cut the path at v150 -> v151. The base index still has v0 reaching
+  // v199, so the optimistic pass past the budget says TRUE; the unbounded
+  // search exhausts v0..v150 and answers the exact FALSE.
+  ASSERT_TRUE(dynamic.DeleteEdge(150, 151).ok());
+  reference.DeleteEdge(150, 151);
+  o = check(0, around(kPath - 1));
+  EXPECT_FALSE(o.answer);
+  EXPECT_GT(o.expansions, 151u);
+  // Past the cut, the witness is still reachable within the budget.
+  o = check(151, around(kPath - 1));
+  EXPECT_TRUE(o.answer);
+  EXPECT_LE(o.expansions, kPath - 151);
+}
+
 class DynamicRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {

@@ -133,6 +133,57 @@ TEST(StreamingRangeReachTest, BatchRunnerDrivesEpochViews) {
   }
 }
 
+TEST(StreamingRangeReachTest, EpochViewCountsQueriesAndOverlayWork) {
+  const GeoSocialNetwork initial =
+      testing::RandomGeoSocialNetwork(80, 2.0, 0.4, 41);
+  StreamingOptions options;
+  options.rebuild_threshold = 0;  // Only the explicit Flush below rebuilds.
+  StreamingRangeReach engine(
+      testing::RandomGeoSocialNetwork(80, 2.0, 0.4, 41), /*pool=*/nullptr,
+      options);
+  const auto stream =
+      GenerateUpdateStream(initial, UpdateStreamSpec{.count = 60}, 42);
+  ASSERT_TRUE(engine.ApplyAll(stream).ok());
+
+  Rng rng(43);
+  std::vector<RangeReachQuery> queries;
+  for (int q = 0; q < 120; ++q) {
+    queries.push_back(RangeReachQuery{
+        static_cast<VertexId>(rng.NextBounded(engine.num_vertices())),
+        RandomRegion(rng)});
+  }
+
+  // Runs a boolean and a count batch at 1 and 4 threads; returns the
+  // overlay vertices each batch expanded, after checking that every
+  // query was counted.
+  const auto run_batches = [&](const EpochView& view) {
+    std::vector<uint64_t> visited;
+    for (const unsigned threads : {1u, 4u}) {
+      ThreadPool pool(threads);
+      BatchRunner runner(&pool);
+      for (const QueryKind kind : {QueryKind::kBool, QueryKind::kCount}) {
+        view.ResetCounters();
+        BatchOptions batch;
+        batch.kind = kind;
+        runner.Run(view, queries, batch);
+        EXPECT_EQ(view.counters().queries, queries.size())
+            << threads << " threads";
+        visited.push_back(view.counters().vertices_visited);
+      }
+    }
+    return visited;
+  };
+
+  const auto risky = engine.Pin();
+  ASSERT_TRUE(risky->view().delta.risky());
+  for (const uint64_t visited : run_batches(*risky)) EXPECT_GT(visited, 0u);
+
+  engine.Flush();
+  const auto drained = engine.Pin();
+  ASSERT_EQ(drained->view().delta.size(), 0u);
+  for (const uint64_t visited : run_batches(*drained)) EXPECT_EQ(visited, 0u);
+}
+
 /// The read-while-update gate: reader threads pin epochs and query while
 /// the writer streams updates and background rebuilds hot-swap bases
 /// through the snapshot layer. Sampled answers are verified afterwards
