@@ -70,11 +70,12 @@ BENCHMARK(BM_IntervalLabelingGReach);
 void BM_BflGReach(benchmark::State& state) {
   const DiGraph dag = MakeDag(50000, 3.0, 17);
   const BflIndex index = BflIndex::Build(&dag);
+  BflIndex::SearchScratch scratch;
   Rng rng(19);
   for (auto _ : state) {
     const VertexId v = static_cast<VertexId>(rng.NextBounded(50000));
     const VertexId u = static_cast<VertexId>(rng.NextBounded(50000));
-    benchmark::DoNotOptimize(index.CanReach(v, u));
+    benchmark::DoNotOptimize(index.CanReach(v, u, scratch));
   }
 }
 BENCHMARK(BM_BflGReach);

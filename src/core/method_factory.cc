@@ -56,7 +56,7 @@ std::unique_ptr<RangeReachMethod> CreateMethod(const CondensedNetwork* cn,
     case MethodKind::kGeoReach:
       return std::make_unique<GeoReachMethod>(cn, config.geo_reach, pool);
     case MethodKind::kSocReach:
-      return std::make_unique<SocReach>(cn, config.soc_reach, pool);
+      return std::make_unique<SocReach>(cn, pool);
     case MethodKind::kThreeDReach:
       return std::make_unique<ThreeDReach>(
           cn,

@@ -7,7 +7,6 @@
 #include "core/condensed_network.h"
 #include "core/geo_reach.h"
 #include "core/range_reach.h"
-#include "core/soc_reach.h"
 #include "exec/build_options.h"
 #include "labeling/bfl.h"
 
@@ -49,7 +48,6 @@ struct MethodConfig {
   SccSpatialMode scc_mode = SccSpatialMode::kReplicate;
   GeoReachMethod::Options geo_reach;
   BflIndex::Options bfl;
-  SocReach::Options soc_reach;
   /// Spanning-forest strategy for interval labelings built by 3DReach
   /// (other labeling users keep their own defaults). Persisted in
   /// snapshots so a loaded method reproduces the configured build.

@@ -27,7 +27,7 @@ void WriteMeta(BinaryWriter& w, const MethodConfig& config,
   w.WriteU32(static_cast<uint32_t>(config.kind));
   w.WriteU8(config.scc_mode == SccSpatialMode::kReplicate ? 0 : 1);
   w.WriteU8(config.forest_strategy == ForestStrategy::kDfs ? 0 : 1);
-  w.WriteU8(config.soc_reach.stream_containment ? 1 : 0);
+  w.WriteU8(0);  // Reserved: a removed SocReach flag, 0 or 1, ignored.
   w.WriteU32(config.bfl.filter_words);
   w.WriteI32(config.geo_reach.grid_depth);
   w.WriteF64(config.geo_reach.max_rmbr_ratio);
@@ -54,11 +54,11 @@ Result<MethodConfig> ReadMeta(BinaryReader& r, const CondensedNetwork& cn) {
   uint32_t kind = 0;
   uint8_t scc_tag = 0;
   uint8_t forest_tag = 0;
-  uint8_t stream_tag = 0;
+  uint8_t reserved = 0;
   GSR_RETURN_IF_ERROR(r.ReadU32(&kind));
   GSR_RETURN_IF_ERROR(r.ReadU8(&scc_tag));
   GSR_RETURN_IF_ERROR(r.ReadU8(&forest_tag));
-  GSR_RETURN_IF_ERROR(r.ReadU8(&stream_tag));
+  GSR_RETURN_IF_ERROR(r.ReadU8(&reserved));
   GSR_RETURN_IF_ERROR(r.ReadU32(&config.bfl.filter_words));
   GSR_RETURN_IF_ERROR(r.ReadI32(&config.geo_reach.grid_depth));
   GSR_RETURN_IF_ERROR(r.ReadF64(&config.geo_reach.max_rmbr_ratio));
@@ -95,7 +95,7 @@ Result<MethodConfig> ReadMeta(BinaryReader& r, const CondensedNetwork& cn) {
 
   if (kind == static_cast<uint32_t>(MethodKind::kNaiveBfs) ||
       kind > static_cast<uint32_t>(MethodKind::kPlanner) ||
-      scc_tag > 1 || forest_tag > 1 || stream_tag > 1) {
+      scc_tag > 1 || forest_tag > 1 || reserved > 1) {
     return Status::InvalidArgument("snapshot meta: bad method tag");
   }
   // Config values that feed GSR_CHECKed constructors must be validated
@@ -117,7 +117,6 @@ Result<MethodConfig> ReadMeta(BinaryReader& r, const CondensedNetwork& cn) {
                                  : SccSpatialMode::kMbr;
   config.forest_strategy =
       forest_tag == 0 ? ForestStrategy::kDfs : ForestStrategy::kBfs;
-  config.soc_reach.stream_containment = stream_tag != 0;
 
   const GeoSocialNetwork& network = cn.network();
   if (num_vertices != network.num_vertices() ||
@@ -392,7 +391,7 @@ struct MethodSnapshotAccess {
       case MethodKind::kSocReach: {
         auto labeling = LoadLabeling(in, *cn);
         if (!labeling.ok()) return labeling.status();
-        method.reset(new SocReach(cn, config.soc_reach, std::move(*labeling)));
+        method.reset(new SocReach(cn, std::move(*labeling)));
         break;
       }
       case MethodKind::kSpaReachBfl: {

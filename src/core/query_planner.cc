@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/soc_reach.h"
+#include "core/spa_reach.h"
 #include "core/three_d_reach.h"
 
 namespace gsr {
@@ -114,9 +115,20 @@ PlannedMethod::PlannedMethod(
 }
 
 void PlannedMethod::FinishSetup() {
-  AttachObservations(&observations_);
-  for (const auto& member : members_) {
-    member->AttachObservations(&observations_);
+  // Whole-query settles run in the planner only; the spatial-first
+  // members take the observations as their per-candidate probe filter.
+  for (size_t m = 0; m < members_.size(); ++m) {
+    switch (member_kinds_[m]) {
+      case MethodKind::kSpaReachBfl:
+      case MethodKind::kSpaReachInt:
+      case MethodKind::kSpaReachPll:
+      case MethodKind::kSpaReachFeline:
+        static_cast<SpaReachBase&>(*members_[m])
+            .AttachObservations(&observations_);
+        break;
+      default:
+        break;
+    }
   }
   // Routing features, recomputed deterministically from the members'
   // labelings (so snapshots need not persist them). Each interval label

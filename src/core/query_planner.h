@@ -29,9 +29,12 @@ Observations BuildNetworkObservations(const CondensedNetwork& cn,
 /// DefinitelyEmpty rejection and the Observations whole-query settles
 /// (no reachable spatial vertex -> FALSE for every kind; a reachable
 /// witness point inside the region -> TRUE for boolean kinds) answer a
-/// query before any index is touched. The same Observations object is
-/// attached to every member, so queries that do get routed still skip
-/// per-candidate reachability probes a tri-state TestReach already proves.
+/// query before any index is touched. This is the only place a whole
+/// query is settled: members answer from their index alone. The one
+/// member-side use of the Observations object is the spatial-first
+/// members' per-candidate filter (SpaReachBase::AttachObservations), so
+/// queries routed there still skip reachability probes a tri-state
+/// TestReach already proves.
 ///
 /// Stage 2, cost-based routing: each member's per-query cost is estimated
 /// as base_ns + per_unit_ns * feature, where the feature is the method's
@@ -62,8 +65,8 @@ class PlannedMethod : public RangeReachMethod {
   /// Composite per-thread state: one scratch per member plus gather
   /// buffers for the grouped paths. The planner's own counters count
   /// stage-1 settles and routed queries per member kind; member-level
-  /// counters (probe counts, their own settles on routed queries) stay
-  /// on the member scratches and are drained through the members.
+  /// counters (probe counts, a SpaReach member's per-candidate settles)
+  /// stay on the member scratches and are drained through the members.
   struct Scratch : QueryScratch {
     std::vector<std::unique_ptr<QueryScratch>> member_scratch;
     // Grouped-path staging: per-region route, gathered regions/slots of
@@ -138,9 +141,10 @@ class PlannedMethod : public RangeReachMethod {
                 Observations observations, GridHistogram histogram,
                 std::vector<CostModel> cost_models);
 
-  /// Attaches observations to the members and derives the per-component
-  /// routing features (descendant counts from a SocReach member's
-  /// labeling, label counts from a 3DReach member's) — shared by both
+  /// Attaches observations to the spatial-first members (their
+  /// per-candidate filter) and derives the per-component routing
+  /// features (descendant counts from a SocReach member's labeling,
+  /// label counts from a 3DReach member's) — shared by both
   /// constructors.
   void FinishSetup();
 

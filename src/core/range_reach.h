@@ -17,8 +17,6 @@
 
 namespace gsr {
 
-class Observations;
-
 /// One RangeReach(G, v, R) query: does vertex `vertex` reach any spatial
 /// vertex whose point lies inside `region`? (Problem 1 of the paper.)
 struct RangeReachQuery {
@@ -76,8 +74,9 @@ class RangeReachMethod {
   /// method's aggregate lives on DefaultScratch.
   struct Counters {
     uint64_t queries = 0;
-    /// Observation pre-check hits: whole queries, and for SpaReach also
-    /// per-candidate probes, settled without touching the index.
+    /// Observation pre-check hits: whole queries for the planner, and
+    /// per-candidate probes for a SpaReach planner member, settled
+    /// without touching the index.
     uint64_t settled_negative = 0;
     uint64_t settled_positive = 0;
     uint64_t candidates = 0;         // SpaReach: SRange results materialized.
@@ -207,9 +206,8 @@ class RangeReachMethod {
   /// `scratch`, so a scratch can be drained after every batch without
   /// double counting. Calls must be serialized by the caller (BatchRunner
   /// drains worker scratches one at a time after the batch completes).
-  /// No-op for the default scratch itself. Overrides fan out to state the
-  /// base does not know about (planner members, labeling backends) and
-  /// then call this.
+  /// No-op for the default scratch itself. The planner overrides it to
+  /// fan out to its member scratches and then calls this.
   virtual void DrainScratchCounters(QueryScratch& scratch) const;
 
   /// The aggregate counters: serial calls on DefaultScratch plus every
@@ -287,24 +285,6 @@ class RangeReachMethod {
   /// is why hot multi-threaded paths pass an explicit NewScratch().
   QueryScratch& DefaultScratch() const;
 
-  /// Attaches the O(1) observation pre-checks (src/labeling/observations)
-  /// consulted by the wired query paths: SocReach, SpaReach and the
-  /// 3DReach variants settle whole queries (no spatial descendant, or a
-  /// reachable witness point inside the region) and skip per-candidate
-  /// reachability probes that a tri-state TestReach already proves. The
-  /// observations must describe this method's condensation and outlive
-  /// the method; pre-checks are proofs, so answers are bit-identical
-  /// with or without them. Methods that never consult the pointer
-  /// (NaiveBFS, GeoReach) simply ignore the attachment. Not thread-safe
-  /// against concurrent Evaluate calls — attach before querying.
-  void AttachObservations(const Observations* observations) {
-    observations_ = observations;
-  }
-
-  /// The attached pre-checks, or nullptr (the default: standalone
-  /// methods behave exactly as before).
-  const Observations* observations() const { return observations_; }
-
   /// Process-unique id of this method instance, assigned at construction
   /// and never reused. Caches keyed by method (like BatchRunner's scratch
   /// cache) use it instead of the object address, which a later instance
@@ -319,14 +299,13 @@ class RangeReachMethod {
   /// SPA-graph), excluding the shared network/condensation.
   virtual size_t IndexSizeBytes() const = 0;
 
- protected:
-  /// True when `scratch` is the method-owned default scratch — drain
-  /// implementations use this to skip self-merging.
+ private:
+  /// True when `scratch` is the method-owned default scratch — the drain
+  /// uses this to skip self-merging.
   bool IsDefaultScratch(const QueryScratch& scratch) const {
     return &scratch == default_scratch_.get();
   }
 
- private:
   static uint64_t NextInstanceId() {
     static std::atomic<uint64_t> next{1};
     return next.fetch_add(1, std::memory_order_relaxed);
@@ -334,7 +313,6 @@ class RangeReachMethod {
 
   uint64_t instance_id_ = NextInstanceId();
   mutable std::unique_ptr<QueryScratch> default_scratch_;
-  const Observations* observations_ = nullptr;
 };
 
 /// Per-thread mutable query state (buffers, visited marks, cost counters).

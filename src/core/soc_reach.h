@@ -11,7 +11,6 @@
 #include "core/condensed_network.h"
 #include "core/range_reach.h"
 #include "labeling/interval_labeling.h"
-#include "labeling/observations.h"
 
 namespace gsr {
 
@@ -22,24 +21,13 @@ namespace gsr {
 /// until one hits. No spatial index is involved, by design.
 class SocReach : public RangeReachMethod {
  public:
-  struct Options {
-    /// When true, the containment test of step 2 is streamed inside
-    /// ForEachDescendant, so a positive query exits at the first hit
-    /// without materializing the full D(v) buffer. The default keeps the
-    /// paper-faithful two-step evaluation (materialize, then test) whose
-    /// cost profile Section 6 reports.
-    bool stream_containment = false;
-  };
-
   /// Builds the labeling over the condensation of `cn`'s network. A
   /// non-null `pool` runs construction in parallel (identical labeling).
-  SocReach(const CondensedNetwork* cn, const Options& options,
-           exec::ThreadPool* pool = nullptr)
+  explicit SocReach(const CondensedNetwork* cn,
+                    exec::ThreadPool* pool = nullptr)
       : cn_(cn),
-        options_(options),
         labeling_(IntervalLabeling::Build(cn->dag(),
                                           IntervalLabeling::Options{}, pool)) {}
-  explicit SocReach(const CondensedNetwork* cn) : SocReach(cn, Options{}) {}
 
   /// Per-thread state: the reusable D(v) buffer. SocReach's cost is
   /// dominated by the size of the materialized descendant sets, which the
@@ -57,36 +45,6 @@ class SocReach : public RangeReachMethod {
     Scratch& s = static_cast<Scratch&>(scratch);
     ++s.counters.queries;
     const ComponentId source = cn_->ComponentOf(vertex);
-    // Observation pre-checks settle the whole query — the descendant
-    // enumeration (SocReach's dominating cost) is skipped entirely.
-    if (const Observations* obs = observations()) {
-      switch (obs->SettleRange(source, region)) {
-        case Observations::Verdict::kNo:
-          ++s.counters.settled_negative;
-          return false;
-        case Observations::Verdict::kYes:
-          ++s.counters.settled_positive;
-          return true;
-        case Observations::Verdict::kUnknown:
-          break;
-      }
-    }
-    if (options_.stream_containment) {
-      // Fused variant: each enumerated descendant is tested immediately,
-      // so a positive answer stops the relational range scans early.
-      bool found = false;
-      labeling_.ForEachDescendant(source, [&](VertexId descendant) {
-        ++s.counters.descendants;
-        ++s.counters.containment_tests;
-        if (cn_->AnyMemberPointIn(static_cast<ComponentId>(descendant),
-                                  region)) {
-          found = true;
-          return false;
-        }
-        return true;
-      });
-      return found;
-    }
     // Step 1: compute the full descendant set D(v), as Section 4.1
     // prescribes — the labels of v are relational range scans over the
     // post-order domain. This step is what keeps SocReach from being
@@ -160,15 +118,6 @@ class SocReach : public RangeReachMethod {
     Scratch& s = static_cast<Scratch&>(scratch);
     ++s.counters.queries;
     const ComponentId source = cn_->ComponentOf(vertex);
-    // Only the negative settle applies to collection: no reachable
-    // spatial vertex at all proves the result set empty for every
-    // region. (A witness hit says "non-empty", which still requires the
-    // full enumeration.)
-    if (const Observations* obs = observations();
-        obs != nullptr && !obs->ReachesAnySpatial(source)) {
-      ++s.counters.settled_negative;
-      return;
-    }
     labeling_.ForEachDescendant(source, [&](VertexId descendant) {
       ++s.counters.descendants;
       ++s.counters.containment_tests;
@@ -202,8 +151,6 @@ class SocReach : public RangeReachMethod {
 
   using RangeReachMethod::Evaluate;
 
-  const Options& options() const { return options_; }
-
   std::string name() const override { return "SocReach"; }
 
   size_t IndexSizeBytes() const override { return labeling_.SizeBytes(); }
@@ -214,12 +161,10 @@ class SocReach : public RangeReachMethod {
   friend struct MethodSnapshotAccess;
 
   /// From-parts constructor used by the snapshot loader.
-  SocReach(const CondensedNetwork* cn, const Options& options,
-           IntervalLabeling labeling)
-      : cn_(cn), options_(options), labeling_(std::move(labeling)) {}
+  SocReach(const CondensedNetwork* cn, IntervalLabeling labeling)
+      : cn_(cn), labeling_(std::move(labeling)) {}
 
   const CondensedNetwork* cn_;
-  Options options_;
   IntervalLabeling labeling_;
 };
 

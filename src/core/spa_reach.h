@@ -24,8 +24,15 @@ namespace gsr {
 /// The spatial-first approach of Section 2.2.1: a 2-D R-tree first
 /// identifies every spatial vertex inside the query region, then a graph
 /// reachability index answers one GReach query per candidate, terminating
-/// on the first positive answer. Shared by both concrete methods; the
+/// on the first positive answer. Shared by the four concrete methods; the
 /// reachability backend is injected by the subclass.
+///
+/// Whole-query settles are the planner's job (PlannedMethod runs them
+/// before it routes). A planner member gets the planner's observations
+/// through AttachObservations, and the serial probe loops consult their
+/// tri-state TestReach to skip a backend probe the observations already
+/// prove. A standalone method has none attached and probes every
+/// candidate.
 class SpaReachBase : public RangeReachMethod {
  public:
   /// Per-thread state shared by every spatial-first method: the SRange
@@ -54,22 +61,6 @@ class SpaReachBase : public RangeReachMethod {
                 QueryScratch& scratch) const override {
     Scratch& s = static_cast<Scratch&>(scratch);
     ++s.counters.queries;
-    const Observations* obs = observations();
-    // Observation pre-checks settle the whole query before SRange: no
-    // spatial descendant at all, or a reachable witness point inside
-    // the region.
-    if (obs != nullptr) {
-      switch (obs->SettleRange(cn_->ComponentOf(vertex), region)) {
-        case Observations::Verdict::kNo:
-          ++s.counters.settled_negative;
-          return false;
-        case Observations::Verdict::kYes:
-          ++s.counters.settled_positive;
-          return true;
-        case Observations::Verdict::kUnknown:
-          break;
-      }
-    }
     // Step 1 (SRange): materialize every spatial vertex inside the region,
     // as the SpaReach algorithm prescribes. This is what makes the method
     // sensitive to the spatial selectivity of the query.
@@ -106,11 +97,12 @@ class SpaReachBase : public RangeReachMethod {
       return false;
     }
     // Serial probe path (BFL, PLL, Feline — per-probe graph searches):
-    // a tri-state TestReach settles most candidates in O(1), so the
-    // expensive backend probe only runs on genuinely unknown pairs.
+    // with observations attached, a tri-state TestReach settles most
+    // candidates in O(1), so the backend probe only runs on genuinely
+    // unknown pairs.
     for (const auto& [candidate, verified] : s.candidates) {
-      if (obs != nullptr) {
-        const auto verdict = obs->TestReach(source, candidate);
+      if (observations_ != nullptr) {
+        const auto verdict = observations_->TestReach(source, candidate);
         if (verdict == Observations::Verdict::kNo) {
           ++s.counters.settled_negative;
           continue;
@@ -141,14 +133,7 @@ class SpaReachBase : public RangeReachMethod {
                    QueryScratch& scratch) const override {
     Scratch& s = static_cast<Scratch&>(scratch);
     ++s.counters.queries;
-    const Observations* obs = observations();
     const ComponentId source = cn_->ComponentOf(vertex);
-    // Collection settles only negatively: an empty reachable spatial
-    // set proves the result empty for every region.
-    if (obs != nullptr && !obs->ReachesAnySpatial(source)) {
-      ++s.counters.settled_negative;
-      return;
-    }
     spatial_index_.CollectCandidates(region, s.candidates);
     s.counters.candidates += s.candidates.size();
     s.seen.BeginPass(cn_->num_components());
@@ -176,8 +161,8 @@ class SpaReachBase : public RangeReachMethod {
       return;
     }
     for (const ComponentId c : s.distinct) {
-      if (obs != nullptr) {
-        const auto verdict = obs->TestReach(source, c);
+      if (observations_ != nullptr) {
+        const auto verdict = observations_->TestReach(source, c);
         if (verdict == Observations::Verdict::kNo) {
           ++s.counters.settled_negative;
           continue;
@@ -206,31 +191,12 @@ class SpaReachBase : public RangeReachMethod {
     if (sources.empty()) return false;
     Scratch& s = static_cast<Scratch&>(scratch);
     ++s.counters.queries;
-    const Observations* obs = observations();
     s.seen.BeginPass(cn_->num_components());
     s.distinct.clear();
-    // Per-source settles before SRange: a witness point inside the
-    // region answers TRUE outright; sources without any reachable
-    // spatial vertex drop out of the probe set (all dropped = FALSE,
-    // without the candidate collection).
     for (const VertexId source : sources) {
       const ComponentId c = cn_->ComponentOf(source);
-      if (!s.seen.TestAndSet(c)) continue;
-      if (obs != nullptr) {
-        switch (obs->SettleRange(c, region)) {
-          case Observations::Verdict::kYes:
-            ++s.counters.settled_positive;
-            return true;
-          case Observations::Verdict::kNo:
-            ++s.counters.settled_negative;
-            continue;
-          case Observations::Verdict::kUnknown:
-            break;
-        }
-      }
-      s.distinct.push_back(c);
+      if (s.seen.TestAndSet(c)) s.distinct.push_back(c);
     }
-    if (s.distinct.empty()) return false;
     spatial_index_.CollectCandidates(region, s.candidates);
     s.counters.candidates += s.candidates.size();
     if (HasBatchProbe()) {
@@ -285,6 +251,14 @@ class SpaReachBase : public RangeReachMethod {
     return out;
   }
 
+  /// Attaches the per-candidate filter: `observations` must describe this
+  /// method's condensation and outlive it. Filter verdicts are proofs, so
+  /// answers are identical with or without it. Not thread-safe against
+  /// concurrent queries — attach before querying.
+  void AttachObservations(const Observations* observations) {
+    observations_ = observations;
+  }
+
  protected:
   friend struct MethodSnapshotAccess;
 
@@ -324,6 +298,7 @@ class SpaReachBase : public RangeReachMethod {
 
  private:
   std::string base_name_;
+  const Observations* observations_ = nullptr;
 };
 
 /// SpaReach-BFL: spatial-first with the BFL reachability scheme — the best
@@ -357,18 +332,9 @@ class SpaReachBfl : public SpaReachBase {
 
   const BflIndex& bfl() const { return bfl_; }
 
-  /// The spatial-first counters plus BFL's own (BflIndex::counters()).
-  void DrainScratchCounters(QueryScratch& scratch) const override {
-    SpaReachBase::DrainScratchCounters(scratch);
-    bfl_.DrainScratchCounters(static_cast<Scratch&>(scratch).bfl);
-  }
-
  protected:
   bool CanReachComponent(ComponentId from, ComponentId to,
                          SpaReachBase::Scratch& scratch) const override {
-    // Serial path: use the index-owned scratch so bfl().counters()
-    // advances live, exactly like standalone BflIndex usage.
-    if (IsDefaultScratch(scratch)) return bfl_.CanReach(from, to);
     return bfl_.CanReach(from, to, static_cast<Scratch&>(scratch).bfl);
   }
 
@@ -616,17 +582,9 @@ class SpaReachFeline : public SpaReachBase {
 
   const FelineIndex& feline() const { return feline_; }
 
-  /// The spatial-first counters plus Feline's own (FelineIndex::counters()).
-  void DrainScratchCounters(QueryScratch& scratch) const override {
-    SpaReachBase::DrainScratchCounters(scratch);
-    feline_.DrainScratchCounters(static_cast<Scratch&>(scratch).feline);
-  }
-
  protected:
   bool CanReachComponent(ComponentId from, ComponentId to,
                          SpaReachBase::Scratch& scratch) const override {
-    // Serial path: index-owned scratch keeps feline().counters() live.
-    if (IsDefaultScratch(scratch)) return feline_.CanReach(from, to);
     return feline_.CanReach(from, to, static_cast<Scratch&>(scratch).feline);
   }
 

@@ -7,7 +7,6 @@
 
 #include "common/simd.h"
 #include "exec/parallel.h"
-#include "labeling/observations.h"
 
 namespace gsr {
 
@@ -67,20 +66,6 @@ bool ThreeDReach::Evaluate(VertexId vertex, const Rect& region,
   Counters& counters = scratch.counters;
   ++counters.queries;
   const ComponentId source = cn_->ComponentOf(vertex);
-  // Observation pre-checks settle the whole query — every label's
-  // R-tree descent is skipped.
-  if (const Observations* obs = observations()) {
-    switch (obs->SettleRange(source, region)) {
-      case Observations::Verdict::kNo:
-        ++counters.settled_negative;
-        return false;
-      case Observations::Verdict::kYes:
-        ++counters.settled_positive;
-        return true;
-      case Observations::Verdict::kUnknown:
-        break;
-    }
-  }
   const bool replicate = options_.scc_mode == SccSpatialMode::kReplicate;
   // One 3-D existence query per label of the query vertex. With the
   // replicate variant, any point inside a cuboid answers TRUE immediately;
@@ -157,13 +142,6 @@ void ThreeDReach::CollectInto(VertexId vertex, const Rect& region,
   Scratch& s = static_cast<Scratch&>(scratch);
   ++s.counters.queries;
   const ComponentId source = cn_->ComponentOf(vertex);
-  // Negative settle only: an empty reachable spatial set proves the
-  // result empty for every region (witness hits still enumerate).
-  if (const Observations* obs = observations();
-      obs != nullptr && !obs->ReachesAnySpatial(source)) {
-    ++s.counters.settled_negative;
-    return;
-  }
   const bool replicate = options_.scc_mode == SccSpatialMode::kReplicate;
   // A component's post number lies in exactly one (disjoint) label, but
   // the replicate tree holds one point per member, so a multi-member
@@ -338,23 +316,8 @@ ThreeDReachRev::ThreeDReachRev(const CondensedNetwork* cn,
 
 bool ThreeDReachRev::Evaluate(VertexId vertex, const Rect& region,
                               QueryScratch& scratch) const {
-  Counters& counters = scratch.counters;
-  ++counters.queries;
+  ++scratch.counters.queries;
   const ComponentId source = cn_->ComponentOf(vertex);
-  // Observation pre-checks settle the whole query without the plane
-  // descent.
-  if (const Observations* obs = observations()) {
-    switch (obs->SettleRange(source, region)) {
-      case Observations::Verdict::kNo:
-        ++counters.settled_negative;
-        return false;
-      case Observations::Verdict::kYes:
-        ++counters.settled_positive;
-        return true;
-      case Observations::Verdict::kUnknown:
-        break;
-    }
-  }
   // A single 3-D query: the plane R x post(v). It cuts the segment of a
   // spatial vertex u iff u.point is in R and v is an ancestor of u.
   const double z = static_cast<double>(labeling_.post(source));
@@ -417,12 +380,6 @@ void ThreeDReachRev::CollectInto(VertexId vertex, const Rect& region,
   Scratch& s = static_cast<Scratch&>(scratch);
   ++s.counters.queries;
   const ComponentId source = cn_->ComponentOf(vertex);
-  // Negative settle only, as in ThreeDReach::CollectInto.
-  if (const Observations* obs = observations();
-      obs != nullptr && !obs->ReachesAnySpatial(source)) {
-    ++s.counters.settled_negative;
-    return;
-  }
   const double z = static_cast<double>(labeling_.post(source));
   const Box3D plane = Box3D::FromRectAndInterval(region, z, z);
   // One enumerating plane descent serves both SCC variants: a cut
@@ -480,6 +437,7 @@ bool ThreeDReachRev::EvaluateAny(std::span<const VertexId> sources,
   }
   if (sources.empty()) return false;
   Scratch& s = static_cast<Scratch&>(scratch);
+  ++s.counters.queries;
   // One plane per distinct source component, each at its own height
   // z = post(source), batched into masked existence descents.
   s.seen.BeginPass(cn_->num_components());

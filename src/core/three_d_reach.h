@@ -146,7 +146,7 @@ class ThreeDReachRev : public RangeReachMethod {
 
   /// Per-thread state: the collection/AnyReach dedup marks. The plane
   /// probe issues exactly one 3-D query per RangeReach, so range_queries
-  /// stays zero; queries and pre-check settles are counted as usual.
+  /// stays zero; queries are counted as usual.
   struct Scratch : QueryScratch {
     SeenMarks seen;
     GroupSeenMarks group_seen;
@@ -156,8 +156,8 @@ class ThreeDReachRev : public RangeReachMethod {
     return std::make_unique<Scratch>();
   }
 
-  /// The boolean paths use the scratch only for its counters (queries
-  /// and pre-check settles); collection paths also use its dedup marks.
+  /// The boolean paths use the scratch only for its queries counter;
+  /// collection paths also use its dedup marks.
   bool Evaluate(VertexId vertex, const Rect& region,
                 QueryScratch& scratch) const override;
 

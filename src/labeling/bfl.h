@@ -25,10 +25,9 @@ namespace gsr {
 /// the query exactly, so BFL is always correct.
 ///
 /// The input must be a DAG. The index itself is immutable after Build;
-/// the Label+G DFS keeps its visited marks in a SearchScratch, so queries
-/// run concurrently when each thread passes its own scratch. The
-/// two-argument CanReach uses an index-owned scratch and stays
-/// single-threaded.
+/// the Label+G DFS keeps its visited marks and counters in a
+/// SearchScratch, so queries run concurrently when each thread passes its
+/// own scratch.
 class BflIndex {
  public:
   struct Options {
@@ -38,7 +37,8 @@ class BflIndex {
   };
 
   /// Counters for observing how queries were answered (used by tests to
-  /// confirm the filters actually prune).
+  /// confirm the filters actually prune). They accumulate in the
+  /// SearchScratch a query runs on.
   struct QueryCounters {
     uint64_t tree_hits = 0;       // answered by the tree interval
     uint64_t filter_rejects = 0;  // answered negatively by a Bloom test
@@ -75,24 +75,6 @@ class BflIndex {
   /// one scratch per thread.
   bool CanReach(VertexId from, VertexId to, SearchScratch& scratch) const;
 
-  /// Single-threaded convenience overload on the index-owned scratch.
-  bool CanReach(VertexId from, VertexId to) const {
-    return CanReach(from, to, scratch_);
-  }
-
-  const QueryCounters& counters() const { return scratch_.counters; }
-  void ResetCounters() const { scratch_.counters = QueryCounters{}; }
-
-  /// Folds counters accumulated in an external scratch into counters()
-  /// and zeroes them in `scratch`. Callers serialize.
-  void DrainScratchCounters(SearchScratch& scratch) const {
-    if (&scratch == &scratch_) return;
-    scratch_.counters.tree_hits += scratch.counters.tree_hits;
-    scratch_.counters.filter_rejects += scratch.counters.filter_rejects;
-    scratch_.counters.dfs_fallbacks += scratch.counters.dfs_fallbacks;
-    scratch.counters = QueryCounters{};
-  }
-
   /// Main-memory footprint in bytes.
   size_t SizeBytes() const;
 
@@ -117,9 +99,6 @@ class BflIndex {
   SpanningForest forest_;
   std::vector<uint64_t> out_filters_;  // n * filter_words_
   std::vector<uint64_t> in_filters_;   // n * filter_words_
-
-  // Scratch behind the single-threaded CanReach overload.
-  mutable SearchScratch scratch_;
 };
 
 }  // namespace gsr

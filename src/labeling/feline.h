@@ -21,9 +21,8 @@ namespace gsr {
 ///
 /// The input must be a DAG and must outlive the index (DFS fallback).
 /// The index is immutable after Build; the guided DFS keeps its visited
-/// marks in a SearchScratch, so queries run concurrently when each thread
-/// passes its own scratch. The two-argument CanReach uses an index-owned
-/// scratch and stays single-threaded.
+/// marks and counters in a SearchScratch, so queries run concurrently
+/// when each thread passes its own scratch.
 class FelineIndex {
  public:
   /// Builds the index over `dag`.
@@ -36,7 +35,8 @@ class FelineIndex {
   /// `dag` — which must be the graph the index was built over.
   static Result<FelineIndex> Deserialize(BinaryReader& r, const DiGraph* dag);
 
-  /// Counters observing how queries were answered.
+  /// Counters observing how queries were answered, accumulated in the
+  /// SearchScratch a query runs on.
   struct QueryCounters {
     uint64_t dominance_rejects = 0;  // Answered negatively by coordinates.
     uint64_t dfs_fallbacks = 0;      // Needed the guided DFS.
@@ -55,26 +55,9 @@ class FelineIndex {
   /// state except through `scratch`; thread-safe with one per thread.
   bool CanReach(VertexId from, VertexId to, SearchScratch& scratch) const;
 
-  /// Single-threaded convenience overload on the index-owned scratch.
-  bool CanReach(VertexId from, VertexId to) const {
-    return CanReach(from, to, scratch_);
-  }
-
   /// The two topological coordinates of v (exposed for tests).
   uint32_t XCoord(VertexId v) const { return x_[v]; }
   uint32_t YCoord(VertexId v) const { return y_[v]; }
-
-  const QueryCounters& counters() const { return scratch_.counters; }
-  void ResetCounters() const { scratch_.counters = QueryCounters{}; }
-
-  /// Folds counters accumulated in an external scratch into counters()
-  /// and zeroes them in `scratch`. Callers serialize.
-  void DrainScratchCounters(SearchScratch& scratch) const {
-    if (&scratch == &scratch_) return;
-    scratch_.counters.dominance_rejects += scratch.counters.dominance_rejects;
-    scratch_.counters.dfs_fallbacks += scratch.counters.dfs_fallbacks;
-    scratch.counters = QueryCounters{};
-  }
 
   /// Main-memory footprint in bytes.
   size_t SizeBytes() const {
@@ -93,9 +76,6 @@ class FelineIndex {
   const DiGraph* dag_ = nullptr;
   std::vector<uint32_t> x_;  // Topological rank, min-id tie-breaking.
   std::vector<uint32_t> y_;  // Topological rank, max-id tie-breaking.
-
-  // Scratch behind the single-threaded CanReach overload.
-  mutable SearchScratch scratch_;
 };
 
 }  // namespace gsr

@@ -244,24 +244,6 @@ TEST(BatchRunnerTest, FailedBatchStillDrainsItsCounters) {
   EXPECT_EQ(method.counters().queries, method.evaluations.load());
 }
 
-TEST(BatchRunnerTest, StreamingSocReachAgreesInParallel) {
-  const GeoSocialNetwork network =
-      testing::RandomGeoSocialNetwork(180, 2.5, 0.4, 41);
-  const CondensedNetwork cn(&network);
-  const std::vector<RangeReachQuery> queries =
-      MixedWorkload(network, 250, 123);
-
-  const SocReach materializing(&cn);
-  const SocReach streaming(&cn, SocReach::Options{.stream_containment = true});
-  ASSERT_TRUE(streaming.options().stream_containment);
-
-  exec::ThreadPool pool(4);
-  exec::BatchRunner runner(&pool);
-  const exec::BatchResult base = runner.Run(materializing, queries);
-  const exec::BatchResult fused = runner.Run(streaming, queries);
-  EXPECT_EQ(base.answers, fused.answers);
-}
-
 TEST(BatchRunnerTest, RecordLatenciesProducesOnePerQuery) {
   const GeoSocialNetwork network =
       testing::RandomGeoSocialNetwork(80, 2.0, 0.5, 51);

@@ -12,9 +12,10 @@ TEST(BflTest, ChainGraph) {
   auto g = DiGraph::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   ASSERT_TRUE(g.ok());
   const BflIndex index = BflIndex::Build(&*g);
+  BflIndex::SearchScratch scratch;
   for (VertexId v = 0; v < 5; ++v) {
     for (VertexId u = 0; u < 5; ++u) {
-      EXPECT_EQ(index.CanReach(v, u), v <= u);
+      EXPECT_EQ(index.CanReach(v, u, scratch), v <= u);
     }
   }
 }
@@ -22,8 +23,9 @@ TEST(BflTest, ChainGraph) {
 TEST(BflTest, SelfReachable) {
   const DiGraph g = testing::RandomDag(40, 2.0, 3);
   const BflIndex index = BflIndex::Build(&g);
+  BflIndex::SearchScratch scratch;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_TRUE(index.CanReach(v, v));
+    EXPECT_TRUE(index.CanReach(v, v, scratch));
   }
 }
 
@@ -32,10 +34,11 @@ class BflRandomTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(BflRandomTest, MatchesBfsExhaustively) {
   const DiGraph g = testing::RandomDag(120, 3.0, GetParam());
   const BflIndex index = BflIndex::Build(&g);
+  BflIndex::SearchScratch scratch;
   BfsTraversal bfs(&g);
   for (VertexId v = 0; v < g.num_vertices(); v += 2) {
     for (VertexId u = 0; u < g.num_vertices(); ++u) {
-      ASSERT_EQ(index.CanReach(v, u), bfs.CanReach(v, u))
+      ASSERT_EQ(index.CanReach(v, u, scratch), bfs.CanReach(v, u))
           << "GReach(" << v << ", " << u << ")";
     }
   }
@@ -48,10 +51,11 @@ TEST_P(BflRandomTest, SmallFiltersStayCorrect) {
   options.filter_words = 1;
   const DiGraph g = testing::RandomDag(100, 4.0, GetParam() + 11);
   const BflIndex index = BflIndex::Build(&g, options);
+  BflIndex::SearchScratch scratch;
   BfsTraversal bfs(&g);
   for (VertexId v = 0; v < g.num_vertices(); v += 3) {
     for (VertexId u = 0; u < g.num_vertices(); u += 2) {
-      ASSERT_EQ(index.CanReach(v, u), bfs.CanReach(v, u));
+      ASSERT_EQ(index.CanReach(v, u, scratch), bfs.CanReach(v, u));
     }
   }
 }
@@ -62,15 +66,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BflRandomTest,
 TEST(BflTest, CountersShowFilterPruning) {
   const DiGraph g = testing::RandomDag(500, 2.0, 31);
   const BflIndex index = BflIndex::Build(&g);
-  index.ResetCounters();
+  BflIndex::SearchScratch scratch;
   uint64_t queries = 0;
   for (VertexId v = 0; v < g.num_vertices(); v += 7) {
     for (VertexId u = 0; u < g.num_vertices(); u += 11) {
-      index.CanReach(v, u);
+      index.CanReach(v, u, scratch);
       ++queries;
     }
   }
-  const auto& counters = index.counters();
+  const auto& counters = scratch.counters;
   EXPECT_EQ(counters.tree_hits + counters.filter_rejects +
                 counters.dfs_fallbacks,
             queries);
@@ -87,15 +91,16 @@ TEST(BflTest, WideFiltersReduceDfsFallbacks) {
   wide.filter_words = 8;
   const BflIndex a = BflIndex::Build(&g, narrow);
   const BflIndex b = BflIndex::Build(&g, wide);
-  a.ResetCounters();
-  b.ResetCounters();
+  BflIndex::SearchScratch scratch_a;
+  BflIndex::SearchScratch scratch_b;
   for (VertexId v = 0; v < g.num_vertices(); v += 3) {
     for (VertexId u = 0; u < g.num_vertices(); u += 5) {
-      a.CanReach(v, u);
-      b.CanReach(v, u);
+      a.CanReach(v, u, scratch_a);
+      b.CanReach(v, u, scratch_b);
     }
   }
-  EXPECT_LE(b.counters().dfs_fallbacks, a.counters().dfs_fallbacks);
+  EXPECT_LE(scratch_b.counters.dfs_fallbacks,
+            scratch_a.counters.dfs_fallbacks);
   EXPECT_GT(b.SizeBytes(), a.SizeBytes());
 }
 

@@ -198,5 +198,40 @@ TEST(CountersTest, ThreeDReachRevGroupedQueriesCountUnderRunShared) {
   }
 }
 
+TEST(CountersTest, AnyReachCountsOneQueryPerCall) {
+  // Every AnyReach override counts one query per call, however many
+  // sources it probes: 3DReach-REV's replicate plane path like the rest.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(150, 2.5, 0.4, 25);
+  const CondensedNetwork cn(&network);
+  std::vector<AnyReachQuery> queries;
+  Rng rng(26);
+  for (int q = 0; q < 30; ++q) {
+    AnyReachQuery query;
+    for (int k = 0; k < 3; ++k) {
+      query.sources.push_back(
+          static_cast<VertexId>(rng.NextBounded(network.num_vertices())));
+    }
+    const double x = rng.NextDoubleInRange(-20, 100);
+    const double y = rng.NextDoubleInRange(-20, 100);
+    query.region = Rect(x, y, x + 25, y + 25);
+    queries.push_back(std::move(query));
+  }
+  exec::ThreadPool pool(2);
+  exec::BatchRunner runner(&pool);
+  for (const MethodKind kind :
+       {MethodKind::kThreeDReach, MethodKind::kThreeDReachRev,
+        MethodKind::kSpaReachBfl, MethodKind::kGeoReach}) {
+    MethodConfig config;
+    config.kind = kind;
+    config.scc_mode = SccSpatialMode::kReplicate;
+    const auto method = CreateMethod(&cn, config);
+    SCOPED_TRACE(method->name());
+    method->ResetCounters();
+    runner.RunAny(*method, queries);
+    EXPECT_EQ(method->counters().queries, queries.size());
+  }
+}
+
 }  // namespace
 }  // namespace gsr

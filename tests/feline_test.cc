@@ -12,9 +12,10 @@ TEST(FelineTest, ChainGraph) {
   auto g = DiGraph::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   ASSERT_TRUE(g.ok());
   const FelineIndex index = FelineIndex::Build(&*g);
+  FelineIndex::SearchScratch scratch;
   for (VertexId v = 0; v < 5; ++v) {
     for (VertexId u = 0; u < 5; ++u) {
-      EXPECT_EQ(index.CanReach(v, u), v <= u) << v << " -> " << u;
+      EXPECT_EQ(index.CanReach(v, u, scratch), v <= u) << v << " -> " << u;
     }
   }
 }
@@ -56,10 +57,11 @@ class FelineRandomTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(FelineRandomTest, MatchesBfsExhaustively) {
   const DiGraph g = testing::RandomDag(120, 3.0, GetParam());
   const FelineIndex index = FelineIndex::Build(&g);
+  FelineIndex::SearchScratch scratch;
   BfsTraversal bfs(&g);
   for (VertexId v = 0; v < g.num_vertices(); v += 2) {
     for (VertexId u = 0; u < g.num_vertices(); ++u) {
-      ASSERT_EQ(index.CanReach(v, u), bfs.CanReach(v, u))
+      ASSERT_EQ(index.CanReach(v, u, scratch), bfs.CanReach(v, u))
           << "GReach(" << v << ", " << u << ")";
     }
   }
@@ -71,24 +73,25 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FelineRandomTest,
 TEST(FelineTest, DominanceFiltersUnreachablePairs) {
   const DiGraph g = testing::RandomDag(400, 1.5, 11);
   const FelineIndex index = FelineIndex::Build(&g);
-  index.ResetCounters();
+  FelineIndex::SearchScratch scratch;
   uint64_t negatives = 0;
   BfsTraversal bfs(&g);
   for (VertexId v = 0; v < g.num_vertices(); v += 7) {
     for (VertexId u = 0; u < g.num_vertices(); u += 11) {
-      if (!index.CanReach(v, u)) ++negatives;
+      if (!index.CanReach(v, u, scratch)) ++negatives;
     }
   }
   // On a sparse DAG most pairs are incomparable; the coordinate test must
   // resolve a solid share of them without any DFS.
-  EXPECT_GT(index.counters().dominance_rejects, negatives / 3);
+  EXPECT_GT(scratch.counters.dominance_rejects, negatives / 3);
 }
 
 TEST(FelineTest, SelfReachable) {
   const DiGraph g = testing::RandomDag(50, 2.0, 13);
   const FelineIndex index = FelineIndex::Build(&g);
+  FelineIndex::SearchScratch scratch;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_TRUE(index.CanReach(v, v));
+    EXPECT_TRUE(index.CanReach(v, v, scratch));
   }
 }
 

@@ -12,6 +12,8 @@
 #include "core/method_factory.h"
 #include "core/method_snapshot.h"
 #include "core/naive_bfs.h"
+#include "exec/batch_runner.h"
+#include "exec/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace gsr {
@@ -266,6 +268,62 @@ TEST(QueryPlannerTest, ScratchCountersDrainIntoAggregate) {
   // Draining twice must not double count.
   method->DrainScratchCounters(*scratch);
   EXPECT_EQ(planner.counters().queries, static_cast<uint64_t>(kQueries));
+}
+
+TEST(QueryPlannerTest, OnlySpatialFirstMembersConsultObservations) {
+  // Whole-query settles happen in the planner alone. The one member-side
+  // use of its observations is SpaReach's per-candidate filter, so after
+  // mixed bool/count batches through Run and RunShared a SpaReach-BFL
+  // member has settled candidates, while SocReach and 3DReach members
+  // (which answer from their index alone) have settled nothing.
+  // Calibration is off: it would run members outside any routed query.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(300, 2.5, 0.4, 111);
+  const CondensedNetwork cn(&network);
+  std::vector<RangeReachQuery> queries;
+  Rng rng(1110);
+  for (int q = 0; q < 200; ++q) {
+    const VertexId v =
+        static_cast<VertexId>(rng.NextBounded(network.num_vertices()));
+    const double x = rng.NextDoubleInRange(-10, 100);
+    const double y = rng.NextDoubleInRange(-10, 100);
+    queries.push_back({v, Rect(x, y, x + rng.NextDoubleInRange(0, 40),
+                               y + rng.NextDoubleInRange(0, 40))});
+  }
+  exec::ThreadPool pool(2);
+  exec::BatchRunner runner(&pool);
+  for (const MethodKind kind : {MethodKind::kSpaReachBfl,
+                                MethodKind::kSocReach,
+                                MethodKind::kThreeDReach}) {
+    MethodConfig config = PlannerConfig();
+    config.planner.portfolio = {kind};
+    config.planner.calibration_samples = 0;
+    const auto method = CreateMethod(&cn, config);
+    const PlannedMethod& planner = AsPlanner(*method);
+    SCOPED_TRACE(planner.member(0).name());
+    for (const QueryKind query_kind : {QueryKind::kBool, QueryKind::kCount}) {
+      exec::BatchOptions run_options;
+      run_options.kind = query_kind;
+      const exec::BatchResult plain = runner.Run(*method, queries, run_options);
+      exec::SchedulerOptions shared_options;
+      shared_options.kind = query_kind;
+      shared_options.min_window_to_group = 1;
+      const exec::BatchResult shared =
+          runner.RunShared(*method, queries, shared_options);
+      EXPECT_EQ(plain.answers, shared.answers);
+    }
+    const RangeReachMethod::Counters& member = planner.member(0).counters();
+    uint64_t routed = 0;
+    for (const uint64_t r : planner.counters().routed) routed += r;
+    EXPECT_GT(routed, 0u);
+    EXPECT_EQ(member.queries, routed);
+    if (kind == MethodKind::kSpaReachBfl) {
+      EXPECT_GT(member.settled_negative + member.settled_positive, 0u);
+    } else {
+      EXPECT_EQ(member.settled_negative, 0u);
+      EXPECT_EQ(member.settled_positive, 0u);
+    }
+  }
 }
 
 TEST(QueryPlannerTest, SnapshotRoundTripPreservesRoutingAndAnswers) {

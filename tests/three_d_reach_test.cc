@@ -135,14 +135,16 @@ TEST(SpaReachTest, BflCountersAdvanceWithQueries) {
       testing::RandomGeoSocialNetwork(200, 2.5, 0.5, 17);
   const CondensedNetwork cn(&network);
   const SpaReachBfl method(&cn);
-  method.bfl().ResetCounters();
+  const std::unique_ptr<QueryScratch> scratch = method.NewScratch();
   Rng rng(18);
   for (int q = 0; q < 50; ++q) {
     const double x = rng.NextDoubleInRange(0, 80);
     const Rect region(x, x, x + 20, x + 20);
-    method.Evaluate(static_cast<VertexId>(rng.NextBounded(200)), region);
+    method.Evaluate(static_cast<VertexId>(rng.NextBounded(200)), region,
+                    *scratch);
   }
-  const auto& counters = method.bfl().counters();
+  const auto& counters =
+      static_cast<SpaReachBfl::Scratch&>(*scratch).bfl.counters;
   EXPECT_GT(counters.tree_hits + counters.filter_rejects +
                 counters.dfs_fallbacks,
             0u);
