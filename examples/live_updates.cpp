@@ -47,10 +47,11 @@ int main() {
               dynamic.pending_updates());
 
   // Queries remain exact against the overlay.
+  auto scratch = dynamic.NewScratch();
   uint32_t reach_before_rebuild = 0;
   Stopwatch watch;
   for (VertexId user = 0; user < 1000; ++user) {
-    if (dynamic.Evaluate(user, new_mall_area)) ++reach_before_rebuild;
+    if (dynamic.Evaluate(user, new_mall_area, scratch)) ++reach_before_rebuild;
   }
   const double overlay_micros = watch.ElapsedMicros() / 1000.0;
   std::printf("%u/1000 users already reach the new district "
@@ -65,7 +66,7 @@ int main() {
   watch.Restart();
   uint32_t reach_after_rebuild = 0;
   for (VertexId user = 0; user < 1000; ++user) {
-    if (dynamic.Evaluate(user, new_mall_area)) ++reach_after_rebuild;
+    if (dynamic.Evaluate(user, new_mall_area, scratch)) ++reach_after_rebuild;
   }
   const double base_micros = watch.ElapsedMicros() / 1000.0;
   std::printf("%u/1000 users after rebuild (%.2f us/query at base speed)\n",

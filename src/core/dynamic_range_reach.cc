@@ -100,6 +100,10 @@ DynamicRangeReach::Base::RoundTripThroughSnapshot(
 
 const std::optional<Point2D>* DynamicRangeReach::Delta::OverrideFor(
     VertexId v) const {
+  const size_t word = v / 64;
+  if (word >= overridden.size() || ((overridden[word] >> (v % 64)) & 1) == 0) {
+    return nullptr;
+  }
   const auto it = std::lower_bound(
       point_overrides.begin(), point_overrides.end(), v,
       [](const auto& entry, VertexId vertex) { return entry.first < vertex; });
@@ -113,14 +117,17 @@ size_t DynamicRangeReach::Delta::SizeBytes() const {
          stitch_nodes.capacity() * sizeof(VertexId) +
          point_overrides.capacity() *
              sizeof(std::pair<VertexId, std::optional<Point2D>>) +
-         deleted_edges.capacity() * sizeof(std::pair<VertexId, VertexId>);
+         deleted_edges.capacity() * sizeof(std::pair<VertexId, VertexId>) +
+         overridden.capacity() * sizeof(uint64_t);
 }
 
 // --- Engine ---------------------------------------------------------------
 
 DynamicRangeReach::DynamicRangeReach(GeoSocialNetwork network,
                                      exec::ThreadPool* pool)
-    : pool_(pool), base_(Base::Build(std::move(network), 0, pool)) {}
+    : pool_(pool) {
+  InstallBase(Base::Build(std::move(network), 0, pool));
+}
 
 Result<bool> DynamicRangeReach::ApplyToDelta(const Update& update) {
   const VertexId n = num_vertices();
@@ -165,6 +172,7 @@ Result<bool> DynamicRangeReach::ApplyToDelta(const Update& update) {
       }
       delta_.point_overrides.insert(
           it, std::make_pair(update.a, std::optional<Point2D>(p)));
+      delta_.overridden[update.a / 64] |= uint64_t{1} << (update.a % 64);
       if (was_spatial) ++delta_.stale_base_points;
       return true;
     }
@@ -193,6 +201,7 @@ Result<bool> DynamicRangeReach::ApplyToDelta(const Update& update) {
       if (!base_->network->IsSpatial(update.a)) return false;  // Already bare.
       delta_.point_overrides.insert(
           it, std::make_pair(update.a, std::optional<Point2D>()));
+      delta_.overridden[update.a / 64] |= uint64_t{1} << (update.a % 64);
       ++delta_.stale_base_points;
       return true;
     }
@@ -631,6 +640,7 @@ void DynamicRangeReach::InstallBase(std::shared_ptr<const Base> base) {
   GSR_CHECK(base != nullptr && base->position <= log_.size());
   base_ = std::move(base);
   delta_ = Delta{};
+  delta_.overridden.assign((base_->num_vertices() + 63) / 64, 0);
   // Re-derive the delta from the log suffix the new base does not fold in.
   // Replayed entries were validated when first applied, and replay must
   // not re-log them.

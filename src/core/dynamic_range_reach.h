@@ -106,7 +106,8 @@ class DynamicRangeReach {
 
   /// The delta overlay: every difference between the current network and
   /// the base snapshot, in query-ready sorted form. A plain value — a
-  /// View snapshots the live delta by copying it.
+  /// View snapshots the live delta by copying it (bitmap included: nb/8
+  /// bytes, next to the override list itself).
   struct Delta {
     /// Points of vertices added since the base, id = base vertices + i.
     std::vector<std::optional<Point2D>> added_points;
@@ -119,6 +120,12 @@ class DynamicRangeReach {
     /// Current point of base vertices whose point changed (moved, gained,
     /// or cleared), sorted by vertex.
     std::vector<std::pair<VertexId, std::optional<Point2D>>> point_overrides;
+    /// One bit per base vertex, set when it has a point_overrides entry:
+    /// OverrideFor binary-searches only on a set bit. Sized when the base
+    /// is installed (a vertex past its end has no override); bits are
+    /// never cleared, because an override entry is only ever reset to
+    /// nullopt, never erased.
+    std::vector<uint64_t> overridden;
     /// Deleted *base* edges, sorted by (from, to); deleting an inserted
     /// edge removes it from inserted_edges instead.
     std::vector<std::pair<VertexId, VertexId>> deleted_edges;
@@ -142,7 +149,8 @@ class DynamicRangeReach {
     bool risky() const {
       return stale_base_points > 0 || !deleted_edges.empty();
     }
-    /// The override entry for base vertex `v`, or nullptr.
+    /// The override entry for base vertex `v`, or nullptr. O(1) unless
+    /// `v` has one.
     const std::optional<Point2D>* OverrideFor(VertexId v) const;
     size_t SizeBytes() const;
   };
@@ -262,11 +270,6 @@ class DynamicRangeReach {
   /// through Snapshot().
   bool Evaluate(VertexId vertex, const Rect& region, Scratch& scratch) const;
 
-  /// Single-threaded convenience overload on an object-owned scratch.
-  bool Evaluate(VertexId vertex, const Rect& region) const {
-    return Evaluate(vertex, region, scratch_);
-  }
-
   /// Collection form over the updated network (count/enum sinks only;
   /// contract in View::CollectInto). Same threading caveats as Evaluate.
   void CollectInto(VertexId vertex, const Rect& region, ResultSink& sink,
@@ -345,9 +348,6 @@ class DynamicRangeReach {
   std::shared_ptr<const Base> base_;
   Delta delta_;
   UpdateLog log_;
-
-  // Scratch behind the single-threaded Evaluate overload.
-  mutable Scratch scratch_;
 };
 
 }  // namespace gsr

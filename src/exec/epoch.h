@@ -33,9 +33,13 @@ class EpochManager {
   /// Publishes `state` as the next epoch; returns its epoch number
   /// (starting at 1; 0 means "nothing published yet").
   uint64_t Publish(std::shared_ptr<const void> state) {
+    // The displaced state may hold the last reference to its epoch; it is
+    // destroyed after the lock drops, so readers never wait on a free and
+    // a destructor may call back into the manager.
+    std::shared_ptr<const void> displaced;
     std::lock_guard<std::mutex> lock(mu_);
     if (current_) retired_.push_back(current_);
-    current_ = std::move(state);
+    displaced = std::exchange(current_, std::move(state));
     CompactRetiredLocked();
     return ++epoch_;
   }

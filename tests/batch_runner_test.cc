@@ -284,8 +284,10 @@ TEST(BatchRunnerTest, DynamicRangeReachParallelReaders) {
 
   std::vector<uint8_t> serial;
   serial.reserve(queries.size());
+  auto scratch = dynamic.NewScratch();
   for (const RangeReachQuery& query : queries) {
-    serial.push_back(dynamic.Evaluate(query.vertex, query.region) ? 1 : 0);
+    serial.push_back(
+        dynamic.Evaluate(query.vertex, query.region, scratch) ? 1 : 0);
   }
 
   exec::ThreadPool pool(4);

@@ -77,6 +77,7 @@ TEST(DynamicRangeReachTest, BaseOnlyMatchesIndex) {
   const NaiveBfsMethod oracle(&network);
   DynamicRangeReach dynamic{testing::RandomGeoSocialNetwork(100, 2.0, 0.4,
                                                             61)};
+  auto scratch = dynamic.NewScratch();
   Rng rng(62);
   for (int q = 0; q < 100; ++q) {
     const VertexId v =
@@ -84,7 +85,7 @@ TEST(DynamicRangeReachTest, BaseOnlyMatchesIndex) {
     const double x = rng.NextDoubleInRange(0, 80);
     const double y = rng.NextDoubleInRange(0, 80);
     const Rect region(x, y, x + 20, y + 20);
-    EXPECT_EQ(dynamic.Evaluate(v, region), oracle.Evaluate(v, region));
+    EXPECT_EQ(dynamic.Evaluate(v, region, scratch), oracle.Evaluate(v, region));
   }
 }
 
@@ -100,20 +101,22 @@ TEST(DynamicRangeReachTest, NewVenueBecomesReachable) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
+  auto scratch = dynamic.NewScratch();
   const Rect cafe_area(0, 0, 10, 10);
-  EXPECT_FALSE(dynamic.Evaluate(0, cafe_area));
+  EXPECT_FALSE(dynamic.Evaluate(0, cafe_area, scratch));
 
   const VertexId cafe = dynamic.AddVertex(Point2D{5, 5});
-  EXPECT_FALSE(dynamic.Evaluate(0, cafe_area));  // No check-in yet.
+  EXPECT_FALSE(dynamic.Evaluate(0, cafe_area, scratch));  // No check-in yet.
   ASSERT_TRUE(dynamic.AddEdge(1, cafe).ok());
-  EXPECT_TRUE(dynamic.Evaluate(0, cafe_area));   // alice -> bob -> cafe.
-  EXPECT_TRUE(dynamic.Evaluate(1, cafe_area));
-  EXPECT_TRUE(dynamic.Evaluate(cafe, cafe_area));  // The cafe itself.
+  // alice -> bob -> cafe.
+  EXPECT_TRUE(dynamic.Evaluate(0, cafe_area, scratch));
+  EXPECT_TRUE(dynamic.Evaluate(1, cafe_area, scratch));
+  EXPECT_TRUE(dynamic.Evaluate(cafe, cafe_area, scratch));  // The cafe itself.
 
   dynamic.Rebuild();
   EXPECT_EQ(dynamic.pending_updates(), 0u);
-  EXPECT_TRUE(dynamic.Evaluate(0, cafe_area));
-  EXPECT_FALSE(dynamic.Evaluate(cafe, Rect(20, 20, 30, 30)));
+  EXPECT_TRUE(dynamic.Evaluate(0, cafe_area, scratch));
+  EXPECT_FALSE(dynamic.Evaluate(cafe, Rect(20, 20, 30, 30), scratch));
 }
 
 TEST(DynamicRangeReachTest, NewEdgeBridgesBaseComponents) {
@@ -130,11 +133,13 @@ TEST(DynamicRangeReachTest, NewEdgeBridgesBaseComponents) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
+  auto scratch = dynamic.NewScratch();
   const Rect around_3(8, 8, 10, 10);
-  EXPECT_FALSE(dynamic.Evaluate(0, around_3));
+  EXPECT_FALSE(dynamic.Evaluate(0, around_3, scratch));
   ASSERT_TRUE(dynamic.AddEdge(0, 2).ok());
-  EXPECT_TRUE(dynamic.Evaluate(0, around_3));  // 0 -> 2 -> 3.
-  EXPECT_FALSE(dynamic.Evaluate(2, Rect(0, 0, 2, 2)));  // No reverse path.
+  EXPECT_TRUE(dynamic.Evaluate(0, around_3, scratch));  // 0 -> 2 -> 3.
+  // No reverse path.
+  EXPECT_FALSE(dynamic.Evaluate(2, Rect(0, 0, 2, 2), scratch));
 }
 
 TEST(DynamicRangeReachTest, ChainsAcrossMultipleDeltaEdges) {
@@ -151,12 +156,13 @@ TEST(DynamicRangeReachTest, ChainsAcrossMultipleDeltaEdges) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
+  auto scratch = dynamic.NewScratch();
   const Rect target(4, 4, 6, 6);
-  EXPECT_FALSE(dynamic.Evaluate(0, target));
+  EXPECT_FALSE(dynamic.Evaluate(0, target, scratch));
   ASSERT_TRUE(dynamic.AddEdge(1, 2).ok());  // 0 ->base 1 ->delta 2.
-  EXPECT_FALSE(dynamic.Evaluate(0, target));
+  EXPECT_FALSE(dynamic.Evaluate(0, target, scratch));
   ASSERT_TRUE(dynamic.AddEdge(3, 4).ok());  // ... ->base 3 ->delta 4 ->base 5.
-  EXPECT_TRUE(dynamic.Evaluate(0, target));
+  EXPECT_TRUE(dynamic.Evaluate(0, target, scratch));
 }
 
 TEST(DynamicRangeReachTest, RejectsOutOfRangeEdges) {
@@ -183,23 +189,25 @@ TEST(DynamicRangeReachTest, PointMoveLeavesAndEntersRegions) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
+  auto scratch = dynamic.NewScratch();
   const Rect downtown(0, 0, 10, 10);
   const Rect uptown(90, 90, 100, 100);
-  EXPECT_TRUE(dynamic.Evaluate(0, downtown));
-  EXPECT_FALSE(dynamic.Evaluate(0, uptown));
+  EXPECT_TRUE(dynamic.Evaluate(0, downtown, scratch));
+  EXPECT_FALSE(dynamic.Evaluate(0, uptown, scratch));
 
   ASSERT_TRUE(dynamic.SetPoint(1, Point2D{95, 95}).ok());
-  EXPECT_FALSE(dynamic.Evaluate(0, downtown));  // Stale base point ignored.
-  EXPECT_TRUE(dynamic.Evaluate(0, uptown));
+  // Stale base point ignored.
+  EXPECT_FALSE(dynamic.Evaluate(0, downtown, scratch));
+  EXPECT_TRUE(dynamic.Evaluate(0, uptown, scratch));
 
   ASSERT_TRUE(dynamic.ClearPoint(1).ok());
-  EXPECT_FALSE(dynamic.Evaluate(0, downtown));
-  EXPECT_FALSE(dynamic.Evaluate(0, uptown));
+  EXPECT_FALSE(dynamic.Evaluate(0, downtown, scratch));
+  EXPECT_FALSE(dynamic.Evaluate(0, uptown, scratch));
 
   dynamic.Rebuild();
   EXPECT_EQ(dynamic.pending_updates(), 0u);
-  EXPECT_FALSE(dynamic.Evaluate(0, downtown));
-  EXPECT_FALSE(dynamic.Evaluate(0, uptown));
+  EXPECT_FALSE(dynamic.Evaluate(0, downtown, scratch));
+  EXPECT_FALSE(dynamic.Evaluate(0, uptown, scratch));
 }
 
 TEST(DynamicRangeReachTest, EdgeFlipsDeleteAndRevive) {
@@ -217,21 +225,23 @@ TEST(DynamicRangeReachTest, EdgeFlipsDeleteAndRevive) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
+  auto scratch = dynamic.NewScratch();
   const Rect venue(4, 4, 6, 6);
-  EXPECT_TRUE(dynamic.Evaluate(0, venue));
+  EXPECT_TRUE(dynamic.Evaluate(0, venue, scratch));
 
   ASSERT_TRUE(dynamic.DeleteEdge(1, 2).ok());
-  EXPECT_FALSE(dynamic.Evaluate(0, venue));
-  EXPECT_FALSE(dynamic.Evaluate(1, venue));
-  EXPECT_TRUE(dynamic.Evaluate(2, venue));  // The venue still sees itself.
+  EXPECT_FALSE(dynamic.Evaluate(0, venue, scratch));
+  EXPECT_FALSE(dynamic.Evaluate(1, venue, scratch));
+  // The venue still sees itself.
+  EXPECT_TRUE(dynamic.Evaluate(2, venue, scratch));
 
   ASSERT_TRUE(dynamic.AddEdge(1, 2).ok());  // Flip back: un-deletes.
-  EXPECT_TRUE(dynamic.Evaluate(0, venue));
+  EXPECT_TRUE(dynamic.Evaluate(0, venue, scratch));
   EXPECT_EQ(dynamic.pending_updates(), 0u);  // The flip nets out of the delta.
   EXPECT_EQ(dynamic.log_size(), 2u);         // But both updates are logged.
 
   dynamic.Rebuild();
-  EXPECT_TRUE(dynamic.Evaluate(0, venue));
+  EXPECT_TRUE(dynamic.Evaluate(0, venue, scratch));
 }
 
 TEST(DynamicRangeReachTest, NoOpUpdatesAreNotLogged) {
@@ -290,26 +300,28 @@ TEST(DynamicRangeReachTest, DeltaOnlyVertexIsQueryable) {
       std::move(graph).value(), std::vector<std::optional<Point2D>>(1));
   ASSERT_TRUE(network.ok());
   DynamicRangeReach dynamic(std::move(network).value());
+  auto scratch = dynamic.NewScratch();
 
   const VertexId lonely = dynamic.AddVertex(std::nullopt);
-  EXPECT_FALSE(dynamic.Evaluate(lonely, Rect(0, 0, 100, 100)));
+  EXPECT_FALSE(dynamic.Evaluate(lonely, Rect(0, 0, 100, 100), scratch));
 
   const VertexId venue = dynamic.AddVertex(Point2D{5, 5});
-  EXPECT_TRUE(dynamic.Evaluate(venue, Rect(0, 0, 10, 10)));
-  EXPECT_FALSE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30)));
-  EXPECT_FALSE(dynamic.Evaluate(lonely, Rect(0, 0, 10, 10)));
+  EXPECT_TRUE(dynamic.Evaluate(venue, Rect(0, 0, 10, 10), scratch));
+  EXPECT_FALSE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30), scratch));
+  EXPECT_FALSE(dynamic.Evaluate(lonely, Rect(0, 0, 10, 10), scratch));
 
   // Points of delta-only vertices can move and clear too.
   ASSERT_TRUE(dynamic.SetPoint(venue, Point2D{25, 25}).ok());
-  EXPECT_TRUE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30)));
+  EXPECT_TRUE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30), scratch));
   ASSERT_TRUE(dynamic.ClearPoint(venue).ok());
-  EXPECT_FALSE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30)));
+  EXPECT_FALSE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30), scratch));
 }
 
 TEST(DynamicRangeReachTest, MaterializeAtReproducesEveryPrefix) {
   const GeoSocialNetwork base =
       testing::RandomGeoSocialNetwork(30, 1.5, 0.5, 23);
   DynamicRangeReach dynamic{testing::RandomGeoSocialNetwork(30, 1.5, 0.5, 23)};
+  auto scratch = dynamic.NewScratch();
   const UpdateStreamSpec spec{.count = 40};
   const auto stream = GenerateUpdateStream(base, spec, 99);
   for (const Update& update : stream) {
@@ -332,7 +344,7 @@ TEST(DynamicRangeReachTest, MaterializeAtReproducesEveryPrefix) {
     const double x = rng.NextDoubleInRange(0, 80);
     const double y = rng.NextDoubleInRange(0, 80);
     const Rect region(x, y, x + 20, y + 20);
-    ASSERT_EQ(dynamic.Evaluate(v, region), oracle.Evaluate(v, region));
+    ASSERT_EQ(dynamic.Evaluate(v, region, scratch), oracle.Evaluate(v, region));
   }
 }
 
@@ -350,15 +362,16 @@ TEST(DynamicRangeReachTest, SnapshotViewIsImmutableUnderLaterUpdates) {
   const Rect venue(4, 4, 6, 6);
   auto view = dynamic.Snapshot();
   auto scratch = view->NewScratch();
+  auto engine_scratch = dynamic.NewScratch();
   EXPECT_TRUE(view->Evaluate(0, venue, scratch));
 
   ASSERT_TRUE(dynamic.DeleteEdge(0, 1).ok());
-  EXPECT_FALSE(dynamic.Evaluate(0, venue));
+  EXPECT_FALSE(dynamic.Evaluate(0, venue, engine_scratch));
   // The pinned view still answers at its own position.
   EXPECT_TRUE(view->Evaluate(0, venue, scratch));
 
   dynamic.Rebuild();  // Hot-swaps the engine's base; view keeps the old one.
-  EXPECT_FALSE(dynamic.Evaluate(0, venue));
+  EXPECT_FALSE(dynamic.Evaluate(0, venue, engine_scratch));
   EXPECT_TRUE(view->Evaluate(0, venue, scratch));
 }
 
@@ -366,6 +379,7 @@ TEST(DynamicRangeReachTest, SnapshotRoundTripBaseAnswersIdentically) {
   const GeoSocialNetwork base =
       testing::RandomGeoSocialNetwork(80, 2.0, 0.4, 41);
   DynamicRangeReach dynamic{testing::RandomGeoSocialNetwork(80, 2.0, 0.4, 41)};
+  auto scratch = dynamic.NewScratch();
   // Some delta on top of the base, so the swap happens mid-stream.
   ASSERT_TRUE(dynamic.AddEdge(0, 40).ok());
   ASSERT_TRUE(dynamic.SetPoint(3, Point2D{50, 50}).ok());
@@ -407,7 +421,8 @@ TEST(DynamicRangeReachTest, SnapshotRoundTripBaseAnswersIdentically) {
       const double x = rng.NextDoubleInRange(0, 80);
       const double y = rng.NextDoubleInRange(0, 80);
       const Rect region(x, y, x + 20, y + 20);
-      ASSERT_EQ(dynamic.Evaluate(v, region), oracle.Evaluate(v, region));
+      ASSERT_EQ(dynamic.Evaluate(v, region, scratch),
+                oracle.Evaluate(v, region));
     }
   }
 }
@@ -612,6 +627,136 @@ TEST(DynamicRangeReachTest, BudgetedOverlaySearchCoversEveryBranch) {
   EXPECT_LE(o.expansions, kPath - 151);
 }
 
+TEST(DynamicRangeReachTest, OverrideBitmapEdgesMatchOracle) {
+  // A path v0 -> ... -> v129 with vertex i at (i, 0), except the bitmap's
+  // word edges 0, 63, 64 and nb-1, which start without a point. Point
+  // overrides land on those edges, flip set -> clear -> set, and after a
+  // Rebuild() land on vertices the larger base folded in, past the old
+  // bitmap's last word. Every answer kind is checked against the
+  // reference on the engine, a pinned View and an EpochView.
+  static constexpr VertexId kBase = 130;
+  const auto make_network = [] {
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    std::vector<std::optional<Point2D>> points;
+    for (VertexId v = 0; v < kBase; ++v) {
+      if (v + 1 < kBase) edges.emplace_back(v, v + 1);
+      const bool bare = v == 0 || v == 63 || v == 64 || v == kBase - 1;
+      points.push_back(bare ? std::nullopt
+                            : std::optional<Point2D>(
+                                  Point2D{static_cast<double>(v), 0}));
+    }
+    auto graph = DiGraph::FromEdges(kBase, std::move(edges));
+    GSR_CHECK(graph.ok());
+    auto network = GeoSocialNetwork::Create(std::move(graph).value(), points);
+    GSR_CHECK(network.ok());
+    return std::move(network).value();
+  };
+  const GeoSocialNetwork base = make_network();
+  ReferenceNetwork reference(base);
+  DynamicRangeReach dynamic{make_network()};
+
+  const auto set_point = [&](VertexId v, double x, double y) {
+    ASSERT_TRUE(dynamic.SetPoint(v, Point2D{x, y}).ok());
+    reference.SetPoint(v, Point2D{x, y});
+  };
+  const auto clear_point = [&](VertexId v) {
+    ASSERT_TRUE(dynamic.ClearPoint(v).ok());
+    reference.ClearPoint(v);
+  };
+
+  const std::vector<VertexId> touched = {0,  1,  62,  63,  64,
+                                         65, 98, 128, 129, 130,
+                                         150, 165, 199};
+  const auto check_all = [&](int phase) {
+    std::vector<Rect> regions = {Rect(-1, -1, 300, 60), Rect(-1, 49, 300, 51)};
+    for (const VertexId v : touched) {
+      const double x = static_cast<double>(v);
+      regions.emplace_back(x - 0.5, -0.5, x + 0.5, 0.5);
+      regions.emplace_back(x - 0.5, 49.5, x + 0.5, 50.5);
+    }
+    auto view = dynamic.Snapshot();
+    auto scratch = dynamic.NewScratch();
+    auto view_scratch = view->NewScratch();
+    const exec::EpochView epoch_view(view, /*epoch=*/uint64_t(phase));
+    for (const VertexId v : touched) {
+      if (v >= dynamic.num_vertices()) continue;
+      for (const Rect& region : regions) {
+        const std::vector<VertexId> expected =
+            reference.RangeReachEnum(v, region);
+        const bool found = !expected.empty();
+        ASSERT_EQ(dynamic.Evaluate(v, region, scratch), found)
+            << "phase " << phase << " vertex " << v;
+        ResultSink count = ResultSink::Count();
+        dynamic.CollectInto(v, region, count, scratch);
+        ASSERT_EQ(count.count(), expected.size())
+            << "phase " << phase << " vertex " << v;
+
+        ASSERT_EQ(view->Evaluate(v, region, view_scratch), found)
+            << "phase " << phase << " vertex " << v;
+        ASSERT_EQ(view->EvaluateCount(v, region, view_scratch),
+                  expected.size())
+            << "phase " << phase << " vertex " << v;
+        std::vector<VertexId> got;
+        view->EvaluateEnumInto(v, region, view_scratch, got);
+        ASSERT_EQ(got, expected) << "phase " << phase << " vertex " << v;
+
+        ASSERT_EQ(epoch_view.Evaluate(v, region), found)
+            << "phase " << phase << " vertex " << v;
+        ASSERT_EQ(epoch_view.EvaluateCount(v, region), expected.size())
+            << "phase " << phase << " vertex " << v;
+        ASSERT_EQ(epoch_view.EvaluateEnum(v, region), expected)
+            << "phase " << phase << " vertex " << v;
+      }
+    }
+  };
+
+  // Gained points on the word edges: an insert-only, non-risky delta.
+  for (const VertexId v : {VertexId{0}, VertexId{63}, VertexId{64},
+                           kBase - 1}) {
+    set_point(v, static_cast<double>(v), 50);
+  }
+  ASSERT_FALSE(dynamic.Snapshot()->delta.risky());
+  check_all(0);
+
+  // Set -> clear -> set on one vertex: the bit stays set while its entry
+  // flips between a point and none.
+  clear_point(64);
+  check_all(1);
+  set_point(64, 98, 50);
+  check_all(2);
+
+  // Moving and clearing base points makes the delta risky.
+  set_point(62, 62, 50);
+  clear_point(1);
+  ASSERT_TRUE(dynamic.Snapshot()->delta.risky());
+  check_all(3);
+  clear_point(62);
+  set_point(62, 65, 50);
+  check_all(4);
+
+  // Added vertices (id >= nb) extend the path; their points live in the
+  // delta's added list and never consult the bitmap.
+  for (VertexId v = kBase; v < 200; ++v) {
+    ASSERT_EQ(dynamic.AddVertex(Point2D{static_cast<double>(v), 0}), v);
+    ASSERT_EQ(reference.AddVertex(Point2D{static_cast<double>(v), 0}), v);
+    ASSERT_TRUE(dynamic.AddEdge(v - 1, v).ok());
+    reference.AddEdge(v - 1, v);
+  }
+  set_point(165, 165, 50);
+  check_all(5);
+
+  // A rebuild folds the added vertices into a 200-vertex base; overrides
+  // on them need a bitmap at the new size (199 lies past the last word
+  // of a 130-vertex bitmap).
+  dynamic.Rebuild();
+  ASSERT_EQ(dynamic.base()->num_vertices(), 200u);
+  set_point(199, 199, 50);
+  set_point(150, 150, 50);
+  clear_point(130);
+  ASSERT_TRUE(dynamic.Snapshot()->delta.risky());
+  check_all(6);
+}
+
 class DynamicRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
@@ -621,6 +766,7 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
   ReferenceNetwork reference(base);
   DynamicRangeReach dynamic{
       testing::RandomGeoSocialNetwork(60, 1.5, 0.4, seed)};
+  auto scratch = dynamic.NewScratch();
 
   Rng rng(seed * 31 + 7);
   DynamicRangeReach::Scratch collect_scratch;
@@ -684,7 +830,8 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
       const double y = rng.NextDoubleInRange(-5, 95);
       const Rect region(x, y, x + rng.NextDoubleInRange(0, 40),
                         y + rng.NextDoubleInRange(0, 40));
-      ASSERT_EQ(dynamic.Evaluate(v, region), reference.RangeReach(v, region))
+      ASSERT_EQ(dynamic.Evaluate(v, region, scratch),
+                reference.RangeReach(v, region))
           << "step " << step << " vertex " << v;
       if (q == 0) {
         const std::vector<VertexId> expected =

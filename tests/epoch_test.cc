@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -72,6 +75,37 @@ TEST(EpochManagerTest, DestructionRunsOnLastRelease) {
   EXPECT_EQ(alive.load(), 2);  // Old epoch pinned, new epoch current.
   pinned.state.reset();
   EXPECT_EQ(alive.load(), 1);  // Old epoch retired.
+}
+
+// Publish must drop the displaced epoch after releasing its lock: here
+// the state's destructor waits for another thread to read the slot, which
+// deadlocks if the destructor runs under the lock.
+TEST(EpochManagerTest, DisplacedStateDiesOutsideTheLock) {
+  struct Probe {
+    std::function<void()> on_destroy;
+    ~Probe() {
+      if (on_destroy) on_destroy();
+    }
+  };
+
+  EpochSlot<Probe> slot;
+  std::promise<uint64_t> epoch_read;
+  std::future<uint64_t> epoch_seen = epoch_read.get_future();
+  std::thread reader;
+  bool read_in_time = false;
+
+  auto first = std::make_shared<Probe>();
+  first->on_destroy = [&] {
+    reader = std::thread([&] { epoch_read.set_value(slot.epoch()); });
+    read_in_time = epoch_seen.wait_for(std::chrono::seconds(1)) ==
+                   std::future_status::ready;
+  };
+  slot.Publish(std::move(first));
+  slot.Publish(std::make_shared<Probe>());  // Displaces the unpinned first.
+  reader.join();
+
+  EXPECT_TRUE(read_in_time);
+  EXPECT_EQ(epoch_seen.get(), 2u);
 }
 
 TEST(EpochManagerTest, PinCounterCounts) {
