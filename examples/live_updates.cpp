@@ -2,6 +2,7 @@
 // users check in and follow each other while RangeReach queries keep
 // running. DynamicRangeReach layers a small delta overlay on top of the
 // 3DReach base index and stays exact; Rebuild() folds the overlay back in.
+// Queries read a snapshot of the live network through an EpochView.
 //
 // Run:  ./build/examples/live_updates
 
@@ -12,6 +13,7 @@
 #include "common/stopwatch.h"
 #include "core/dynamic_range_reach.h"
 #include "datagen/generator.h"
+#include "exec/streaming_engine.h"
 
 int main() {
   using namespace gsr;  // NOLINT
@@ -34,24 +36,28 @@ int main() {
   // A fresh district opens: 20 new venues, each discovered by a few users.
   std::vector<VertexId> new_venues;
   for (int i = 0; i < 20; ++i) {
-    const VertexId venue = dynamic.AddVertex(
-        Point2D{rng.NextDoubleInRange(60, 70), rng.NextDoubleInRange(60, 70)});
-    new_venues.push_back(venue);
+    const auto venue = dynamic.Apply(Update::AddVertex(
+        Point2D{rng.NextDoubleInRange(60, 70), rng.NextDoubleInRange(60, 70)}));
+    if (!venue.ok()) return 1;
+    new_venues.push_back(*venue);
     for (int c = 0; c < 3; ++c) {
       const VertexId user =
           static_cast<VertexId>(rng.NextBounded(config.num_users));
-      if (!dynamic.AddEdge(user, venue).ok()) return 1;
+      if (!dynamic.Apply(Update::InsertEdge(user, *venue)).ok()) return 1;
     }
   }
   std::printf("applied %zu live updates (no rebuild yet)\n",
               dynamic.pending_updates());
 
   // Queries remain exact against the overlay.
-  auto scratch = dynamic.NewScratch();
+  const exec::EpochView overlay(dynamic.Snapshot(), /*epoch=*/1);
+  auto scratch = overlay.NewScratch();
   uint32_t reach_before_rebuild = 0;
   Stopwatch watch;
   for (VertexId user = 0; user < 1000; ++user) {
-    if (dynamic.Evaluate(user, new_mall_area, scratch)) ++reach_before_rebuild;
+    if (overlay.Evaluate(user, new_mall_area, *scratch)) {
+      ++reach_before_rebuild;
+    }
   }
   const double overlay_micros = watch.ElapsedMicros() / 1000.0;
   std::printf("%u/1000 users already reach the new district "
@@ -63,10 +69,12 @@ int main() {
   dynamic.Rebuild();
   std::printf("rebuild folded the delta in %.1f ms\n", watch.ElapsedMillis());
 
+  // A scratch from one view of the engine serves its later views.
+  const exec::EpochView rebuilt(dynamic.Snapshot(), /*epoch=*/2);
   watch.Restart();
   uint32_t reach_after_rebuild = 0;
   for (VertexId user = 0; user < 1000; ++user) {
-    if (dynamic.Evaluate(user, new_mall_area, scratch)) ++reach_after_rebuild;
+    if (rebuilt.Evaluate(user, new_mall_area, *scratch)) ++reach_after_rebuild;
   }
   const double base_micros = watch.ElapsedMicros() / 1000.0;
   std::printf("%u/1000 users after rebuild (%.2f us/query at base speed)\n",

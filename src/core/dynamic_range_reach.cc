@@ -55,6 +55,87 @@ std::span<const std::pair<VertexId, VertexId>> EdgesFrom(
   return {edges.data() + (lo - edges.begin()), static_cast<size_t>(hi - lo)};
 }
 
+using Base = DynamicRangeReach::Base;
+using Delta = DynamicRangeReach::Delta;
+using Scratch = DynamicRangeReach::Scratch;
+
+/// Does base vertex `from` reach base vertex `to` over base edges?
+bool BaseReach(const Base& base, VertexId from, VertexId to) {
+  return base.index->labeling().CanReach(base.cn->ComponentOf(from),
+                                         base.cn->ComponentOf(to));
+}
+
+/// The base-index scratch of `scratch`, (re)created lazily: a hot-swapped
+/// base has a fresh method instance, which invalidates scratches of the
+/// old one.
+QueryScratch& BaseScratch(const Base& base, Scratch& scratch) {
+  if (!scratch.base || scratch.base_instance != base.method->instance_id()) {
+    scratch.base = base.method->NewScratch();
+    scratch.base_instance = base.method->instance_id();
+  }
+  return *scratch.base;
+}
+
+/// Stitch closure: BFS over the stitch points (distinct inserted-edge
+/// endpoints) reachable from `vertex`. Edges of this mini-graph are (a)
+/// the inserted edges themselves and (b) base reachability between base
+/// stitch points. Seeds are the stitch points `vertex` reaches without
+/// any inserted edge. Each node is handed to `stop_at` when it is
+/// dequeued, before its expansion; the closure returns true as soon as
+/// `stop_at` does. On a false return scratch.node_visited marks every
+/// reachable stitch point.
+template <typename StopAt>
+bool StitchClosure(const Base& base, const Delta& delta, VertexId vertex,
+                   Scratch& scratch, StopAt&& stop_at) {
+  const VertexId nb = base.num_vertices();
+  const std::vector<VertexId>& nodes = delta.stitch_nodes;
+  const size_t k = nodes.size();
+  scratch.node_visited.assign(k, 0);
+  std::vector<uint8_t>& node_visited = scratch.node_visited;
+  std::vector<uint32_t>& queue = scratch.queue;
+  queue.clear();
+  queue.reserve(k);
+
+  const auto node_index = [&nodes](VertexId v) {
+    const auto it = std::lower_bound(nodes.begin(), nodes.end(), v);
+    GSR_DCHECK(it != nodes.end() && *it == v);
+    return static_cast<size_t>(it - nodes.begin());
+  };
+  const auto try_visit = [&](size_t idx) {
+    if (!node_visited[idx]) {
+      node_visited[idx] = 1;
+      queue.push_back(static_cast<uint32_t>(idx));
+    }
+  };
+
+  for (size_t i = 0; i < k; ++i) {
+    const VertexId node = nodes[i];
+    if (node == vertex ||
+        (vertex < nb && node < nb && BaseReach(base, vertex, node))) {
+      try_visit(i);
+    }
+  }
+
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const VertexId a = nodes[queue[head]];
+    if (stop_at(a)) return true;
+    // Expand through inserted edges leaving a.
+    for (const auto& [from, to] : EdgesFrom(delta.inserted_edges, a)) {
+      (void)from;
+      try_visit(node_index(to));
+    }
+    // Expand through base segments from a to other base stitch points.
+    if (a < nb) {
+      for (size_t i = 0; i < k; ++i) {
+        if (!node_visited[i] && nodes[i] < nb && BaseReach(base, a, nodes[i])) {
+          try_visit(i);
+        }
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 // --- Base -----------------------------------------------------------------
@@ -280,28 +361,6 @@ Result<VertexId> DynamicRangeReach::Apply(const Update& update) {
   return kInvalidVertex;
 }
 
-VertexId DynamicRangeReach::AddVertex(std::optional<Point2D> point) {
-  auto id = Apply(Update::AddVertex(point));
-  GSR_CHECK(id.ok());
-  return *id;
-}
-
-Status DynamicRangeReach::AddEdge(VertexId from, VertexId to) {
-  return Apply(Update::InsertEdge(from, to)).status();
-}
-
-Status DynamicRangeReach::DeleteEdge(VertexId from, VertexId to) {
-  return Apply(Update::DeleteEdge(from, to)).status();
-}
-
-Status DynamicRangeReach::SetPoint(VertexId v, const Point2D& point) {
-  return Apply(Update::SetPoint(v, point)).status();
-}
-
-Status DynamicRangeReach::ClearPoint(VertexId v) {
-  return Apply(Update::ClearPoint(v)).status();
-}
-
 // --- Evaluation -----------------------------------------------------------
 
 std::optional<Point2D> DynamicRangeReach::CurrentPoint(const Base& base,
@@ -320,13 +379,7 @@ bool DynamicRangeReach::OptimisticEvaluate(const Base& base, const Delta& delta,
                                            VertexId vertex, const Rect& region,
                                            Scratch& scratch) {
   const VertexId nb = base.num_vertices();
-
-  // Lazily (re)create the base-index scratch; a hot-swapped base has a
-  // fresh method instance, which invalidates scratches of the old one.
-  if (!scratch.base || scratch.base_instance != base.method->instance_id()) {
-    scratch.base = base.method->NewScratch();
-    scratch.base_instance = base.method->instance_id();
-  }
+  QueryScratch& base_scratch = BaseScratch(base, scratch);
 
   // Base vertices whose *current* point lies in the region but whose base
   // point does not witness it (moved-in / newly spatial): the base index
@@ -338,18 +391,14 @@ bool DynamicRangeReach::OptimisticEvaluate(const Base& base, const Delta& delta,
     }
   }
 
-  const auto base_reach = [&](VertexId from, VertexId to) {
-    return base.index->labeling().CanReach(base.cn->ComponentOf(from),
-                                           base.cn->ComponentOf(to));
-  };
   // Does `a` reach the region without using any further inserted edge?
   const auto answer_at = [&](VertexId a) {
     const std::optional<Point2D> p = CurrentPoint(base, delta, a);
     if (p.has_value() && region.Contains(*p)) return true;
     if (a < nb) {
-      if (base.index->Evaluate(a, region, *scratch.base)) return true;
+      if (base.index->Evaluate(a, region, base_scratch)) return true;
       for (const VertexId target : scratch.extra_targets) {
-        if (base_reach(a, target)) return true;
+        if (BaseReach(base, a, target)) return true;
       }
     }
     return false;
@@ -357,58 +406,7 @@ bool DynamicRangeReach::OptimisticEvaluate(const Base& base, const Delta& delta,
 
   if (answer_at(vertex)) return true;
   if (delta.inserted_edges.empty()) return false;
-
-  // Delta search: BFS over the stitch points (distinct inserted-edge
-  // endpoints). Edges of this mini-graph are (a) the inserted edges
-  // themselves and (b) base reachability between base stitch points.
-  const std::vector<VertexId>& nodes = delta.stitch_nodes;
-  const size_t k = nodes.size();
-  scratch.node_visited.assign(k, 0);
-  std::vector<uint8_t>& node_visited = scratch.node_visited;
-  std::vector<uint32_t>& queue = scratch.queue;
-  queue.clear();
-  queue.reserve(k);
-
-  const auto node_index = [&nodes](VertexId v) {
-    const auto it = std::lower_bound(nodes.begin(), nodes.end(), v);
-    GSR_DCHECK(it != nodes.end() && *it == v);
-    return static_cast<size_t>(it - nodes.begin());
-  };
-  const auto try_visit = [&](size_t idx) {
-    if (!node_visited[idx]) {
-      node_visited[idx] = 1;
-      queue.push_back(static_cast<uint32_t>(idx));
-    }
-  };
-
-  // Seeds: stitch points reachable from the query vertex without using
-  // any inserted edge.
-  for (size_t i = 0; i < k; ++i) {
-    const VertexId node = nodes[i];
-    if (node == vertex ||
-        (vertex < nb && node < nb && base_reach(vertex, node))) {
-      try_visit(i);
-    }
-  }
-
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const VertexId a = nodes[queue[head]];
-    if (answer_at(a)) return true;
-    // Expand through inserted edges leaving a.
-    for (const auto& [from, to] : EdgesFrom(delta.inserted_edges, a)) {
-      (void)from;
-      try_visit(node_index(to));
-    }
-    // Expand through base segments from a to other base stitch points.
-    if (a < nb) {
-      for (size_t i = 0; i < k; ++i) {
-        if (!node_visited[i] && nodes[i] < nb && base_reach(a, nodes[i])) {
-          try_visit(i);
-        }
-      }
-    }
-  }
-  return false;
+  return StitchClosure(base, delta, vertex, scratch, answer_at);
 }
 
 DynamicRangeReach::SearchOutcome DynamicRangeReach::OverlaySearch(
@@ -434,7 +432,7 @@ DynamicRangeReach::SearchOutcome DynamicRangeReach::OverlaySearch(
 
   for (size_t head = 0; head < queue.size(); ++head) {
     if (head == max_expansions) return SearchOutcome::kBudget;
-    ++scratch.overlay_expansions;
+    ++scratch.counters.vertices_visited;
     const VertexId u = queue[head];
     if (u < nb) {
       // Live base edges: the sorted out-list minus this source's sorted
@@ -482,56 +480,11 @@ void DynamicRangeReach::CollectImpl(const Base& base, const Delta& delta,
   //     an anchor;
   //  3. added vertices, which have no base edges and so are reachable
   //     only as the query vertex itself or as a stitch anchor.
-  if (!scratch.base || scratch.base_instance != base.method->instance_id()) {
-    scratch.base = base.method->NewScratch();
-    scratch.base_instance = base.method->instance_id();
-  }
-  const auto base_reach = [&](VertexId from, VertexId to) {
-    return base.index->labeling().CanReach(base.cn->ComponentOf(from),
-                                           base.cn->ComponentOf(to));
-  };
-
-  // Stitch closure: OptimisticEvaluate's mini-BFS without its early
-  // answers — marks every stitch node reachable from `vertex`.
+  QueryScratch& base_scratch = BaseScratch(base, scratch);
+  StitchClosure(base, delta, vertex, scratch, [](VertexId) { return false; });
   const std::vector<VertexId>& nodes = delta.stitch_nodes;
+  const std::vector<uint8_t>& node_visited = scratch.node_visited;
   const size_t k = nodes.size();
-  scratch.node_visited.assign(k, 0);
-  std::vector<uint8_t>& node_visited = scratch.node_visited;
-  std::vector<uint32_t>& queue = scratch.queue;
-  queue.clear();
-  queue.reserve(k);
-  const auto node_index = [&nodes](VertexId v) {
-    const auto it = std::lower_bound(nodes.begin(), nodes.end(), v);
-    GSR_DCHECK(it != nodes.end() && *it == v);
-    return static_cast<size_t>(it - nodes.begin());
-  };
-  const auto try_visit = [&](size_t idx) {
-    if (!node_visited[idx]) {
-      node_visited[idx] = 1;
-      queue.push_back(static_cast<uint32_t>(idx));
-    }
-  };
-  for (size_t i = 0; i < k; ++i) {
-    const VertexId node = nodes[i];
-    if (node == vertex ||
-        (vertex < nb && node < nb && base_reach(vertex, node))) {
-      try_visit(i);
-    }
-  }
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const VertexId a = nodes[queue[head]];
-    for (const auto& [from, to] : EdgesFrom(delta.inserted_edges, a)) {
-      (void)from;
-      try_visit(node_index(to));
-    }
-    if (a < nb) {
-      for (size_t i = 0; i < k; ++i) {
-        if (!node_visited[i] && nodes[i] < nb && base_reach(a, nodes[i])) {
-          try_visit(i);
-        }
-      }
-    }
-  }
 
   scratch.seen.BeginPass(n);
   const auto emit = [&](VertexId v) {
@@ -541,7 +494,7 @@ void DynamicRangeReach::CollectImpl(const Base& base, const Delta& delta,
   // Source 1: base collections.
   const auto collect_from_base = [&](VertexId a) {
     ResultSink base_sink = ResultSink::Enum(&scratch.collect_arena);
-    base.index->CollectInto(a, region, base_sink, *scratch.base);
+    base.index->CollectInto(a, region, base_sink, base_scratch);
     for (const VertexId v : scratch.collect_arena) emit(v);
   };
   if (vertex < nb) collect_from_base(vertex);
@@ -554,9 +507,10 @@ void DynamicRangeReach::CollectImpl(const Base& base, const Delta& delta,
   // collide with source 1.
   for (const auto& [v, point] : delta.point_overrides) {
     if (!point.has_value() || !region.Contains(*point)) continue;
-    bool reachable = v == vertex || (vertex < nb && base_reach(vertex, v));
+    bool reachable = v == vertex || (vertex < nb && BaseReach(base, vertex, v));
     for (size_t i = 0; !reachable && i < k; ++i) {
-      reachable = node_visited[i] && nodes[i] < nb && base_reach(nodes[i], v);
+      reachable =
+          node_visited[i] && nodes[i] < nb && BaseReach(base, nodes[i], v);
     }
     if (reachable) emit(v);
   }
@@ -593,28 +547,6 @@ bool DynamicRangeReach::EvaluateImpl(const Base& base, const Delta& delta,
   if (!OptimisticEvaluate(base, delta, vertex, region, scratch)) return false;
   return OverlaySearch(base, delta, vertex, region, kUnbounded, nullptr,
                        scratch) == SearchOutcome::kFound;
-}
-
-bool DynamicRangeReach::Evaluate(VertexId vertex, const Rect& region,
-                                 Scratch& scratch) const {
-  return EvaluateImpl(*base_, delta_, vertex, region, scratch);
-}
-
-bool DynamicRangeReach::View::Evaluate(VertexId vertex, const Rect& region,
-                                       Scratch& scratch) const {
-  return DynamicRangeReach::EvaluateImpl(*base, delta, vertex, region,
-                                         scratch);
-}
-
-void DynamicRangeReach::CollectInto(VertexId vertex, const Rect& region,
-                                    ResultSink& sink, Scratch& scratch) const {
-  CollectImpl(*base_, delta_, vertex, region, sink, scratch);
-}
-
-void DynamicRangeReach::View::CollectInto(VertexId vertex, const Rect& region,
-                                          ResultSink& sink,
-                                          Scratch& scratch) const {
-  DynamicRangeReach::CollectImpl(*base, delta, vertex, region, sink, scratch);
 }
 
 // --- Snapshot / rebuild ---------------------------------------------------

@@ -18,6 +18,7 @@
 namespace gsr {
 
 namespace exec {
+class EpochView;
 class ThreadPool;
 }
 
@@ -56,13 +57,13 @@ class ThreadPool;
 /// reachability) and whose TRUE is settled by an unbounded overlay
 /// search. Risky deltas therefore degrade speed, never correctness.
 ///
-/// Concurrency: the engine itself is single-writer — one thread mutates
-/// (Apply/AddEdge/.../Rebuild/InstallBase). Readers take an immutable
-/// View via Snapshot() (cheap: shared base pointer + delta copy) and
-/// evaluate against it from any number of threads, one Scratch each.
-/// exec::StreamingRangeReach wraps this in an epoch manager so readers
-/// keep answering while a background thread rebuilds and hot-swaps the
-/// base.
+/// Concurrency: the engine itself is single-writer — one thread calls
+/// Apply/Rebuild/InstallBase. Readers take an immutable View via
+/// Snapshot() (cheap: shared base pointer + delta copy) and query it
+/// through exec::EpochView, the one read surface, from any number of
+/// threads, one Scratch each. exec::StreamingRangeReach wraps this in an
+/// epoch manager so readers keep answering while a background thread
+/// rebuilds and hot-swaps the base.
 class DynamicRangeReach {
  public:
   /// An immutable base snapshot: the network at log position `position`
@@ -157,9 +158,10 @@ class DynamicRangeReach {
 
   /// Per-thread query state: a scratch for the base index (re-created
   /// when the view's base changes under it — hot swaps invalidate it),
-  /// the stitch-search marks, and the overlay-search buffers. Obtain via
-  /// NewScratch; one per reader thread.
-  struct Scratch {
+  /// the stitch-search marks, and the overlay-search buffers. Overlay
+  /// expansions count into counters.vertices_visited. Obtain via
+  /// exec::EpochView::NewScratch; one per reader thread.
+  struct Scratch : QueryScratch {
     std::unique_ptr<QueryScratch> base;
     uint64_t base_instance = 0;  // instance_id() of `base`'s owner method.
     std::vector<uint8_t> node_visited;
@@ -171,14 +173,10 @@ class DynamicRangeReach {
     // collections land in before dedup.
     SeenMarks seen;
     std::vector<VertexId> collect_arena;
-    /// Overlay vertices expanded since the owner last took this count
-    /// (EpochView moves it into Counters::vertices_visited).
-    uint64_t overlay_expansions = 0;
   };
 
-  /// An immutable point-in-time view: shared base + delta copy. Safe to
-  /// evaluate from many threads (one Scratch each) while the engine keeps
-  /// mutating and hot-swapping — this is what an epoch pins.
+  /// An immutable point-in-time state: shared base + delta copy. This is
+  /// what an epoch pins; exec::EpochView answers queries over it.
   struct View {
     std::shared_ptr<const Base> base;
     Delta delta;
@@ -190,38 +188,6 @@ class DynamicRangeReach {
       return base->num_vertices() +
              static_cast<VertexId>(delta.added_points.size());
     }
-    Scratch NewScratch() const { return Scratch{}; }
-
-    /// Answers RangeReach over the view's network. Exact: bit-identical
-    /// to rebuilding from scratch at `position`.
-    bool Evaluate(VertexId vertex, const Rect& region, Scratch& scratch) const;
-
-    /// The collection form behind RangeReachCount / RangeReachEnum over
-    /// the view's network (count/enum sinks only — boolean queries route
-    /// through Evaluate, same split as RangeReachMethod::EvaluateInto).
-    /// Contract matches RangeReachMethod::CollectInto: every distinct
-    /// vertex whose current point lies in `region` and that `vertex`
-    /// reaches is Add()ed exactly once, in unspecified order.
-    void CollectInto(VertexId vertex, const Rect& region, ResultSink& sink,
-                     Scratch& scratch) const;
-
-    /// RangeReachCount over the view's network.
-    uint64_t EvaluateCount(VertexId vertex, const Rect& region,
-                           Scratch& scratch) const {
-      ResultSink sink = ResultSink::Count();
-      CollectInto(vertex, region, sink, scratch);
-      return sink.count();
-    }
-
-    /// RangeReachEnum over the view's network: `out` is cleared, filled,
-    /// and sorted ascending.
-    void EvaluateEnumInto(VertexId vertex, const Rect& region,
-                          Scratch& scratch, std::vector<VertexId>& out) const {
-      ResultSink sink = ResultSink::Enum(&out);
-      CollectInto(vertex, region, sink, scratch);
-      sink.Finalize();
-    }
-
     size_t SizeBytes() const {
       return base->IndexSizeBytes() + delta.SizeBytes();
     }
@@ -238,42 +204,16 @@ class DynamicRangeReach {
            static_cast<VertexId>(delta_.added_points.size());
   }
 
-  // --- Writer API (single-writer; see class comment). Every call that
-  // changes network state appends to the update log; no-ops (self-loops,
-  // duplicate inserts, deleting an absent edge, setting an identical
-  // point) return Ok without logging.
+  // --- Writer API (single-writer; see class comment).
 
-  /// Adds a new vertex, optionally spatial; returns its id.
-  VertexId AddVertex(std::optional<Point2D> point);
-  /// Inserts a directed edge; both endpoints must exist.
-  Status AddEdge(VertexId from, VertexId to);
-  /// Deletes a directed edge (base or inserted).
-  Status DeleteEdge(VertexId from, VertexId to);
-  /// Check-in: vertex `v` gains or moves its point.
-  Status SetPoint(VertexId v, const Point2D& point);
-  /// Check-out: vertex `v` loses its point.
-  Status ClearPoint(VertexId v);
-  /// Applies one Update (the streaming form of the calls above). Returns
-  /// the new vertex id for kAddVertex, kInvalidVertex otherwise.
+  /// Applies one Update, appending it to the update log when it changes
+  /// network state; no-ops (self-loops, duplicate inserts, deleting an
+  /// absent edge, setting an identical point) return Ok without logging.
+  /// Returns the new vertex id for kAddVertex, kInvalidVertex otherwise.
   Result<VertexId> Apply(const Update& update);
 
   /// Number of pending delta entries (rebuild-policy signal).
   size_t pending_updates() const { return delta_.size(); }
-
-  // --- Reader API.
-
-  Scratch NewScratch() const { return Scratch{}; }
-
-  /// Answers RangeReach over the updated network using only `scratch` for
-  /// mutable state. Exact. Safe from many threads only against a stable
-  /// engine (no concurrent writer) — concurrent readers under writes go
-  /// through Snapshot().
-  bool Evaluate(VertexId vertex, const Rect& region, Scratch& scratch) const;
-
-  /// Collection form over the updated network (count/enum sinks only;
-  /// contract in View::CollectInto). Same threading caveats as Evaluate.
-  void CollectInto(VertexId vertex, const Rect& region, ResultSink& sink,
-                   Scratch& scratch) const;
 
   /// An immutable snapshot of the current (base, delta) — what epoch
   /// publication hands to readers.
@@ -300,23 +240,14 @@ class DynamicRangeReach {
   std::vector<Update> CopyLog(uint64_t from, uint64_t to) const {
     return log_.CopyRange(from, to);
   }
-  const UpdateLog& log() const { return log_; }
-
-  /// The current base network snapshot (delta not reflected).
-  const GeoSocialNetwork& base_network() const { return *base_->network; }
-
-  /// Index footprint: base index + delta overlay + log.
-  size_t IndexSizeBytes() const {
-    return base_->IndexSizeBytes() + delta_.SizeBytes() + log_.SizeBytes();
-  }
 
  private:
   /// Applies `update` to `delta_` (no logging). Returns whether network
   /// state changed; errors on out-of-range vertices.
   Result<bool> ApplyToDelta(const Update& update);
 
-  /// The one evaluation routine behind both the engine and View paths
-  /// (strategy in the class comment).
+  /// The evaluation routine behind exec::EpochView::Evaluate (strategy
+  /// in the class comment).
   static bool EvaluateImpl(const Base& base, const Delta& delta,
                            VertexId vertex, const Rect& region,
                            Scratch& scratch);
@@ -335,14 +266,17 @@ class DynamicRangeReach {
                                      VertexId vertex, const Rect& region,
                                      size_t max_expansions, ResultSink* sink,
                                      Scratch& scratch);
-  /// The one collection routine behind both the engine and View paths.
+  /// The collection routine behind exec::EpochView::CollectInto: every
+  /// distinct vertex whose current point lies in `region` and that
+  /// `vertex` reaches is Add()ed exactly once, in unspecified order
+  /// (count/enum sinks only).
   static void CollectImpl(const Base& base, const Delta& delta,
                           VertexId vertex, const Rect& region,
                           ResultSink& sink, Scratch& scratch);
   /// The point of `v` in the *current* network (override-aware).
   static std::optional<Point2D> CurrentPoint(const Base& base,
                                              const Delta& delta, VertexId v);
-  friend struct View;
+  friend class exec::EpochView;
 
   exec::ThreadPool* pool_ = nullptr;
   std::shared_ptr<const Base> base_;

@@ -36,41 +36,44 @@ struct StreamingOptions {
   snapshot::LoadMode spill_mode = snapshot::LoadMode::kMmap;
 };
 
-/// A pinned epoch of the streaming engine, wrapped as a RangeReachMethod:
-/// BatchRunner / QueryScheduler / result-sink pipelines run against it
-/// like any other method while the engine keeps ingesting and swapping
-/// bases underneath. The full query surface is served — boolean through
-/// Evaluate, count/enum sinks through the view's CollectInto.
+/// A pinned epoch of the streaming engine, wrapped as a RangeReachMethod —
+/// the one way to read a live network. BatchRunner / QueryScheduler /
+/// result-sink pipelines run against it like any other method while the
+/// engine keeps ingesting and swapping bases underneath. The full query
+/// surface is served: boolean through Evaluate, count/enum sinks through
+/// CollectInto. A DynamicRangeReach used without the epoch engine is read
+/// the same way: EpochView(dynamic.Snapshot(), epoch).
 ///
 /// The view inside is immutable, so one EpochView serves any number of
 /// concurrent reader threads — one Scratch each, per the usual contract.
+/// A scratch from one view of an engine also serves its later views: the
+/// scratch re-creates its base-index part whenever the view's base is a
+/// different method instance.
 class EpochView : public RangeReachMethod {
  public:
   EpochView(std::shared_ptr<const DynamicRangeReach::View> view,
             uint64_t epoch)
       : view_(std::move(view)), epoch_(epoch) {}
 
-  struct Scratch : QueryScratch {
-    DynamicRangeReach::Scratch inner;
-  };
-
   std::unique_ptr<QueryScratch> NewScratch() const override {
-    return std::make_unique<Scratch>();
+    return std::make_unique<DynamicRangeReach::Scratch>();
   }
 
+  /// Exact: bit-identical to rebuilding from scratch at position().
   bool Evaluate(VertexId vertex, const Rect& region,
                 QueryScratch& scratch) const override {
-    auto& s = static_cast<Scratch&>(scratch);
-    const bool found = view_->Evaluate(vertex, region, s.inner);
-    Count(s);
-    return found;
+    auto& s = static_cast<DynamicRangeReach::Scratch&>(scratch);
+    ++s.counters.queries;
+    return DynamicRangeReach::EvaluateImpl(*view_->base, view_->delta, vertex,
+                                           region, s);
   }
 
   void CollectInto(VertexId vertex, const Rect& region, ResultSink& sink,
                    QueryScratch& scratch) const override {
-    auto& s = static_cast<Scratch&>(scratch);
-    view_->CollectInto(vertex, region, sink, s.inner);
-    Count(s);
+    auto& s = static_cast<DynamicRangeReach::Scratch&>(scratch);
+    ++s.counters.queries;
+    DynamicRangeReach::CollectImpl(*view_->base, view_->delta, vertex, region,
+                                   sink, s);
   }
 
   using RangeReachMethod::Evaluate;
@@ -88,13 +91,6 @@ class EpochView : public RangeReachMethod {
   VertexId num_vertices() const { return view_->num_vertices(); }
 
  private:
-  /// Bills one query and the overlay vertices it expanded.
-  static void Count(Scratch& s) {
-    ++s.counters.queries;
-    s.counters.vertices_visited +=
-        std::exchange(s.inner.overlay_expansions, 0);
-  }
-
   std::shared_ptr<const DynamicRangeReach::View> view_;
   uint64_t epoch_ = 0;
 };

@@ -12,6 +12,7 @@
 #include "core/method_factory.h"
 #include "core/soc_reach.h"
 #include "datagen/workload.h"
+#include "exec/streaming_engine.h"
 #include "exec/thread_pool.h"
 #include "tests/test_util.h"
 
@@ -266,39 +267,41 @@ TEST(BatchRunnerTest, RecordLatenciesProducesOnePerQuery) {
 }
 
 TEST(BatchRunnerTest, DynamicRangeReachParallelReaders) {
-  // DynamicRangeReach is outside the RangeReachMethod hierarchy; its
-  // explicit-scratch Evaluate supports the same multi-reader regime,
+  // A DynamicRangeReach is read through an EpochView over its snapshot;
+  // explicit per-worker scratches support the same multi-reader regime,
   // exercised here directly on the pool.
   GeoSocialNetwork base = testing::RandomGeoSocialNetwork(150, 2.0, 0.5, 61);
   DynamicRangeReach dynamic(std::move(base));
-  const VertexId venue = dynamic.AddVertex(Point2D{50.0, 50.0});
-  ASSERT_TRUE(dynamic.AddEdge(0, venue).ok());
+  const auto venue = dynamic.Apply(Update::AddVertex(Point2D{50.0, 50.0}));
+  ASSERT_TRUE(venue.ok());
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(0, *venue)).ok());
 
   std::vector<RangeReachQuery> queries =
-      MixedWorkload(dynamic.base_network(), 200, 71);
+      MixedWorkload(*dynamic.base()->network, 200, 71);
   for (auto& query : queries) {
     // Keep vertices in range of the updated network (they already are;
     // the workload draws from the base network).
     ASSERT_LT(query.vertex, dynamic.num_vertices());
   }
 
+  const exec::EpochView view(dynamic.Snapshot(), /*epoch=*/1);
   std::vector<uint8_t> serial;
   serial.reserve(queries.size());
-  auto scratch = dynamic.NewScratch();
+  auto scratch = view.NewScratch();
   for (const RangeReachQuery& query : queries) {
     serial.push_back(
-        dynamic.Evaluate(query.vertex, query.region, scratch) ? 1 : 0);
+        view.Evaluate(query.vertex, query.region, *scratch) ? 1 : 0);
   }
 
   exec::ThreadPool pool(4);
-  std::vector<DynamicRangeReach::Scratch> scratches;
+  std::vector<std::unique_ptr<QueryScratch>> scratches;
   for (unsigned i = 0; i < pool.size(); ++i) {
-    scratches.push_back(dynamic.NewScratch());
+    scratches.push_back(view.NewScratch());
   }
   std::vector<uint8_t> parallel(queries.size(), 0);
   pool.ParallelFor(queries.size(), 8, [&](size_t i, unsigned worker) {
-    parallel[i] = dynamic.Evaluate(queries[i].vertex, queries[i].region,
-                                   scratches[worker])
+    parallel[i] = view.Evaluate(queries[i].vertex, queries[i].region,
+                                *scratches[worker])
                       ? 1
                       : 0;
   });

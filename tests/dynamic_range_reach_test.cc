@@ -71,13 +71,18 @@ class ReferenceNetwork {
   std::vector<std::optional<Point2D>> points_;
 };
 
+/// The engine's current state as a queryable method.
+exec::EpochView Live(const DynamicRangeReach& dynamic) {
+  return exec::EpochView(dynamic.Snapshot(), /*epoch=*/0);
+}
+
 TEST(DynamicRangeReachTest, BaseOnlyMatchesIndex) {
   const GeoSocialNetwork network =
       testing::RandomGeoSocialNetwork(100, 2.0, 0.4, 61);
   const NaiveBfsMethod oracle(&network);
   DynamicRangeReach dynamic{testing::RandomGeoSocialNetwork(100, 2.0, 0.4,
                                                             61)};
-  auto scratch = dynamic.NewScratch();
+  auto scratch = Live(dynamic).NewScratch();
   Rng rng(62);
   for (int q = 0; q < 100; ++q) {
     const VertexId v =
@@ -85,7 +90,8 @@ TEST(DynamicRangeReachTest, BaseOnlyMatchesIndex) {
     const double x = rng.NextDoubleInRange(0, 80);
     const double y = rng.NextDoubleInRange(0, 80);
     const Rect region(x, y, x + 20, y + 20);
-    EXPECT_EQ(dynamic.Evaluate(v, region, scratch), oracle.Evaluate(v, region));
+    EXPECT_EQ(Live(dynamic).Evaluate(v, region, *scratch),
+              oracle.Evaluate(v, region));
   }
 }
 
@@ -101,22 +107,24 @@ TEST(DynamicRangeReachTest, NewVenueBecomesReachable) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
-  auto scratch = dynamic.NewScratch();
+  auto scratch = Live(dynamic).NewScratch();
   const Rect cafe_area(0, 0, 10, 10);
-  EXPECT_FALSE(dynamic.Evaluate(0, cafe_area, scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, cafe_area, *scratch));
 
-  const VertexId cafe = dynamic.AddVertex(Point2D{5, 5});
-  EXPECT_FALSE(dynamic.Evaluate(0, cafe_area, scratch));  // No check-in yet.
-  ASSERT_TRUE(dynamic.AddEdge(1, cafe).ok());
+  const VertexId cafe = *dynamic.Apply(Update::AddVertex(Point2D{5, 5}));
+  // No check-in yet.
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, cafe_area, *scratch));
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(1, cafe)).ok());
   // alice -> bob -> cafe.
-  EXPECT_TRUE(dynamic.Evaluate(0, cafe_area, scratch));
-  EXPECT_TRUE(dynamic.Evaluate(1, cafe_area, scratch));
-  EXPECT_TRUE(dynamic.Evaluate(cafe, cafe_area, scratch));  // The cafe itself.
+  EXPECT_TRUE(Live(dynamic).Evaluate(0, cafe_area, *scratch));
+  EXPECT_TRUE(Live(dynamic).Evaluate(1, cafe_area, *scratch));
+  // The cafe itself.
+  EXPECT_TRUE(Live(dynamic).Evaluate(cafe, cafe_area, *scratch));
 
   dynamic.Rebuild();
   EXPECT_EQ(dynamic.pending_updates(), 0u);
-  EXPECT_TRUE(dynamic.Evaluate(0, cafe_area, scratch));
-  EXPECT_FALSE(dynamic.Evaluate(cafe, Rect(20, 20, 30, 30), scratch));
+  EXPECT_TRUE(Live(dynamic).Evaluate(0, cafe_area, *scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(cafe, Rect(20, 20, 30, 30), *scratch));
 }
 
 TEST(DynamicRangeReachTest, NewEdgeBridgesBaseComponents) {
@@ -133,13 +141,13 @@ TEST(DynamicRangeReachTest, NewEdgeBridgesBaseComponents) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
-  auto scratch = dynamic.NewScratch();
+  auto scratch = Live(dynamic).NewScratch();
   const Rect around_3(8, 8, 10, 10);
-  EXPECT_FALSE(dynamic.Evaluate(0, around_3, scratch));
-  ASSERT_TRUE(dynamic.AddEdge(0, 2).ok());
-  EXPECT_TRUE(dynamic.Evaluate(0, around_3, scratch));  // 0 -> 2 -> 3.
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, around_3, *scratch));
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(0, 2)).ok());
+  EXPECT_TRUE(Live(dynamic).Evaluate(0, around_3, *scratch));  // 0 -> 2 -> 3.
   // No reverse path.
-  EXPECT_FALSE(dynamic.Evaluate(2, Rect(0, 0, 2, 2), scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(2, Rect(0, 0, 2, 2), *scratch));
 }
 
 TEST(DynamicRangeReachTest, ChainsAcrossMultipleDeltaEdges) {
@@ -156,13 +164,15 @@ TEST(DynamicRangeReachTest, ChainsAcrossMultipleDeltaEdges) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
-  auto scratch = dynamic.NewScratch();
+  auto scratch = Live(dynamic).NewScratch();
   const Rect target(4, 4, 6, 6);
-  EXPECT_FALSE(dynamic.Evaluate(0, target, scratch));
-  ASSERT_TRUE(dynamic.AddEdge(1, 2).ok());  // 0 ->base 1 ->delta 2.
-  EXPECT_FALSE(dynamic.Evaluate(0, target, scratch));
-  ASSERT_TRUE(dynamic.AddEdge(3, 4).ok());  // ... ->base 3 ->delta 4 ->base 5.
-  EXPECT_TRUE(dynamic.Evaluate(0, target, scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, target, *scratch));
+  // 0 ->base 1 ->delta 2.
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(1, 2)).ok());
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, target, *scratch));
+  // ... ->base 3 ->delta 4 ->base 5.
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(3, 4)).ok());
+  EXPECT_TRUE(Live(dynamic).Evaluate(0, target, *scratch));
 }
 
 TEST(DynamicRangeReachTest, RejectsOutOfRangeEdges) {
@@ -172,8 +182,8 @@ TEST(DynamicRangeReachTest, RejectsOutOfRangeEdges) {
       std::move(graph).value(), std::vector<std::optional<Point2D>>(2));
   ASSERT_TRUE(network.ok());
   DynamicRangeReach dynamic(std::move(network).value());
-  EXPECT_FALSE(dynamic.AddEdge(0, 7).ok());
-  EXPECT_TRUE(dynamic.AddEdge(1, 0).ok());
+  EXPECT_FALSE(dynamic.Apply(Update::InsertEdge(0, 7)).ok());
+  EXPECT_TRUE(dynamic.Apply(Update::InsertEdge(1, 0)).ok());
 }
 
 TEST(DynamicRangeReachTest, PointMoveLeavesAndEntersRegions) {
@@ -189,25 +199,25 @@ TEST(DynamicRangeReachTest, PointMoveLeavesAndEntersRegions) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
-  auto scratch = dynamic.NewScratch();
+  auto scratch = Live(dynamic).NewScratch();
   const Rect downtown(0, 0, 10, 10);
   const Rect uptown(90, 90, 100, 100);
-  EXPECT_TRUE(dynamic.Evaluate(0, downtown, scratch));
-  EXPECT_FALSE(dynamic.Evaluate(0, uptown, scratch));
+  EXPECT_TRUE(Live(dynamic).Evaluate(0, downtown, *scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, uptown, *scratch));
 
-  ASSERT_TRUE(dynamic.SetPoint(1, Point2D{95, 95}).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::SetPoint(1, Point2D{95, 95})).ok());
   // Stale base point ignored.
-  EXPECT_FALSE(dynamic.Evaluate(0, downtown, scratch));
-  EXPECT_TRUE(dynamic.Evaluate(0, uptown, scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, downtown, *scratch));
+  EXPECT_TRUE(Live(dynamic).Evaluate(0, uptown, *scratch));
 
-  ASSERT_TRUE(dynamic.ClearPoint(1).ok());
-  EXPECT_FALSE(dynamic.Evaluate(0, downtown, scratch));
-  EXPECT_FALSE(dynamic.Evaluate(0, uptown, scratch));
+  ASSERT_TRUE(dynamic.Apply(Update::ClearPoint(1)).ok());
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, downtown, *scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, uptown, *scratch));
 
   dynamic.Rebuild();
   EXPECT_EQ(dynamic.pending_updates(), 0u);
-  EXPECT_FALSE(dynamic.Evaluate(0, downtown, scratch));
-  EXPECT_FALSE(dynamic.Evaluate(0, uptown, scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, downtown, *scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, uptown, *scratch));
 }
 
 TEST(DynamicRangeReachTest, EdgeFlipsDeleteAndRevive) {
@@ -225,23 +235,24 @@ TEST(DynamicRangeReachTest, EdgeFlipsDeleteAndRevive) {
   ASSERT_TRUE(network.ok());
 
   DynamicRangeReach dynamic(std::move(network).value());
-  auto scratch = dynamic.NewScratch();
+  auto scratch = Live(dynamic).NewScratch();
   const Rect venue(4, 4, 6, 6);
-  EXPECT_TRUE(dynamic.Evaluate(0, venue, scratch));
+  EXPECT_TRUE(Live(dynamic).Evaluate(0, venue, *scratch));
 
-  ASSERT_TRUE(dynamic.DeleteEdge(1, 2).ok());
-  EXPECT_FALSE(dynamic.Evaluate(0, venue, scratch));
-  EXPECT_FALSE(dynamic.Evaluate(1, venue, scratch));
+  ASSERT_TRUE(dynamic.Apply(Update::DeleteEdge(1, 2)).ok());
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, venue, *scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(1, venue, *scratch));
   // The venue still sees itself.
-  EXPECT_TRUE(dynamic.Evaluate(2, venue, scratch));
+  EXPECT_TRUE(Live(dynamic).Evaluate(2, venue, *scratch));
 
-  ASSERT_TRUE(dynamic.AddEdge(1, 2).ok());  // Flip back: un-deletes.
-  EXPECT_TRUE(dynamic.Evaluate(0, venue, scratch));
+  // Flip back: un-deletes.
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(1, 2)).ok());
+  EXPECT_TRUE(Live(dynamic).Evaluate(0, venue, *scratch));
   EXPECT_EQ(dynamic.pending_updates(), 0u);  // The flip nets out of the delta.
   EXPECT_EQ(dynamic.log_size(), 2u);         // But both updates are logged.
 
   dynamic.Rebuild();
-  EXPECT_TRUE(dynamic.Evaluate(0, venue, scratch));
+  EXPECT_TRUE(Live(dynamic).Evaluate(0, venue, *scratch));
 }
 
 TEST(DynamicRangeReachTest, NoOpUpdatesAreNotLogged) {
@@ -253,17 +264,20 @@ TEST(DynamicRangeReachTest, NoOpUpdatesAreNotLogged) {
   ASSERT_TRUE(network.ok());
   DynamicRangeReach dynamic(std::move(network).value());
 
-  ASSERT_TRUE(dynamic.AddEdge(0, 1).ok());       // Already a live base edge.
-  ASSERT_TRUE(dynamic.AddEdge(2, 2).ok());       // Self-loop.
-  ASSERT_TRUE(dynamic.DeleteEdge(1, 2).ok());    // Absent edge.
-  ASSERT_TRUE(dynamic.SetPoint(1, Point2D{5, 5}).ok());  // Identical point.
-  ASSERT_TRUE(dynamic.ClearPoint(0).ok());       // Already bare.
+  // Already a live base edge; a self-loop; an absent edge; an identical
+  // point; an already bare vertex.
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(0, 1)).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(2, 2)).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::DeleteEdge(1, 2)).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::SetPoint(1, Point2D{5, 5})).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::ClearPoint(0)).ok());
   EXPECT_EQ(dynamic.log_size(), 0u);
   EXPECT_EQ(dynamic.pending_updates(), 0u);
 
-  ASSERT_TRUE(dynamic.DeleteEdge(0, 1).ok());    // A real change.
+  ASSERT_TRUE(dynamic.Apply(Update::DeleteEdge(0, 1)).ok());  // A real change.
   EXPECT_EQ(dynamic.log_size(), 1u);
-  ASSERT_TRUE(dynamic.DeleteEdge(0, 1).ok());    // Double delete: no-op.
+  // Double delete: no-op.
+  ASSERT_TRUE(dynamic.Apply(Update::DeleteEdge(0, 1)).ok());
   EXPECT_EQ(dynamic.log_size(), 1u);
 }
 
@@ -279,8 +293,8 @@ TEST(DynamicRangeReachTest, EmptyDeltaDegenerates) {
   EXPECT_EQ(dynamic.base().get(), before);
 
   // A snapshot view of the empty delta answers like the base.
-  auto view = dynamic.Snapshot();
-  auto scratch = view->NewScratch();
+  const exec::EpochView view(dynamic.Snapshot(), /*epoch=*/0);
+  auto scratch = view.NewScratch();
   Rng rng(18);
   for (int q = 0; q < 50; ++q) {
     const VertexId v =
@@ -288,7 +302,7 @@ TEST(DynamicRangeReachTest, EmptyDeltaDegenerates) {
     const double x = rng.NextDoubleInRange(0, 80);
     const double y = rng.NextDoubleInRange(0, 80);
     const Rect region(x, y, x + 20, y + 20);
-    EXPECT_EQ(view->Evaluate(v, region, scratch), oracle.Evaluate(v, region));
+    EXPECT_EQ(view.Evaluate(v, region, *scratch), oracle.Evaluate(v, region));
   }
 }
 
@@ -300,28 +314,28 @@ TEST(DynamicRangeReachTest, DeltaOnlyVertexIsQueryable) {
       std::move(graph).value(), std::vector<std::optional<Point2D>>(1));
   ASSERT_TRUE(network.ok());
   DynamicRangeReach dynamic(std::move(network).value());
-  auto scratch = dynamic.NewScratch();
+  auto scratch = Live(dynamic).NewScratch();
 
-  const VertexId lonely = dynamic.AddVertex(std::nullopt);
-  EXPECT_FALSE(dynamic.Evaluate(lonely, Rect(0, 0, 100, 100), scratch));
+  const VertexId lonely = *dynamic.Apply(Update::AddVertex(std::nullopt));
+  EXPECT_FALSE(Live(dynamic).Evaluate(lonely, Rect(0, 0, 100, 100), *scratch));
 
-  const VertexId venue = dynamic.AddVertex(Point2D{5, 5});
-  EXPECT_TRUE(dynamic.Evaluate(venue, Rect(0, 0, 10, 10), scratch));
-  EXPECT_FALSE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30), scratch));
-  EXPECT_FALSE(dynamic.Evaluate(lonely, Rect(0, 0, 10, 10), scratch));
+  const VertexId venue = *dynamic.Apply(Update::AddVertex(Point2D{5, 5}));
+  EXPECT_TRUE(Live(dynamic).Evaluate(venue, Rect(0, 0, 10, 10), *scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(venue, Rect(20, 20, 30, 30), *scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(lonely, Rect(0, 0, 10, 10), *scratch));
 
   // Points of delta-only vertices can move and clear too.
-  ASSERT_TRUE(dynamic.SetPoint(venue, Point2D{25, 25}).ok());
-  EXPECT_TRUE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30), scratch));
-  ASSERT_TRUE(dynamic.ClearPoint(venue).ok());
-  EXPECT_FALSE(dynamic.Evaluate(venue, Rect(20, 20, 30, 30), scratch));
+  ASSERT_TRUE(dynamic.Apply(Update::SetPoint(venue, Point2D{25, 25})).ok());
+  EXPECT_TRUE(Live(dynamic).Evaluate(venue, Rect(20, 20, 30, 30), *scratch));
+  ASSERT_TRUE(dynamic.Apply(Update::ClearPoint(venue)).ok());
+  EXPECT_FALSE(Live(dynamic).Evaluate(venue, Rect(20, 20, 30, 30), *scratch));
 }
 
 TEST(DynamicRangeReachTest, MaterializeAtReproducesEveryPrefix) {
   const GeoSocialNetwork base =
       testing::RandomGeoSocialNetwork(30, 1.5, 0.5, 23);
   DynamicRangeReach dynamic{testing::RandomGeoSocialNetwork(30, 1.5, 0.5, 23)};
-  auto scratch = dynamic.NewScratch();
+  auto scratch = Live(dynamic).NewScratch();
   const UpdateStreamSpec spec{.count = 40};
   const auto stream = GenerateUpdateStream(base, spec, 99);
   for (const Update& update : stream) {
@@ -344,7 +358,8 @@ TEST(DynamicRangeReachTest, MaterializeAtReproducesEveryPrefix) {
     const double x = rng.NextDoubleInRange(0, 80);
     const double y = rng.NextDoubleInRange(0, 80);
     const Rect region(x, y, x + 20, y + 20);
-    ASSERT_EQ(dynamic.Evaluate(v, region, scratch), oracle.Evaluate(v, region));
+    ASSERT_EQ(Live(dynamic).Evaluate(v, region, *scratch),
+              oracle.Evaluate(v, region));
   }
 }
 
@@ -360,29 +375,37 @@ TEST(DynamicRangeReachTest, SnapshotViewIsImmutableUnderLaterUpdates) {
   DynamicRangeReach dynamic(std::move(network).value());
 
   const Rect venue(4, 4, 6, 6);
-  auto view = dynamic.Snapshot();
-  auto scratch = view->NewScratch();
-  auto engine_scratch = dynamic.NewScratch();
-  EXPECT_TRUE(view->Evaluate(0, venue, scratch));
+  const exec::EpochView view(dynamic.Snapshot(), /*epoch=*/1);
+  auto scratch = view.NewScratch();
+  // One scratch serves every later view of the engine: it answers on the
+  // old base first, so after the Rebuild() below its base-index part
+  // must be re-created for the new base.
+  auto engine_scratch = view.NewScratch();
+  EXPECT_TRUE(view.Evaluate(0, venue, *scratch));
+  EXPECT_TRUE(Live(dynamic).Evaluate(0, venue, *engine_scratch));
 
-  ASSERT_TRUE(dynamic.DeleteEdge(0, 1).ok());
-  EXPECT_FALSE(dynamic.Evaluate(0, venue, engine_scratch));
+  ASSERT_TRUE(dynamic.Apply(Update::DeleteEdge(0, 1)).ok());
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, venue, *engine_scratch));
   // The pinned view still answers at its own position.
-  EXPECT_TRUE(view->Evaluate(0, venue, scratch));
+  EXPECT_TRUE(view.Evaluate(0, venue, *scratch));
 
   dynamic.Rebuild();  // Hot-swaps the engine's base; view keeps the old one.
-  EXPECT_FALSE(dynamic.Evaluate(0, venue, engine_scratch));
-  EXPECT_TRUE(view->Evaluate(0, venue, scratch));
+  EXPECT_FALSE(Live(dynamic).Evaluate(0, venue, *engine_scratch));
+  EXPECT_TRUE(view.Evaluate(0, venue, *scratch));
+  // The reused scratch now holds a base-index scratch of the rebuilt base.
+  EXPECT_EQ(
+      static_cast<DynamicRangeReach::Scratch&>(*engine_scratch).base_instance,
+      dynamic.base()->method->instance_id());
 }
 
 TEST(DynamicRangeReachTest, SnapshotRoundTripBaseAnswersIdentically) {
   const GeoSocialNetwork base =
       testing::RandomGeoSocialNetwork(80, 2.0, 0.4, 41);
   DynamicRangeReach dynamic{testing::RandomGeoSocialNetwork(80, 2.0, 0.4, 41)};
-  auto scratch = dynamic.NewScratch();
+  auto scratch = Live(dynamic).NewScratch();
   // Some delta on top of the base, so the swap happens mid-stream.
-  ASSERT_TRUE(dynamic.AddEdge(0, 40).ok());
-  ASSERT_TRUE(dynamic.SetPoint(3, Point2D{50, 50}).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(0, 40)).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::SetPoint(3, Point2D{50, 50})).ok());
 
   const std::string path = ::testing::TempDir() + "/dyn_base_roundtrip.gsr";
   for (const auto mode :
@@ -394,8 +417,12 @@ TEST(DynamicRangeReachTest, SnapshotRoundTripBaseAnswersIdentically) {
     ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
     EXPECT_TRUE((*swapped)->from_snapshot);
 
-    DynamicRangeReach::View before{dynamic.base(), {}, 0};
-    DynamicRangeReach::View after{*swapped, {}, 0};
+    const auto base_only = [](const auto& b) {
+      return std::make_shared<const DynamicRangeReach::View>(
+          DynamicRangeReach::View{b, {}, 0});
+    };
+    const exec::EpochView before(base_only(dynamic.base()), /*epoch=*/0);
+    const exec::EpochView after(base_only(*swapped), /*epoch=*/0);
     auto s1 = before.NewScratch();
     auto s2 = after.NewScratch();
     Rng rng(42);
@@ -405,10 +432,11 @@ TEST(DynamicRangeReachTest, SnapshotRoundTripBaseAnswersIdentically) {
       const double x = rng.NextDoubleInRange(0, 80);
       const double y = rng.NextDoubleInRange(0, 80);
       const Rect region(x, y, x + 20, y + 20);
-      ASSERT_EQ(before.Evaluate(v, region, s1), after.Evaluate(v, region, s2));
+      ASSERT_EQ(before.Evaluate(v, region, *s1),
+                after.Evaluate(v, region, *s2));
       // The collection path descends the (possibly paged) base index too.
-      ASSERT_EQ(before.EvaluateCount(v, region, s1),
-                after.EvaluateCount(v, region, s2));
+      ASSERT_EQ(before.EvaluateCount(v, region, *s1),
+                after.EvaluateCount(v, region, *s2));
     }
 
     // Installing the swapped base preserves the live delta's answers.
@@ -421,27 +449,27 @@ TEST(DynamicRangeReachTest, SnapshotRoundTripBaseAnswersIdentically) {
       const double x = rng.NextDoubleInRange(0, 80);
       const double y = rng.NextDoubleInRange(0, 80);
       const Rect region(x, y, x + 20, y + 20);
-      ASSERT_EQ(dynamic.Evaluate(v, region, scratch),
+      ASSERT_EQ(Live(dynamic).Evaluate(v, region, *scratch),
                 oracle.Evaluate(v, region));
     }
   }
 }
 
 TEST(DynamicRangeReachTest, CollectThroughViewAndEpochViewMatchesOracle) {
-  // The count/enum surface of the update path: engine, pinned View, and
-  // the RangeReachMethod-shaped EpochView must all produce the oracle's
-  // exact result sets — in the non-risky regime (inserts and gained
-  // points only) and after the delta turns risky (deleted base edge,
-  // moved base point).
+  // The count/enum surface of the update path: an EpochView over the
+  // engine's snapshot, on an explicit scratch and on its default one,
+  // must produce the oracle's exact result sets — in the non-risky
+  // regime (inserts and gained points only) and after the delta turns
+  // risky (deleted base edge, moved base point).
   const GeoSocialNetwork base =
       testing::RandomGeoSocialNetwork(70, 2.0, 0.4, 53);
   ReferenceNetwork reference(base);
   DynamicRangeReach dynamic{testing::RandomGeoSocialNetwork(70, 2.0, 0.4, 53)};
 
   const auto check_all = [&](int phase) {
-    auto view = dynamic.Snapshot();
-    auto scratch = view->NewScratch();
-    const exec::EpochView epoch_view(view, /*epoch=*/uint64_t(phase));
+    const exec::EpochView epoch_view(dynamic.Snapshot(),
+                                     /*epoch=*/uint64_t(phase));
+    auto scratch = epoch_view.NewScratch();
     const auto method_scratch = epoch_view.NewScratch();
     Rng rng(54 + phase);
     for (int q = 0; q < 60; ++q) {
@@ -454,10 +482,11 @@ TEST(DynamicRangeReachTest, CollectThroughViewAndEpochViewMatchesOracle) {
       const std::vector<VertexId> expected =
           reference.RangeReachEnum(v, region);
 
-      ASSERT_EQ(view->EvaluateCount(v, region, scratch), expected.size())
+      ASSERT_EQ(epoch_view.EvaluateCount(v, region, *scratch),
+                expected.size())
           << "phase " << phase << " vertex " << v;
       std::vector<VertexId> got;
-      view->EvaluateEnumInto(v, region, scratch, got);
+      epoch_view.EvaluateEnumInto(v, region, *scratch, got);
       ASSERT_EQ(got, expected) << "phase " << phase << " vertex " << v;
 
       ASSERT_EQ(epoch_view.EvaluateCount(v, region), expected.size())
@@ -477,17 +506,17 @@ TEST(DynamicRangeReachTest, CollectThroughViewAndEpochViewMatchesOracle) {
 
   // Phase 1: non-risky delta — added vertices, inserted edges, gained
   // points. The stitch-closure collection path.
-  const VertexId venue = dynamic.AddVertex(Point2D{50, 50});
+  const VertexId venue = *dynamic.Apply(Update::AddVertex(Point2D{50, 50}));
   ASSERT_EQ(reference.AddVertex(Point2D{50, 50}), venue);
-  const VertexId lurker = dynamic.AddVertex(std::nullopt);
+  const VertexId lurker = *dynamic.Apply(Update::AddVertex(std::nullopt));
   ASSERT_EQ(reference.AddVertex(std::nullopt), lurker);
-  ASSERT_TRUE(dynamic.AddEdge(3, venue).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(3, venue)).ok());
   reference.AddEdge(3, venue);
-  ASSERT_TRUE(dynamic.AddEdge(venue, 9).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(venue, 9)).ok());
   reference.AddEdge(venue, 9);
-  ASSERT_TRUE(dynamic.AddEdge(lurker, 3).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(lurker, 3)).ok());
   reference.AddEdge(lurker, 3);
-  ASSERT_TRUE(dynamic.SetPoint(lurker, Point2D{20, 20}).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::SetPoint(lurker, Point2D{20, 20})).ok());
   reference.SetPoint(lurker, Point2D{20, 20});
   check_all(1);
 
@@ -497,7 +526,7 @@ TEST(DynamicRangeReachTest, CollectThroughViewAndEpochViewMatchesOracle) {
   bool edge_deleted = false;
   for (VertexId v = 0; v < base.num_vertices() && !edge_deleted; ++v) {
     for (const VertexId w : base.graph().OutNeighbors(v)) {
-      ASSERT_TRUE(dynamic.DeleteEdge(v, w).ok());
+      ASSERT_TRUE(dynamic.Apply(Update::DeleteEdge(v, w)).ok());
       reference.DeleteEdge(v, w);
       edge_deleted = true;
       break;
@@ -508,10 +537,10 @@ TEST(DynamicRangeReachTest, CollectThroughViewAndEpochViewMatchesOracle) {
   for (VertexId v = 0; v < base.num_vertices() && stale < 2; ++v) {
     if (!base.IsSpatial(v)) continue;
     if (stale == 0) {
-      ASSERT_TRUE(dynamic.SetPoint(v, Point2D{80, 80}).ok());
+      ASSERT_TRUE(dynamic.Apply(Update::SetPoint(v, Point2D{80, 80})).ok());
       reference.SetPoint(v, Point2D{80, 80});
     } else {
-      ASSERT_TRUE(dynamic.ClearPoint(v).ok());
+      ASSERT_TRUE(dynamic.Apply(Update::ClearPoint(v)).ok());
       reference.ClearPoint(v);
     }
     ++stale;
@@ -545,9 +574,9 @@ TEST(DynamicRangeReachTest, BudgetedOverlaySearchCoversEveryBranch) {
   const GeoSocialNetwork base = make_network();
   ReferenceNetwork reference(base);
   DynamicRangeReach dynamic{make_network()};
-  ASSERT_TRUE(dynamic.DeleteEdge(kPath, kPath + 1).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::DeleteEdge(kPath, kPath + 1)).ok());
   reference.DeleteEdge(kPath, kPath + 1);
-  ASSERT_TRUE(dynamic.SetPoint(kPath + 1, Point2D{20, 50}).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::SetPoint(kPath + 1, Point2D{20, 50})).ok());
   reference.SetPoint(kPath + 1, Point2D{20, 50});
   ASSERT_TRUE(dynamic.Snapshot()->delta.risky());
 
@@ -557,9 +586,10 @@ TEST(DynamicRangeReachTest, BudgetedOverlaySearchCoversEveryBranch) {
   };
   const Rect nowhere(-10, -10, -5, -5);
 
-  // Answers every kind on the engine and through an EpochView, checks
-  // each against the reference, and returns the boolean answer with the
-  // overlay vertices its evaluation expanded.
+  // Answers every kind through an EpochView, on an explicit scratch and
+  // on the view's default one, checks each against the reference, and
+  // returns the boolean answer with the overlay vertices its evaluation
+  // expanded.
   struct Outcome {
     bool answer;
     uint64_t expansions;
@@ -567,20 +597,20 @@ TEST(DynamicRangeReachTest, BudgetedOverlaySearchCoversEveryBranch) {
   const auto check = [&](VertexId vertex, const Rect& region) {
     const std::vector<VertexId> expected =
         reference.RangeReachEnum(vertex, region);
-    DynamicRangeReach::Scratch scratch = dynamic.NewScratch();
-    const bool answer = dynamic.Evaluate(vertex, region, scratch);
+    const exec::EpochView view(dynamic.Snapshot(), /*epoch=*/1);
+    const auto scratch = view.NewScratch();
+    const bool answer = view.Evaluate(vertex, region, *scratch);
     EXPECT_EQ(answer, !expected.empty()) << "vertex " << vertex;
-    const uint64_t expansions = scratch.overlay_expansions;
+    const uint64_t expansions = scratch->counters.vertices_visited;
     ResultSink count = ResultSink::Count();
-    dynamic.CollectInto(vertex, region, count, scratch);
+    view.CollectInto(vertex, region, count, *scratch);
     EXPECT_EQ(count.count(), expected.size()) << "vertex " << vertex;
     std::vector<VertexId> got;
     ResultSink enumerated = ResultSink::Enum(&got);
-    dynamic.CollectInto(vertex, region, enumerated, scratch);
+    view.CollectInto(vertex, region, enumerated, *scratch);
     enumerated.Finalize();
     EXPECT_EQ(got, expected) << "vertex " << vertex;
 
-    const exec::EpochView view(dynamic.Snapshot(), /*epoch=*/1);
     EXPECT_EQ(view.Evaluate(vertex, region), answer) << "vertex " << vertex;
     EXPECT_EQ(view.counters().vertices_visited, expansions);
     EXPECT_EQ(view.EvaluateCount(vertex, region), expected.size());
@@ -616,7 +646,7 @@ TEST(DynamicRangeReachTest, BudgetedOverlaySearchCoversEveryBranch) {
   // Cut the path at v150 -> v151. The base index still has v0 reaching
   // v199, so the optimistic pass past the budget says TRUE; the unbounded
   // search exhausts v0..v150 and answers the exact FALSE.
-  ASSERT_TRUE(dynamic.DeleteEdge(150, 151).ok());
+  ASSERT_TRUE(dynamic.Apply(Update::DeleteEdge(150, 151)).ok());
   reference.DeleteEdge(150, 151);
   o = check(0, around(kPath - 1));
   EXPECT_FALSE(o.answer);
@@ -633,7 +663,8 @@ TEST(DynamicRangeReachTest, OverrideBitmapEdgesMatchOracle) {
   // overrides land on those edges, flip set -> clear -> set, and after a
   // Rebuild() land on vertices the larger base folded in, past the old
   // bitmap's last word. Every answer kind is checked against the
-  // reference on the engine, a pinned View and an EpochView.
+  // reference through an EpochView, on two explicit scratches and on its
+  // default one.
   static constexpr VertexId kBase = 130;
   const auto make_network = [] {
     std::vector<std::pair<VertexId, VertexId>> edges;
@@ -656,11 +687,11 @@ TEST(DynamicRangeReachTest, OverrideBitmapEdgesMatchOracle) {
   DynamicRangeReach dynamic{make_network()};
 
   const auto set_point = [&](VertexId v, double x, double y) {
-    ASSERT_TRUE(dynamic.SetPoint(v, Point2D{x, y}).ok());
+    ASSERT_TRUE(dynamic.Apply(Update::SetPoint(v, Point2D{x, y})).ok());
     reference.SetPoint(v, Point2D{x, y});
   };
   const auto clear_point = [&](VertexId v) {
-    ASSERT_TRUE(dynamic.ClearPoint(v).ok());
+    ASSERT_TRUE(dynamic.Apply(Update::ClearPoint(v)).ok());
     reference.ClearPoint(v);
   };
 
@@ -674,30 +705,30 @@ TEST(DynamicRangeReachTest, OverrideBitmapEdgesMatchOracle) {
       regions.emplace_back(x - 0.5, -0.5, x + 0.5, 0.5);
       regions.emplace_back(x - 0.5, 49.5, x + 0.5, 50.5);
     }
-    auto view = dynamic.Snapshot();
-    auto scratch = dynamic.NewScratch();
-    auto view_scratch = view->NewScratch();
-    const exec::EpochView epoch_view(view, /*epoch=*/uint64_t(phase));
+    const exec::EpochView epoch_view(dynamic.Snapshot(),
+                                     /*epoch=*/uint64_t(phase));
+    auto scratch = epoch_view.NewScratch();
+    auto view_scratch = epoch_view.NewScratch();
     for (const VertexId v : touched) {
       if (v >= dynamic.num_vertices()) continue;
       for (const Rect& region : regions) {
         const std::vector<VertexId> expected =
             reference.RangeReachEnum(v, region);
         const bool found = !expected.empty();
-        ASSERT_EQ(dynamic.Evaluate(v, region, scratch), found)
+        ASSERT_EQ(epoch_view.Evaluate(v, region, *scratch), found)
             << "phase " << phase << " vertex " << v;
         ResultSink count = ResultSink::Count();
-        dynamic.CollectInto(v, region, count, scratch);
+        epoch_view.CollectInto(v, region, count, *scratch);
         ASSERT_EQ(count.count(), expected.size())
             << "phase " << phase << " vertex " << v;
 
-        ASSERT_EQ(view->Evaluate(v, region, view_scratch), found)
+        ASSERT_EQ(epoch_view.Evaluate(v, region, *view_scratch), found)
             << "phase " << phase << " vertex " << v;
-        ASSERT_EQ(view->EvaluateCount(v, region, view_scratch),
+        ASSERT_EQ(epoch_view.EvaluateCount(v, region, *view_scratch),
                   expected.size())
             << "phase " << phase << " vertex " << v;
         std::vector<VertexId> got;
-        view->EvaluateEnumInto(v, region, view_scratch, got);
+        epoch_view.EvaluateEnumInto(v, region, *view_scratch, got);
         ASSERT_EQ(got, expected) << "phase " << phase << " vertex " << v;
 
         ASSERT_EQ(epoch_view.Evaluate(v, region), found)
@@ -737,9 +768,10 @@ TEST(DynamicRangeReachTest, OverrideBitmapEdgesMatchOracle) {
   // Added vertices (id >= nb) extend the path; their points live in the
   // delta's added list and never consult the bitmap.
   for (VertexId v = kBase; v < 200; ++v) {
-    ASSERT_EQ(dynamic.AddVertex(Point2D{static_cast<double>(v), 0}), v);
-    ASSERT_EQ(reference.AddVertex(Point2D{static_cast<double>(v), 0}), v);
-    ASSERT_TRUE(dynamic.AddEdge(v - 1, v).ok());
+    const Point2D p{static_cast<double>(v), 0};
+    ASSERT_EQ(*dynamic.Apply(Update::AddVertex(p)), v);
+    ASSERT_EQ(reference.AddVertex(p), v);
+    ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(v - 1, v)).ok());
     reference.AddEdge(v - 1, v);
   }
   set_point(165, 165, 50);
@@ -766,10 +798,10 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
   ReferenceNetwork reference(base);
   DynamicRangeReach dynamic{
       testing::RandomGeoSocialNetwork(60, 1.5, 0.4, seed)};
-  auto scratch = dynamic.NewScratch();
+  auto scratch = Live(dynamic).NewScratch();
 
   Rng rng(seed * 31 + 7);
-  DynamicRangeReach::Scratch collect_scratch;
+  auto collect_scratch = Live(dynamic).NewScratch();
   for (int step = 0; step < 80; ++step) {
     // Apply a random update over the full update set.
     const double dice = rng.NextDouble();
@@ -779,7 +811,7 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
         point = Point2D{rng.NextDoubleInRange(0, 100),
                         rng.NextDoubleInRange(0, 100)};
       }
-      const VertexId a = dynamic.AddVertex(point);
+      const VertexId a = *dynamic.Apply(Update::AddVertex(point));
       const VertexId b = reference.AddVertex(point);
       ASSERT_EQ(a, b);
     } else if (dice < 0.5) {
@@ -788,7 +820,7 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
       const VertexId to =
           static_cast<VertexId>(rng.NextBounded(dynamic.num_vertices()));
       if (from != to) {
-        ASSERT_TRUE(dynamic.AddEdge(from, to).ok());
+        ASSERT_TRUE(dynamic.Apply(Update::InsertEdge(from, to)).ok());
         reference.AddEdge(from, to);
       }
     } else if (dice < 0.65) {
@@ -797,13 +829,13 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
           static_cast<VertexId>(rng.NextBounded(dynamic.num_vertices()));
       const Point2D p{rng.NextDoubleInRange(0, 100),
                       rng.NextDoubleInRange(0, 100)};
-      ASSERT_TRUE(dynamic.SetPoint(v, p).ok());
+      ASSERT_TRUE(dynamic.Apply(Update::SetPoint(v, p)).ok());
       reference.SetPoint(v, p);
     } else if (dice < 0.72) {
       // Check-out.
       const VertexId v =
           static_cast<VertexId>(rng.NextBounded(dynamic.num_vertices()));
-      ASSERT_TRUE(dynamic.ClearPoint(v).ok());
+      ASSERT_TRUE(dynamic.Apply(Update::ClearPoint(v)).ok());
       reference.ClearPoint(v);
     } else if (dice < 0.9) {
       // Delete a random (possibly absent) edge — absent is a no-op for
@@ -812,7 +844,7 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
           static_cast<VertexId>(rng.NextBounded(dynamic.num_vertices()));
       const VertexId to =
           static_cast<VertexId>(rng.NextBounded(dynamic.num_vertices()));
-      ASSERT_TRUE(dynamic.DeleteEdge(from, to).ok());
+      ASSERT_TRUE(dynamic.Apply(Update::DeleteEdge(from, to)).ok());
       reference.DeleteEdge(from, to);
     } else if (dice < 0.95) {
       dynamic.Rebuild();
@@ -820,8 +852,8 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
     }
 
     // Verify a few queries after each update; the first one per step also
-    // checks the collection kinds (count + sorted enum) through the
-    // engine's CollectInto, across whatever risky/non-risky state the
+    // checks the collection kinds (count + sorted enum) through
+    // CollectInto, across whatever risky/non-risky state the
     // random walk is in.
     for (int q = 0; q < 5; ++q) {
       const VertexId v =
@@ -830,7 +862,7 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
       const double y = rng.NextDoubleInRange(-5, 95);
       const Rect region(x, y, x + rng.NextDoubleInRange(0, 40),
                         y + rng.NextDoubleInRange(0, 40));
-      ASSERT_EQ(dynamic.Evaluate(v, region, scratch),
+      ASSERT_EQ(Live(dynamic).Evaluate(v, region, *scratch),
                 reference.RangeReach(v, region))
           << "step " << step << " vertex " << v;
       if (q == 0) {
@@ -838,11 +870,11 @@ TEST_P(DynamicRandomTest, RandomUpdateSequencesStayExact) {
             reference.RangeReachEnum(v, region);
         std::vector<VertexId> got;
         ResultSink enum_sink = ResultSink::Enum(&got);
-        dynamic.CollectInto(v, region, enum_sink, collect_scratch);
+        Live(dynamic).CollectInto(v, region, enum_sink, *collect_scratch);
         enum_sink.Finalize();
         ASSERT_EQ(got, expected) << "step " << step << " vertex " << v;
         ResultSink count_sink = ResultSink::Count();
-        dynamic.CollectInto(v, region, count_sink, collect_scratch);
+        Live(dynamic).CollectInto(v, region, count_sink, *collect_scratch);
         ASSERT_EQ(count_sink.count(), expected.size())
             << "step " << step << " vertex " << v;
       }

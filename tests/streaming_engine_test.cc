@@ -5,6 +5,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/naive_bfs.h"
 #include "datagen/workload.h"
 #include "exec/batch_runner.h"
+#include "exec/query_scheduler.h"
 #include "tests/test_util.h"
 
 namespace gsr::exec {
@@ -182,6 +184,82 @@ TEST(StreamingRangeReachTest, EpochViewCountsQueriesAndOverlayWork) {
   const auto drained = engine.Pin();
   ASSERT_EQ(drained->view().delta.size(), 0u);
   for (const uint64_t visited : run_batches(*drained)) EXPECT_EQ(visited, 0u);
+}
+
+TEST(StreamingRangeReachTest, RunSharedOnPinnedViewsMatchesRunAndOracle) {
+  const GeoSocialNetwork initial =
+      testing::RandomGeoSocialNetwork(80, 2.0, 0.4, 51);
+  StreamingOptions options;
+  options.rebuild_threshold = 0;  // Only the explicit Flush below rebuilds.
+  StreamingRangeReach engine(
+      testing::RandomGeoSocialNetwork(80, 2.0, 0.4, 51), /*pool=*/nullptr,
+      options);
+  const auto stream =
+      GenerateUpdateStream(initial, UpdateStreamSpec{.count = 60}, 52);
+  ASSERT_TRUE(engine.ApplyAll(stream).ok());
+
+  // Half the queries start at one of eight hot vertices, so grouping has
+  // same-vertex groups to share; the regions are all distinct.
+  Rng rng(53);
+  std::vector<RangeReachQuery> queries;
+  for (int q = 0; q < 160; ++q) {
+    const uint64_t range = q % 2 == 0 ? 8 : engine.num_vertices();
+    queries.push_back(RangeReachQuery{
+        static_cast<VertexId>(rng.NextBounded(range)), RandomRegion(rng)});
+  }
+
+  // Every kind through Run, through RunShared grouped (window above
+  // min_window_to_group) and bypassed, and through Run on a NaiveBFS
+  // oracle over the view's materialized network.
+  const auto check = [&](const EpochView& view) {
+    auto materialized = engine.MaterializeView(view);
+    ASSERT_TRUE(materialized.ok());
+    const NaiveBfsMethod oracle(&*materialized);
+    ThreadPool pool(4);
+    BatchRunner runner(&pool);
+    for (const QueryKind kind :
+         {QueryKind::kBool, QueryKind::kCount, QueryKind::kEnum}) {
+      BatchOptions batch;
+      batch.kind = kind;
+      const BatchResult expected = runner.Run(oracle, queries, batch);
+      const BatchResult run = runner.Run(view, queries, batch);
+      EXPECT_EQ(run.answers, expected.answers);
+      EXPECT_EQ(run.counts, expected.counts);
+      EXPECT_EQ(run.enums, expected.enums);
+      for (const bool grouped : {true, false}) {
+        SchedulerOptions shared;
+        shared.kind = kind;
+        shared.min_window_to_group = grouped ? 1 : queries.size() + 1;
+        view.ResetCounters();
+        const BatchResult got = runner.RunShared(view, queries, shared);
+        const std::string where = view.name() + " kind " +
+                                  std::to_string(static_cast<int>(kind)) +
+                                  (grouped ? " grouped" : " bypassed");
+        EXPECT_EQ(got.answers, run.answers) << where;
+        EXPECT_EQ(got.counts, run.counts) << where;
+        EXPECT_EQ(got.enums, run.enums) << where;
+        EXPECT_EQ(got.answers, expected.answers) << where;
+        EXPECT_EQ(got.counts, expected.counts) << where;
+        EXPECT_EQ(got.enums, expected.enums) << where;
+        EXPECT_EQ(view.counters().queries, queries.size()) << where;
+        if (grouped) {
+          ASSERT_NE(runner.scheduler(), nullptr);
+          EXPECT_LT(runner.scheduler()->last_share_stats().groups,
+                    queries.size())
+              << where;
+        }
+      }
+    }
+  };
+
+  const auto risky = engine.Pin();
+  ASSERT_TRUE(risky->view().delta.risky());
+  check(*risky);
+
+  engine.Flush();
+  const auto drained = engine.Pin();
+  ASSERT_EQ(drained->view().delta.size(), 0u);
+  check(*drained);
 }
 
 /// The read-while-update gate: reader threads pin epochs and query while
