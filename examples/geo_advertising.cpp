@@ -2,7 +2,9 @@
 // best location for a new shop or event by measuring, for each candidate
 // area, how many high-influence users have direct or indirect activity
 // there. Each (user, area) pair is one RangeReach query; the candidate
-// reachable by the most influencers wins.
+// reachable by the most influencers wins. Every printed venue count is
+// checked against SocReach's venue list, and the example exits 1 if they
+// differ.
 //
 // Run:  ./build/examples/geo_advertising
 
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "core/condensed_network.h"
+#include "core/soc_reach.h"
 #include "core/three_d_reach.h"
 #include "datagen/generator.h"
 #include "datagen/workload.h"
@@ -85,12 +88,19 @@ int main() {
     }
   }
 
+  // A second method, with no spatial index, lists the same venues.
+  const SocReach soc(&cn);
+  const std::unique_ptr<QueryScratch> soc_scratch = soc.NewScratch();
+  std::vector<VertexId> soc_venues;
+  uint64_t mismatches = 0;
   std::printf("top 5 advertising locations (of %zu candidates):\n",
               candidates.size());
   for (size_t i = 0; i < 5 && i < candidates.size(); ++i) {
     const Candidate& c = candidates[i];
     const uint64_t depth =
         index.EvaluateCount(top_influencer, c.area, *scratch);
+    soc.EvaluateEnumInto(top_influencer, c.area, *soc_scratch, soc_venues);
+    mismatches += (depth != soc_venues.size());
     std::printf("  %zu. area [%.1f,%.1f]x[%.1f,%.1f]  reached by %llu/%zu "
                 "influencers; top influencer touches %llu venues there\n",
                 i + 1, c.area.min_x, c.area.max_x, c.area.min_y, c.area.max_y,
@@ -102,5 +112,11 @@ int main() {
   std::printf("answered %llu RangeReach queries over a %zu-byte index\n",
               static_cast<unsigned long long>(queries),
               index.IndexSizeBytes());
+  if (mismatches != 0) {
+    std::fprintf(stderr, "%llu venue counts differ from SocReach - bug!\n",
+                 static_cast<unsigned long long>(mismatches));
+    return 1;
+  }
+  std::printf("venue counts agree with SocReach\n");
   return 0;
 }

@@ -87,11 +87,13 @@ class ResultSink {
   bool found() const { return count_ != 0; }
   uint64_t count() const { return count_; }
 
-  /// Sorts the enum arena into the canonical ascending order. Idempotent;
-  /// no-op for bool/count sinks.
-  void Finalize() {
-    if (arena_ != nullptr) std::sort(arena_->begin(), arena_->end());
-  }
+  /// Puts the enum arena into the canonical ascending order. Idempotent;
+  /// no-op for bool/count sinks. Dense results (at least 64 ids, and at
+  /// most 4 bitmap words per id up to the largest one) are ordered by
+  /// marking a word bitmap and scanning it; small or sparse ones are
+  /// sorted. Aborts when the arena holds a duplicate id (a broken
+  /// producer contract), which the bitmap would otherwise drop silently.
+  void Finalize();
 
   /// The collected vertices (enum sinks; empty otherwise).
   std::span<const VertexId> vertices() const {

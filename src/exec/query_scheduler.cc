@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <span>
@@ -119,42 +120,68 @@ BatchResult QueryScheduler::Run(const RangeReachMethod& method,
       // answer/sink buffers suffice.
       GSR_CHECK(group.regions.size() <= simd::kMaskWidth);
       const size_t slots = group.regions.size();
-      bool answers[simd::kMaskWidth];
-      ResultSink sinks[simd::kMaskWidth];
-      // Per-region-slot enum arenas; duplicate queries of a slot copy
-      // from it when the answers scatter. Sized only for enum groups.
-      std::vector<std::vector<VertexId>> slot_vertices;
+      const std::span<const Rect> regions(group.regions);
+      const size_t members = group.member_query.size();
+      QueryScratch& scratch = *scratches_[worker];
       // Clock reads only when asked: a low-dedup window degenerates into
       // hundreds of singleton groups, and a steady_clock call per group
-      // is real overhead against sub-microsecond evaluations.
+      // is real overhead against sub-microsecond evaluations. The window
+      // closes before the scatter to the member queries.
       std::chrono::steady_clock::time_point begin;
       if (options.record_latencies) begin = std::chrono::steady_clock::now();
+      const auto elapsed_us = [&] {
+        if (!options.record_latencies) return 0.0;
+        return std::chrono::duration<double, std::micro>(
+                   std::chrono::steady_clock::now() - begin)
+            .count();
+      };
       try {
-        switch (options.kind) {
-          case QueryKind::kBool:
-            method.EvaluateGroup(group.vertex,
-                                 std::span<const Rect>(group.regions),
-                                 std::span<bool>(answers, slots),
-                                 *scratches_[worker]);
-            break;
-          case QueryKind::kCount:
-            for (size_t k = 0; k < slots; ++k) sinks[k] = ResultSink::Count();
-            method.CollectGroupInto(group.vertex,
-                                    std::span<const Rect>(group.regions),
-                                    std::span<ResultSink>(sinks, slots),
-                                    *scratches_[worker]);
-            break;
-          case QueryKind::kEnum:
-            slot_vertices.resize(slots);
-            for (size_t k = 0; k < slots; ++k) {
-              sinks[k] = ResultSink::Enum(&slot_vertices[k]);
-            }
-            method.CollectGroupInto(group.vertex,
-                                    std::span<const Rect>(group.regions),
-                                    std::span<ResultSink>(sinks, slots),
-                                    *scratches_[worker]);
-            for (size_t k = 0; k < slots; ++k) sinks[k].Finalize();
-            break;
+        if (options.kind == QueryKind::kBool) {
+          bool answers[simd::kMaskWidth];
+          method.EvaluateGroup(group.vertex, regions,
+                               std::span<bool>(answers, slots), scratch);
+          const double micros = elapsed_us();
+          for (size_t m = 0; m < members; ++m) {
+            const size_t slot = start + group.member_query[m];
+            result.answers[slot] = answers[group.member_region[m]] ? 1 : 0;
+            if (options.record_latencies) result.latencies_us[slot] = micros;
+          }
+          return;
+        }
+
+        ResultSink sinks[simd::kMaskWidth];
+        // Enum slots collect straight into the result vector of their
+        // first member query (window-relative index below); the slot's
+        // other members copy it after Finalize.
+        uint32_t first_query[simd::kMaskWidth];
+        if (options.kind == QueryKind::kCount) {
+          for (size_t r = 0; r < slots; ++r) sinks[r] = ResultSink::Count();
+        } else {
+          std::fill_n(first_query, slots, UINT32_MAX);
+          for (size_t m = 0; m < members; ++m) {
+            uint32_t& first = first_query[group.member_region[m]];
+            if (first == UINT32_MAX) first = group.member_query[m];
+          }
+          for (size_t r = 0; r < slots; ++r) {
+            sinks[r] = ResultSink::Enum(&result.enums[start + first_query[r]]);
+          }
+        }
+        method.CollectGroupInto(group.vertex, regions,
+                                std::span<ResultSink>(sinks, slots), scratch);
+        if (options.kind == QueryKind::kEnum) {
+          for (size_t r = 0; r < slots; ++r) sinks[r].Finalize();
+        }
+        const double micros = elapsed_us();
+        for (size_t m = 0; m < members; ++m) {
+          const size_t slot = start + group.member_query[m];
+          const uint32_t r = group.member_region[m];
+          result.counts[slot] = sinks[r].count();
+          result.answers[slot] = sinks[r].found() ? 1 : 0;
+          if (options.kind == QueryKind::kEnum &&
+              first_query[r] != group.member_query[m]) {
+            result.enums[slot] = result.enums[start + first_query[r]];
+          }
+          if (options.record_latencies) result.latencies_us[slot] = micros;
         }
       } catch (...) {
         // Swallow here so this worker keeps draining its remaining
@@ -162,27 +189,6 @@ BatchResult QueryScheduler::Run(const RangeReachMethod& method,
         // exception is rethrown after the batch.
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
-        return;
-      }
-      double micros = 0.0;
-      if (options.record_latencies) {
-        micros = std::chrono::duration<double, std::micro>(
-                     std::chrono::steady_clock::now() - begin)
-                     .count();
-      }
-      for (size_t m = 0; m < group.member_query.size(); ++m) {
-        const size_t slot = start + group.member_query[m];
-        const uint32_t r = group.member_region[m];
-        if (options.kind == QueryKind::kBool) {
-          result.answers[slot] = answers[r] ? 1 : 0;
-        } else {
-          result.counts[slot] = sinks[r].count();
-          result.answers[slot] = sinks[r].found() ? 1 : 0;
-          if (options.kind == QueryKind::kEnum) {
-            result.enums[slot] = slot_vertices[r];
-          }
-        }
-        if (options.record_latencies) result.latencies_us[slot] = micros;
       }
     });
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -164,6 +165,60 @@ TEST(QuerySchedulerTest, DuplicateQueriesCollapseOntoOneSlot) {
   EXPECT_EQ(scheduler.last_share_stats().groups, 2u);  // One per vertex.
   EXPECT_EQ(scheduler.last_share_stats().distinct_regions, 4u);
   EXPECT_EQ(scheduler.last_share_stats().queries, 40u);
+}
+
+TEST(QuerySchedulerTest, SharedCountAndEnumSlotsMatchBatchRunner) {
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(100, 2.0, 0.5, 23);
+  const CondensedNetwork cn(&network);
+
+  // The 40-query, 4-slot layout of DuplicateQueriesCollapseOntoOneSlot,
+  // with vertex 11's second region far outside the space: an empty slot.
+  const Rect a(10, 10, 40, 40);
+  const Rect b(50, 50, 90, 90);
+  const Rect empty(1000, 1000, 1001, 1001);
+  std::vector<RangeReachQuery> queries;
+  for (int i = 0; i < 40; ++i) {
+    const bool first_vertex = i % 2 == 0;
+    const bool first_region = (i / 2) % 2 == 0;
+    queries.push_back({static_cast<VertexId>(first_vertex ? 3 : 11),
+                       first_region ? a : (first_vertex ? b : empty)});
+  }
+
+  MethodConfig config;
+  config.kind = MethodKind::kSocReach;
+  const auto method = CreateMethod(&cn, config);
+  exec::ThreadPool pool(2);
+  exec::BatchRunner runner(&pool);
+  exec::QueryScheduler scheduler(&pool);
+  exec::SchedulerOptions options;
+  options.min_window_to_group = 1;  // 40 queries: below the adaptive gate.
+  for (const QueryKind kind : {QueryKind::kCount, QueryKind::kEnum}) {
+    SCOPED_TRACE(QueryKindName(kind));
+    exec::BatchOptions batch_options;
+    batch_options.kind = kind;
+    options.kind = kind;
+    const exec::BatchResult expected =
+        runner.Run(*method, queries, batch_options);
+    const exec::BatchResult result = scheduler.Run(*method, queries, options);
+    EXPECT_EQ(scheduler.last_share_stats().distinct_regions, 4u);
+    EXPECT_EQ(result.answers, expected.answers);
+    EXPECT_EQ(result.counts, expected.counts);
+    EXPECT_EQ(result.enums, expected.enums);
+    EXPECT_EQ(result.counts[3], 0u);  // Vertex 11, the empty region.
+    EXPECT_GT(result.counts[0] + result.counts[1] + result.counts[2], 0u);
+    if (kind != QueryKind::kEnum) continue;
+    // Queries i and i + 4 share a slot: every member holds the same
+    // ascending vector.
+    for (size_t i = 4; i < queries.size(); ++i) {
+      EXPECT_EQ(result.enums[i], result.enums[i % 4]) << "query " << i;
+    }
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_TRUE(std::is_sorted(result.enums[i].begin(),
+                                 result.enums[i].end()));
+      EXPECT_EQ(result.enums[i].size(), result.counts[i]);
+    }
+  }
 }
 
 TEST(QuerySchedulerTest, GroupsSplitAtDistinctRegionCap) {

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <unordered_set>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/condensed_network.h"
 #include "core/method_factory.h"
 #include "core/naive_bfs.h"
@@ -86,6 +91,100 @@ TEST(ResultSinkTest, EnumSinkClearsArenaAndFinalizeSorts) {
   EXPECT_EQ(arena, (std::vector<VertexId>{1, 3, 5}));
   EXPECT_EQ(sink.count(), 3u);
   EXPECT_EQ(sink.vertices().size(), 3u);
+}
+
+/// Adds `ids` to a fresh enum sink and returns its finalized arena.
+std::vector<VertexId> Finalized(const std::vector<VertexId>& ids) {
+  std::vector<VertexId> arena;
+  ResultSink sink = ResultSink::Enum(&arena);
+  for (const VertexId v : ids) sink.Add(v);
+  sink.Finalize();
+  return arena;
+}
+
+std::vector<VertexId> Sorted(std::vector<VertexId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// `n` distinct ids drawn from [0, n * spread), in random order: spread 1
+/// is dense (every id of 0..n-1), 2 half-dense (bitmap path from 64 ids
+/// on), 1000 sparse (sort path).
+std::vector<VertexId> DistinctIds(size_t n, uint64_t spread, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<VertexId> ids;
+  if (spread == 1) {
+    ids.resize(n);
+    std::iota(ids.begin(), ids.end(), VertexId{0});
+    for (size_t i = n; i > 1; --i) {  // Fisher-Yates.
+      std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
+    }
+    return ids;
+  }
+  std::unordered_set<VertexId> drawn;
+  while (ids.size() < n) {
+    const auto v = static_cast<VertexId>(rng.NextBounded(n * spread));
+    if (drawn.insert(v).second) ids.push_back(v);
+  }
+  return ids;
+}
+
+TEST(ResultSinkTest, FinalizeMatchesSortOnRandomDraws) {
+  for (const size_t n : {0, 1, 63, 64, 65, 1000, 50000}) {
+    for (const uint64_t spread : {1, 2, 1000}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        const std::vector<VertexId> ids = DistinctIds(n, spread, seed);
+        EXPECT_EQ(Finalized(ids), Sorted(ids))
+            << "n=" << n << " spread=" << spread << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(ResultSinkTest, FinalizeKeepsIdsAtWordBoundaries) {
+  std::vector<VertexId> ids = {128, 64, 127, 63};
+  for (VertexId v = 0; v < 60; ++v) ids.push_back(v);  // 64 ids: bitmap.
+  EXPECT_EQ(Finalized(ids), Sorted(ids));
+}
+
+TEST(ResultSinkTest, FinalizeSortsWhenMaxIdWouldSizeAHugeBitmap) {
+  // 1001 ids up to the largest VertexId: a bitmap would need 2^26 words,
+  // far over 4 per id, so this must take the sort path.
+  std::vector<VertexId> ids = DistinctIds(1000, 1, 7);
+  ids.push_back(std::numeric_limits<VertexId>::max());
+  EXPECT_EQ(Finalized(ids), Sorted(ids));
+}
+
+TEST(ResultSinkTest, FinalizeLeavesNoStaleBitsForTheNextCall) {
+  const std::vector<VertexId> dense = DistinctIds(5000, 1, 11);
+  EXPECT_EQ(Finalized(dense), Sorted(dense));
+  const std::vector<VertexId> smaller = DistinctIds(200, 1, 12);
+  EXPECT_EQ(Finalized(smaller), Sorted(smaller));
+  const std::vector<VertexId> sparser = DistinctIds(300, 2, 13);
+  EXPECT_EQ(Finalized(sparser), Sorted(sparser));
+}
+
+TEST(ResultSinkTest, FinalizeOnFourThreadsMatchesSort) {
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      for (uint64_t round = 0; round < 20; ++round) {
+        const std::vector<VertexId> ids =
+            DistinctIds(500 + 100 * round, 1 + round % 2, 100 * t + round);
+        if (Finalized(ids) != Sorted(ids)) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
+}
+
+TEST(ResultSinkDeathTest, FinalizeAbortsOnDuplicateId) {
+  std::vector<VertexId> ids = DistinctIds(100, 1, 5);
+  ids.push_back(50);  // Breaks the exactly-once producer contract.
+  EXPECT_DEATH(Finalized(ids), "GSR_CHECK failed");
 }
 
 TEST(SeenMarksTest, DedupsWithinPassAndResetsAcrossPasses) {
