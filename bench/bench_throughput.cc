@@ -265,8 +265,9 @@ void RunSchedulerAb(const BenchOptions& options,
         m.shared_qps = shared.qps;
         m.speedup = unshared.qps > 0.0 ? shared.qps / unshared.qps : 0.0;
 
-        const std::vector<exec::QueryGroup> groups =
-            exec::BuildGroups(std::span<const RangeReachQuery>(queries), {});
+        exec::GroupingArena arena;
+        const std::span<const exec::QueryGroup> groups =
+            arena.Build(queries, {});
         m.groups = groups.size();
         for (const exec::QueryGroup& group : groups) {
           m.distinct_regions += group.regions.size();

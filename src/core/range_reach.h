@@ -188,7 +188,9 @@ class RangeReachMethod {
   /// Single-query sink dispatch: boolean sinks route through Evaluate
   /// (the existing optimized path, bit-identical answers), count/enum
   /// through CollectInto. Non-virtual on purpose — the kind dispatch
-  /// lives in exactly one place so the boolean fast path cannot drift.
+  /// lives in exactly one place so the boolean fast path cannot drift;
+  /// BatchRunner's per-query routine (Run, and RunShared's small
+  /// windows) evaluates every query through it.
   void EvaluateInto(VertexId vertex, const Rect& region, ResultSink& sink,
                     QueryScratch& scratch) const {
     if (sink.kind() == QueryKind::kBool) {

@@ -269,8 +269,7 @@ ThreeDReachRev::ThreeDReachRev(const CondensedNetwork* cn,
                                exec::ThreadPool* pool)
     : cn_(cn),
       options_(options),
-      reversed_dag_(ReverseGraph(cn->dag())),
-      labeling_(IntervalLabeling::Build(reversed_dag_,
+      labeling_(IntervalLabeling::Build(ReverseGraph(cn->dag()),
                                         IntervalLabeling::Options{}, pool)) {
   // One vertical segment per (spatial entry, reversed label): the segment
   // of u spans the reversed-post numbers of u's ancestors. The MBR variant

@@ -201,9 +201,7 @@ class ThreeDReachRev : public RangeReachMethod {
  private:
   friend struct MethodSnapshotAccess;
 
-  /// From-parts constructor used by the snapshot loader. The reversed DAG
-  /// is a construction-only artifact (Evaluate never touches it), so a
-  /// loaded method leaves it empty.
+  /// From-parts constructor used by the snapshot loader.
   ThreeDReachRev(const CondensedNetwork* cn, const Options& options,
                  IntervalLabeling labeling, FrozenRTree3D rtree)
       : cn_(cn),
@@ -213,7 +211,6 @@ class ThreeDReachRev : public RangeReachMethod {
 
   const CondensedNetwork* cn_;
   Options options_;
-  DiGraph reversed_dag_;
   IntervalLabeling labeling_;
   // Vertical segments are stored as (degenerate) boxes in both SCC modes,
   // mirroring Boost ("segments and boxes are stored in a similar manner"),

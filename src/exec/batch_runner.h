@@ -3,24 +3,20 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/range_reach.h"
 #include "exec/query_group.h"
+#include "exec/query_scheduler.h"
 #include "exec/thread_pool.h"
 
 namespace gsr::exec {
 
-class QueryScheduler;
-
-/// Tuning knobs for one batch evaluation.
+/// Options for one batch evaluation.
 struct BatchOptions {
-  /// Queries per chunk claimed from the shared cursor. Large enough to
-  /// amortize the atomic increment, small enough to balance skewed
-  /// per-query costs (a BFS miss can be 1000x a label-lookup hit).
-  size_t chunk = 32;
   /// When set, BatchResult::latencies_us gets one entry per query
   /// (steady-clock wall time of that query on its worker).
   bool record_latencies = false;
@@ -29,6 +25,30 @@ struct BatchOptions {
   /// Count/enum batches run the methods' collection paths and fill
   /// BatchResult::counts / ::enums alongside the answers.
   QueryKind kind = QueryKind::kBool;
+};
+
+/// RunShared options: the batch options plus the grouping policy. Count
+/// and enum windows group exactly like boolean ones (the shared probes
+/// and descents are the same) but execute through the methods'
+/// CollectGroupInto hook into per-region-slot sinks. A grouped query's
+/// latency is the wall time of its whole group: all members of a group
+/// complete together, so that is each member's service time.
+struct SchedulerOptions : BatchOptions {
+  GroupingOptions grouping;
+  /// Windows smaller than this skip grouping and run one query per pool
+  /// task, exactly like Run. A small window has little to share — on
+  /// skewed streams duplicate density grows with window size — but would
+  /// still pay the hash-and-sort grouping pass and the per-group dispatch
+  /// overhead; under an open-loop arrival process that fixed cost is pure
+  /// added latency whenever the backlog is small. The default is sized to
+  /// the *fastest* method (sub-µs 3DReach probes), whose grouping
+  /// breakeven sits near a thousand queries: below it the per-query path
+  /// runs at parity with Run, and real backlogs — a scheduling stall at
+  /// any method's sustainable offered rate backlogs queries in proportion
+  /// to that rate, so slow methods only ever see large backlogs alongside
+  /// large absolute sharing wins — still group and drain faster than
+  /// per-query execution can. 0 means always group.
+  size_t min_window_to_group = 1024;
 };
 
 /// Answers for one batch.
@@ -55,61 +75,70 @@ struct BatchResult {
 /// Each pool worker gets its own QueryScratch (created via
 /// method.NewScratch()), so any RangeReachMethod honoring the scratch
 /// contract of core/range_reach.h can be driven from all workers at once.
-/// After every batch the per-worker scratch counters are folded into the
-/// method's aggregate counters on the calling thread, so
-/// method.counters() reflects batch work exactly as if it ran serially.
+/// Every entry point shares one scratch cache, kept across batches for
+/// the same method (index buffers stay warm) and re-created when the
+/// method changes.
 ///
-/// Scratches are cached across Run() calls for the same method (index
-/// buffers stay warm); switching methods re-creates them.
+/// Error contract, the same for every entry point: a query (or group)
+/// that throws is skipped and every other one still runs; then the
+/// per-worker scratch counters are folded into the method's aggregate on
+/// the calling thread — so method.counters() reflects exactly the work
+/// done, as if it ran serially — and the first exception is rethrown.
+/// The runner stays usable afterwards.
 class BatchRunner {
  public:
-  /// The pool must outlive the runner. Constructor and destructor are
-  /// out of line: QueryScheduler is an incomplete type here.
-  explicit BatchRunner(ThreadPool* pool);
-  ~BatchRunner();
+  /// The pool must outlive the runner.
+  explicit BatchRunner(ThreadPool* pool) : pool_(pool) {}
 
-  /// Evaluates all queries; blocks until the batch is done. Rethrows the
-  /// first exception any query evaluation threw.
+  /// Evaluates all queries, one per index; blocks until the batch is
+  /// done.
   BatchResult Run(const RangeReachMethod& method,
                   const std::vector<RangeReachQuery>& queries,
                   const BatchOptions& options = {});
 
-  /// Evaluates all queries through the work-sharing QueryScheduler:
-  /// queries sharing a query vertex (and, within a vertex, spatially
-  /// close regions) execute as one group via the method's EvaluateGroup
-  /// hook. Answers are bit-identical to Run; shared probes/descents make
-  /// it faster on skewed streams. The scheduler (and its scratch cache)
-  /// persists across calls, like Run's.
+  /// Evaluates all queries with shared work: queries are admitted in
+  /// windows of options.grouping.window (the fairness bound: no query
+  /// waits on more than one window of later arrivals), and within a
+  /// window queries sharing a query vertex (and, within a vertex,
+  /// spatially close regions) execute as one group, one group per pool
+  /// task, through the method's EvaluateGroup / CollectGroupInto hook.
+  /// Answers are bit-identical to Run — grouping only changes how often
+  /// shared probes and descents run — which methods_agreement_test
+  /// enforces for every method, thread count and kernel level.
   BatchResult RunShared(const RangeReachMethod& method,
                         const std::vector<RangeReachQuery>& queries,
                         const SchedulerOptions& options = {});
 
-  /// Evaluates a batch of multi-source AnyReach queries (one per pool
-  /// task, through the method's EvaluateAny hook — k-way batched probes
-  /// where the method has them). Only answers/true_count are produced;
+  /// Evaluates a batch of multi-source AnyReach queries, one per index,
+  /// through the method's EvaluateAny hook (k-way batched probes where
+  /// the method has them). Only answers/true_count are produced;
   /// BatchOptions::kind is ignored.
   BatchResult RunAny(const RangeReachMethod& method,
                      const std::vector<AnyReachQuery>& queries,
                      const BatchOptions& options = {});
 
-  /// The scheduler behind RunShared (sharing stats); nullptr until the
-  /// first RunShared call.
-  const QueryScheduler* scheduler() const { return scheduler_.get(); }
+  /// The grouping state behind RunShared (sharing stats of the last
+  /// RunShared).
+  const QueryScheduler* scheduler() const { return &scheduler_; }
 
   /// Number of per-worker scratches currently cached (test hook).
-  size_t cached_scratch_count() const;
+  size_t cached_scratch_count() const { return scratches_.size(); }
 
  private:
   /// (Re)fills the per-worker scratch cache for `method`.
   void EnsureScratches(const RangeReachMethod& method);
 
-  /// pool_->ParallelFor(n, chunk, fn), then drains the scratches into
-  /// `method`'s counters — also when a query threw, before rethrowing, so
-  /// a failed batch's completed queries are neither lost nor billed to
-  /// the next batch.
-  void ParallelForThenDrain(
-      const RangeReachMethod& method, size_t n, size_t chunk,
-      const std::function<void(size_t index, unsigned worker)>& fn);
+  /// Runs fn(index, worker scratch) for every index in [0, n) on the
+  /// pool, `chunk` indices per claim. An index whose fn throws is
+  /// skipped: the first exception is kept for Finish and every other
+  /// index still runs. Defined (and only instantiated) in the .cc.
+  template <typename Fn>
+  void ParallelFor(size_t n, size_t chunk, const Fn& fn);
+
+  /// Ends every batch, once the pool is idle: drains the worker
+  /// scratches into `method`'s counters, then rethrows the first
+  /// exception ParallelFor kept, or else fills result.true_count.
+  void Finish(const RangeReachMethod& method, BatchResult& result);
 
   ThreadPool* pool_;
   /// Scratch cache, one slot per pool worker, valid for the method whose
@@ -118,9 +147,10 @@ class BatchRunner {
   /// scratch layout differs.
   uint64_t scratch_method_id_ = 0;
   std::vector<std::unique_ptr<QueryScratch>> scratches_;
-  /// Lazily created by RunShared (incomplete type here; the destructor
-  /// is out of line for the same reason).
-  std::unique_ptr<QueryScheduler> scheduler_;
+  /// The first exception of the running batch, set by pool workers.
+  std::mutex error_mutex_;
+  std::exception_ptr first_error_;
+  QueryScheduler scheduler_;
 };
 
 }  // namespace gsr::exec

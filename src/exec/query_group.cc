@@ -48,18 +48,6 @@ std::span<const QueryGroup> GroupingArena::Build(
   const size_t cap =
       std::clamp<size_t>(options.max_group_regions, 1, simd::kMaskWidth);
 
-  if (!options.group_by_vertex) {
-    // Degenerate policy: one singleton group per query, arrival order.
-    for (size_t i = 0; i < window.size(); ++i) {
-      QueryGroup& group = NewGroup();
-      group.vertex = window[i].vertex;
-      group.regions.push_back(window[i].region);
-      group.member_query.push_back(static_cast<uint32_t>(i));
-      group.member_region.push_back(0);
-    }
-    return std::span<const QueryGroup>(groups_.data(), groups_used_);
-  }
-
   // Axis (a): bucket the window's query indices by query vertex, keeping
   // vertices in first-appearance order so the partition is deterministic.
   // The vertex table is open-addressed at <= 50% load (this pass is the
@@ -146,13 +134,6 @@ std::span<const QueryGroup> GroupingArena::Build(
     }
   }
   return std::span<const QueryGroup>(groups_.data(), groups_used_);
-}
-
-std::vector<QueryGroup> BuildGroups(std::span<const RangeReachQuery> window,
-                                    const GroupingOptions& options) {
-  GroupingArena arena;
-  const std::span<const QueryGroup> groups = arena.Build(window, options);
-  return std::vector<QueryGroup>(groups.begin(), groups.end());
 }
 
 }  // namespace gsr::exec

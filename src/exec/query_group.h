@@ -12,11 +12,13 @@
 namespace gsr::exec {
 
 /// Knobs for turning an admitted window of queries into shared-work
-/// groups (see QueryScheduler). A vertex's regions are always ordered by
-/// a coarse 64x64 grid cell of their center, over the bounds of the
-/// window's region centers, before the max_group_regions split (axis (b):
-/// spatially close regions land in the same group, so one shared R-tree
-/// descent prunes them together instead of fanning out across the tree).
+/// groups (see BatchRunner::RunShared). Queries group by query vertex
+/// (axis (a): shared labeling / interval probes). A vertex's regions are
+/// ordered by a coarse 64x64 grid cell of their center, over the bounds
+/// of the window's region centers, before the max_group_regions split
+/// (axis (b): spatially close regions land in the same group, so one
+/// shared R-tree descent prunes them together instead of fanning out
+/// across the tree).
 struct GroupingOptions {
   /// Queries admitted per scheduling window. Grouping only happens within
   /// one window, so this is also the fairness bound: no query is
@@ -27,10 +29,6 @@ struct GroupingOptions {
   /// (vertex, region) queries collapse onto one slot and do not count
   /// against the cap.
   size_t max_group_regions = 64;
-  /// Group queries that share a query vertex (axis (a): shared labeling /
-  /// interval probes). When off, every query forms its own group — the
-  /// degenerate scheduler that must behave exactly like BatchRunner.
-  bool group_by_vertex = true;
 };
 
 /// One shared-work unit: every member query has the same query vertex and
@@ -53,8 +51,11 @@ struct QueryGroup {
 /// thread-safe; the returned span is valid until the next Build.
 class GroupingArena {
  public:
-  /// Same deterministic partition as BuildGroups (below), into storage
-  /// owned by the arena.
+  /// Partitions `window` into shared-work groups, deterministically:
+  /// vertices in first-appearance order, one vertex's groups in bucketed
+  /// region order, duplicates collapsed. Every query appears in exactly
+  /// one group. Groups write disjoint answer slots, so they may run in
+  /// any order and in parallel.
   std::span<const QueryGroup> Build(std::span<const RangeReachQuery> window,
                                     const GroupingOptions& options);
 
@@ -77,46 +78,6 @@ class GroupingArena {
   std::vector<std::pair<uint32_t, uint32_t>> ordered_;  // (cell, index)
   std::vector<QueryGroup> groups_;  // First groups_used_ live.
   size_t groups_used_ = 0;
-};
-
-/// Partitions `window` into shared-work groups, deterministically:
-/// vertices in first-appearance order, one vertex's groups in bucketed
-/// region order, duplicates collapsed. Every query appears in exactly one
-/// group. Group execution order does not affect answers (groups write
-/// disjoint slots), so the partition is safe to run in parallel.
-/// Convenience wrapper over a one-shot GroupingArena; repeated callers
-/// (the scheduler) hold an arena instead.
-std::vector<QueryGroup> BuildGroups(std::span<const RangeReachQuery> window,
-                                    const GroupingOptions& options);
-
-/// Scheduler knobs: the grouping policy plus result options.
-struct SchedulerOptions {
-  GroupingOptions grouping;
-  /// What every query of the batch computes (see BatchOptions::kind).
-  /// Count/enum windows group exactly like boolean ones — the shared
-  /// probes and descents are the same — but execute through the
-  /// methods' CollectGroupInto hook into per-region-slot sinks.
-  QueryKind kind = QueryKind::kBool;
-  /// When set, BatchResult::latencies_us gets one entry per query: the
-  /// wall time of the query's whole *group* on its worker — all members
-  /// of a group complete together, so that is each member's service time
-  /// under sharing.
-  bool record_latencies = false;
-  /// Windows smaller than this skip grouping and run one query per pool
-  /// task, exactly like BatchRunner::Run. A small window has little to
-  /// share — on skewed streams duplicate density grows with window
-  /// size — but would still pay the hash-and-sort grouping pass and the
-  /// per-group dispatch overhead; under an open-loop arrival process
-  /// that fixed cost is pure added latency whenever the backlog is
-  /// small. The default is sized to the *fastest* method (sub-µs 3DReach
-  /// probes), whose grouping breakeven sits near a thousand queries:
-  /// below it the per-query path runs at parity with BatchRunner::Run,
-  /// and real backlogs — a scheduling stall at any method's sustainable
-  /// offered rate backlogs queries in proportion to that rate, so slow
-  /// methods only ever see large backlogs alongside large absolute
-  /// sharing wins — still group and drain faster than per-query
-  /// execution can. 0 means always group.
-  size_t min_window_to_group = 1024;
 };
 
 }  // namespace gsr::exec

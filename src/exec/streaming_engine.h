@@ -37,7 +37,7 @@ struct StreamingOptions {
 };
 
 /// A pinned epoch of the streaming engine, wrapped as a RangeReachMethod —
-/// the one way to read a live network. BatchRunner / QueryScheduler /
+/// the one way to read a live network. BatchRunner (Run / RunShared) and
 /// result-sink pipelines run against it like any other method while the
 /// engine keeps ingesting and swapping bases underneath. The full query
 /// surface is served: boolean through Evaluate, count/enum sinks through

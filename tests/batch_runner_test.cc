@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic_range_reach.h"
@@ -215,11 +217,11 @@ class PoisonedCountingMethod : public RangeReachMethod {
   mutable std::atomic<uint64_t> evaluations{0};
 };
 
-TEST(BatchRunnerTest, FailedBatchStillDrainsItsCounters) {
-  // A throwing query aborts the batch, but the counters of the queries
-  // that did complete must reach the method aggregate before the
-  // rethrow — not linger in the worker scratches until the next batch
-  // (or vanish when the runner switches methods).
+TEST(BatchRunnerTest, EveryEntryPointRunsAllButTheThrowingQuery) {
+  // One query of 200 throws. Every entry point still evaluates the other
+  // 199 (the throw must not take the rest of its worker's claim with
+  // it), drains their counters into the method aggregate before the
+  // rethrow, and stays usable for the next batch.
   std::vector<RangeReachQuery> queries;
   std::vector<AnyReachQuery> any_queries;
   for (VertexId v = 0; v < 200; ++v) {
@@ -229,20 +231,75 @@ TEST(BatchRunnerTest, FailedBatchStillDrainsItsCounters) {
   const PoisonedCountingMethod method;
   exec::ThreadPool pool(2);
   exec::BatchRunner runner(&pool);
+  exec::SchedulerOptions grouped;
+  grouped.min_window_to_group = 1;
+  const std::vector<std::pair<std::string, std::function<void()>>> runs = {
+      {"Run", [&] { (void)runner.Run(method, queries); }},
+      {"RunAny", [&] { (void)runner.RunAny(method, any_queries); }},
+      {"RunShared grouped",
+       [&] { (void)runner.RunShared(method, queries, grouped); }},
+      // 200 queries sit below the default min_window_to_group.
+      {"RunShared small window",
+       [&] { (void)runner.RunShared(method, queries); }},
+  };
+  uint64_t evaluated = 0;
+  for (const auto& [name, run] : runs) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(run(), std::runtime_error);
+    evaluated += queries.size() - 1;
+    EXPECT_EQ(method.evaluations.load(), evaluated);
+    EXPECT_EQ(method.counters().queries, evaluated);
+  }
 
-  EXPECT_THROW((void)runner.Run(method, queries), std::runtime_error);
-  EXPECT_GT(method.evaluations.load(), 0u);
-  EXPECT_EQ(method.counters().queries, method.evaluations.load());
-
-  EXPECT_THROW((void)runner.RunAny(method, any_queries), std::runtime_error);
-  EXPECT_EQ(method.counters().queries, method.evaluations.load());
-
-  // The runner stays usable; a clean batch adds exactly its own queries.
   queries.erase(queries.begin() + PoisonedCountingMethod::kPoison);
-  const uint64_t before = method.counters().queries;
+  const exec::BatchResult clean = runner.Run(method, queries);
+  EXPECT_EQ(clean.true_count, queries.size());
+  EXPECT_EQ(method.counters().queries, evaluated + queries.size());
+}
+
+/// Answers TRUE everywhere and counts NewScratch calls (all made on the
+/// calling thread, by the runner's scratch cache).
+class ScratchCountingMethod : public RangeReachMethod {
+ public:
+  bool Evaluate(VertexId vertex, const Rect& region,
+                QueryScratch& scratch) const override {
+    (void)vertex;
+    (void)region;
+    (void)scratch;
+    return true;
+  }
+  std::unique_ptr<QueryScratch> NewScratch() const override {
+    ++new_scratch_calls;
+    return RangeReachMethod::NewScratch();
+  }
+  std::string name() const override { return "ScratchCounting"; }
+  size_t IndexSizeBytes() const override { return 1; }
+
+  mutable size_t new_scratch_calls = 0;
+};
+
+TEST(BatchRunnerTest, EveryEntryPointSharesOneScratchCache) {
+  std::vector<RangeReachQuery> queries;
+  std::vector<AnyReachQuery> any_queries;
+  for (VertexId v = 0; v < 100; ++v) {
+    queries.push_back({v % 10, Rect(0, 0, 1, 1)});
+    any_queries.push_back({{v}, Rect(0, 0, 1, 1)});
+  }
+  const ScratchCountingMethod method;
+  (void)method.counters();  // Creates the method-owned default scratch.
+  const size_t before = method.new_scratch_calls;
+
+  exec::ThreadPool pool(3);
+  exec::BatchRunner runner(&pool);
+  exec::SchedulerOptions grouped;
+  grouped.min_window_to_group = 1;
   (void)runner.Run(method, queries);
-  EXPECT_EQ(method.counters().queries, before + queries.size());
-  EXPECT_EQ(method.counters().queries, method.evaluations.load());
+  (void)runner.RunShared(method, queries, grouped);
+  (void)runner.RunShared(method, queries);
+  (void)runner.RunAny(method, any_queries);
+  EXPECT_EQ(runner.Run(method, queries).true_count, queries.size());
+  EXPECT_EQ(method.new_scratch_calls - before, pool.size());
+  EXPECT_EQ(runner.cached_scratch_count(), pool.size());
 }
 
 TEST(BatchRunnerTest, RecordLatenciesProducesOnePerQuery) {

@@ -76,13 +76,15 @@ class ThrowingMethod : public RangeReachMethod {
 
 TEST(QuerySchedulerTest, EmptyBatch) {
   exec::ThreadPool pool(2);
-  exec::QueryScheduler scheduler(&pool);
+  exec::BatchRunner runner(&pool);
+  const exec::QueryScheduler::ShareStats& stats =
+      runner.scheduler()->last_share_stats();
   const ThrowingMethod method;
-  const exec::BatchResult result = scheduler.Run(method, {});
+  const exec::BatchResult result = runner.RunShared(method, {});
   EXPECT_TRUE(result.answers.empty());
   EXPECT_EQ(result.true_count, 0u);
-  EXPECT_EQ(scheduler.last_share_stats().groups, 0u);
-  EXPECT_EQ(scheduler.last_share_stats().queries, 0u);
+  EXPECT_EQ(stats.groups, 0u);
+  EXPECT_EQ(stats.queries, 0u);
 }
 
 TEST(QuerySchedulerTest, SharedMatchesSerialAcrossWindowBoundaries) {
@@ -93,7 +95,9 @@ TEST(QuerySchedulerTest, SharedMatchesSerialAcrossWindowBoundaries) {
       SkewedWorkload(network, 20, 31);
 
   exec::ThreadPool pool(3);
-  exec::QueryScheduler scheduler(&pool);
+  exec::BatchRunner runner(&pool);
+  const exec::QueryScheduler::ShareStats& stats =
+      runner.scheduler()->last_share_stats();
   for (const MethodKind kind :
        {MethodKind::kSocReach, MethodKind::kSpaReachInt,
         MethodKind::kThreeDReach, MethodKind::kThreeDReachRev}) {
@@ -108,33 +112,11 @@ TEST(QuerySchedulerTest, SharedMatchesSerialAcrossWindowBoundaries) {
     exec::SchedulerOptions options;
     options.grouping.window = 7;
     options.min_window_to_group = 1;  // 7-query windows: force grouping.
-    const exec::BatchResult shared = scheduler.Run(*method, queries, options);
+    const exec::BatchResult shared =
+        runner.RunShared(*method, queries, options);
     EXPECT_EQ(shared.answers, serial) << method->name();
-    EXPECT_EQ(scheduler.last_share_stats().queries, queries.size());
+    EXPECT_EQ(stats.queries, queries.size());
   }
-}
-
-TEST(QuerySchedulerTest, SingletonGroupsWhenVertexGroupingOff) {
-  const GeoSocialNetwork network =
-      testing::RandomGeoSocialNetwork(150, 2.0, 0.5, 17);
-  const CondensedNetwork cn(&network);
-  const std::vector<RangeReachQuery> queries = SkewedWorkload(network, 60, 5);
-
-  MethodConfig config;
-  config.kind = MethodKind::kThreeDReach;
-  const auto method = CreateMethod(&cn, config);
-  const std::vector<uint8_t> serial = SerialAnswers(*method, queries);
-
-  exec::ThreadPool pool(4);
-  exec::QueryScheduler scheduler(&pool);
-  exec::SchedulerOptions options;
-  options.grouping.group_by_vertex = false;
-  options.min_window_to_group = 1;  // 60 queries: below the adaptive gate.
-  const exec::BatchResult result = scheduler.Run(*method, queries, options);
-  EXPECT_EQ(result.answers, serial);
-  // Degenerate mode: one group per query, no dedup.
-  EXPECT_EQ(scheduler.last_share_stats().groups, queries.size());
-  EXPECT_EQ(scheduler.last_share_stats().distinct_regions, queries.size());
 }
 
 TEST(QuerySchedulerTest, DuplicateQueriesCollapseOntoOneSlot) {
@@ -157,14 +139,16 @@ TEST(QuerySchedulerTest, DuplicateQueriesCollapseOntoOneSlot) {
   const std::vector<uint8_t> serial = SerialAnswers(*method, queries);
 
   exec::ThreadPool pool(2);
-  exec::QueryScheduler scheduler(&pool);
+  exec::BatchRunner runner(&pool);
+  const exec::QueryScheduler::ShareStats& stats =
+      runner.scheduler()->last_share_stats();
   exec::SchedulerOptions options;
   options.min_window_to_group = 1;  // 40 queries: below the adaptive gate.
-  const exec::BatchResult result = scheduler.Run(*method, queries, options);
+  const exec::BatchResult result = runner.RunShared(*method, queries, options);
   EXPECT_EQ(result.answers, serial);
-  EXPECT_EQ(scheduler.last_share_stats().groups, 2u);  // One per vertex.
-  EXPECT_EQ(scheduler.last_share_stats().distinct_regions, 4u);
-  EXPECT_EQ(scheduler.last_share_stats().queries, 40u);
+  EXPECT_EQ(stats.groups, 2u);  // One per vertex.
+  EXPECT_EQ(stats.distinct_regions, 4u);
+  EXPECT_EQ(stats.queries, 40u);
 }
 
 TEST(QuerySchedulerTest, SharedCountAndEnumSlotsMatchBatchRunner) {
@@ -190,7 +174,8 @@ TEST(QuerySchedulerTest, SharedCountAndEnumSlotsMatchBatchRunner) {
   const auto method = CreateMethod(&cn, config);
   exec::ThreadPool pool(2);
   exec::BatchRunner runner(&pool);
-  exec::QueryScheduler scheduler(&pool);
+  const exec::QueryScheduler::ShareStats& stats =
+      runner.scheduler()->last_share_stats();
   exec::SchedulerOptions options;
   options.min_window_to_group = 1;  // 40 queries: below the adaptive gate.
   for (const QueryKind kind : {QueryKind::kCount, QueryKind::kEnum}) {
@@ -200,8 +185,9 @@ TEST(QuerySchedulerTest, SharedCountAndEnumSlotsMatchBatchRunner) {
     options.kind = kind;
     const exec::BatchResult expected =
         runner.Run(*method, queries, batch_options);
-    const exec::BatchResult result = scheduler.Run(*method, queries, options);
-    EXPECT_EQ(scheduler.last_share_stats().distinct_regions, 4u);
+    const exec::BatchResult result =
+        runner.RunShared(*method, queries, options);
+    EXPECT_EQ(stats.distinct_regions, 4u);
     EXPECT_EQ(result.answers, expected.answers);
     EXPECT_EQ(result.counts, expected.counts);
     EXPECT_EQ(result.enums, expected.enums);
@@ -233,22 +219,24 @@ TEST(QuerySchedulerTest, GroupsSplitAtDistinctRegionCap) {
 
   const ThrowingMethod method;
   exec::ThreadPool pool(4);
-  exec::QueryScheduler scheduler(&pool);
+  exec::BatchRunner runner(&pool);
+  const exec::QueryScheduler::ShareStats& stats =
+      runner.scheduler()->last_share_stats();
   exec::SchedulerOptions options;
   options.min_window_to_group = 1;  // 150 queries: below the adaptive gate.
-  const exec::BatchResult result = scheduler.Run(method, queries, options);
-  EXPECT_EQ(scheduler.last_share_stats().groups, 3u);
-  EXPECT_EQ(scheduler.last_share_stats().distinct_regions, 150u);
+  const exec::BatchResult result = runner.RunShared(method, queries, options);
+  EXPECT_EQ(stats.groups, 3u);
+  EXPECT_EQ(stats.distinct_regions, 150u);
   EXPECT_EQ(result.true_count, 1u);
   EXPECT_EQ(result.answers[40], 1u);
 
   // max_group_regions clamps: 0 -> 1 region per group, huge -> 64.
   options.grouping.max_group_regions = 0;
-  (void)scheduler.Run(method, queries, options);
-  EXPECT_EQ(scheduler.last_share_stats().groups, 150u);
+  (void)runner.RunShared(method, queries, options);
+  EXPECT_EQ(stats.groups, 150u);
   options.grouping.max_group_regions = 100000;
-  (void)scheduler.Run(method, queries, options);
-  EXPECT_EQ(scheduler.last_share_stats().groups, 3u);
+  (void)runner.RunShared(method, queries, options);
+  EXPECT_EQ(stats.groups, 3u);
 }
 
 TEST(QuerySchedulerTest, ExceptionInOneGroupDoesNotPoisonTheBatch) {
@@ -261,22 +249,22 @@ TEST(QuerySchedulerTest, ExceptionInOneGroupDoesNotPoisonTheBatch) {
 
   const ThrowingMethod method;
   exec::ThreadPool pool(2);
-  exec::QueryScheduler scheduler(&pool);
+  exec::BatchRunner runner(&pool);
   exec::SchedulerOptions grouped;
   grouped.min_window_to_group = 1;  // Force the grouped path.
-  EXPECT_THROW((void)scheduler.Run(method, queries, grouped),
+  EXPECT_THROW((void)runner.RunShared(method, queries, grouped),
                std::runtime_error);
   // Every non-poison group still ran before the rethrow.
   EXPECT_EQ(method.evaluations.load(), 6u);
 
   // The per-query bypass (default options: 7 queries sit below the
   // adaptive gate) stashes and rethrows the same way.
-  EXPECT_THROW((void)scheduler.Run(method, queries), std::runtime_error);
+  EXPECT_THROW((void)runner.RunShared(method, queries), std::runtime_error);
   EXPECT_EQ(method.evaluations.load(), 12u);
 
-  // The scheduler (and its scratch cache) stays usable afterwards.
+  // The runner (and its scratch cache) stays usable afterwards.
   queries.pop_back();
-  const exec::BatchResult result = scheduler.Run(method, queries);
+  const exec::BatchResult result = runner.RunShared(method, queries);
   EXPECT_EQ(result.answers.size(), 6u);
   EXPECT_EQ(result.true_count, 6u);
 }
@@ -319,13 +307,14 @@ TEST(QuerySchedulerTest, WideSpanEvaluateGroupMatchesSerial) {
   }
 }
 
-TEST(QuerySchedulerTest, BuildGroupsPartitionIsExactAndDeterministic) {
+TEST(QuerySchedulerTest, GroupingPartitionIsExactAndDeterministic) {
   const GeoSocialNetwork network =
       testing::RandomGeoSocialNetwork(120, 2.0, 0.5, 37);
   const std::vector<RangeReachQuery> queries = SkewedWorkload(network, 80, 9);
 
-  const std::vector<exec::QueryGroup> groups =
-      exec::BuildGroups(std::span<const RangeReachQuery>(queries), {});
+  exec::GroupingArena arena;
+  const std::span<const exec::QueryGroup> built = arena.Build(queries, {});
+  const std::vector<exec::QueryGroup> groups(built.begin(), built.end());
 
   // Every query appears in exactly one group, mapped to a slot holding
   // exactly its region; slots within a group are distinct.
@@ -348,9 +337,8 @@ TEST(QuerySchedulerTest, BuildGroupsPartitionIsExactAndDeterministic) {
   }
   EXPECT_EQ(seen.size(), queries.size());
 
-  // Deterministic: same window, same partition.
-  const std::vector<exec::QueryGroup> again =
-      exec::BuildGroups(std::span<const RangeReachQuery>(queries), {});
+  // Deterministic: same window, same partition, also from a reused arena.
+  const std::span<const exec::QueryGroup> again = arena.Build(queries, {});
   ASSERT_EQ(again.size(), groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     EXPECT_EQ(again[g].vertex, groups[g].vertex);
