@@ -209,6 +209,6 @@ int main(int argc, char** argv) {
 
   const std::string json_path = options.out_dir + "/BENCH_snapshot.json";
   WriteJson(json_path, all, options.scale);
-  MirrorBenchJson(json_path);
+  MirrorBenchJson(options, json_path);
   return 0;
 }

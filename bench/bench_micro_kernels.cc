@@ -478,7 +478,7 @@ int main(int argc, char** argv) {
     (void)table.WriteCsv(options.out_dir + "/micro_kernels.csv");
     const std::string json_path = options.out_dir + "/BENCH_kernels.json";
     WriteJson(json_path, rows);
-    MirrorBenchJson(json_path);
+    MirrorBenchJson(options, json_path);
   }
   return 0;
 }

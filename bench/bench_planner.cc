@@ -290,6 +290,6 @@ int main(int argc, char** argv) {
   const std::string json_path = options.out_dir + "/BENCH_planner.json";
   WriteJson(json_path, strata, method_all, planner_all, options.scale,
             options.queries);
-  MirrorBenchJson(json_path);
+  MirrorBenchJson(options, json_path);
   return 0;
 }

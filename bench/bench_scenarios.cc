@@ -447,6 +447,6 @@ int main(int argc, char** argv) {
   const std::string json_path = options.out_dir + "/BENCH_scenarios.json";
   WriteJson(json_path, kind_all, any_all, enum_all, batch_size, options.scale,
             max_threads);
-  MirrorBenchJson(json_path);
+  MirrorBenchJson(options, json_path);
   return 0;
 }

@@ -426,7 +426,9 @@ bool EnsureDir(const std::string& dir) {
   return true;
 }
 
-void MirrorBenchJson(const std::string& json_path) {
+void MirrorBenchJson(const BenchOptions& options,
+                     const std::string& json_path) {
+  if (options.out_dir != BenchOptions().out_dir) return;
   namespace fs = std::filesystem;
   const fs::path src(json_path);
   const fs::path dst = src.filename();

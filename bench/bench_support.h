@@ -140,9 +140,12 @@ bool EnsureDir(const std::string& dir);
 
 /// Copies a freshly written <out>/BENCH_*.json over the tracked copy in
 /// the current working directory (the repo root when benches are run per
-/// README), so the two can never drift. No-op when the bench already
-/// wrote to the working directory; a failed copy only warns.
-void MirrorBenchJson(const std::string& json_path);
+/// README), so the two can never drift. Only a run with the default
+/// --out mirrors: a run told to write elsewhere (a smoke run into /tmp)
+/// leaves the tracked copies alone. No-op when the bench already wrote
+/// to the working directory; a failed copy only warns.
+void MirrorBenchJson(const BenchOptions& options,
+                     const std::string& json_path);
 
 /// One curve of a figure: a display label and the method answering it.
 struct FigureSeries {

@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
   if (csv) {
     const std::string json_path = options.out_dir + "/BENCH_build.json";
     WriteJson(json_path, all, dataset_names, sweep, options.scale);
-    MirrorBenchJson(json_path);
+    MirrorBenchJson(options, json_path);
   }
   return 0;
 }

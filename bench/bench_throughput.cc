@@ -421,7 +421,7 @@ int main(int argc, char** argv) {
 
   const std::string json_path = options.out_dir + "/BENCH_throughput.json";
   WriteJson(json_path, all, batch_size, options.scale);
-  MirrorBenchJson(json_path);
+  MirrorBenchJson(options, json_path);
 
   std::vector<SchedulerMeasurement> scheduler_all;
   size_t scheduler_batch = 0;
@@ -431,6 +431,6 @@ int main(int argc, char** argv) {
       options.out_dir + "/BENCH_scheduler.json";
   WriteSchedulerJson(scheduler_json, scheduler_all, scheduler_batch,
                      options.scale);
-  MirrorBenchJson(scheduler_json);
+  MirrorBenchJson(options, scheduler_json);
   return 0;
 }

@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
 
   const std::string json_path = options.out_dir + "/BENCH_update.json";
   WriteJson(json_path, all, options.scale, max_threads);
-  MirrorBenchJson(json_path);
+  MirrorBenchJson(options, json_path);
 
   for (const UpdateMeasurement& m : all) {
     if (m.agreement_violations != 0) return 1;

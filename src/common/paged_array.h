@@ -1,6 +1,7 @@
 #ifndef GSR_COMMON_PAGED_ARRAY_H_
 #define GSR_COMMON_PAGED_ARRAY_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -84,6 +85,13 @@ struct PagedArray {
 /// before any of that: one compare, no pin, no source call, and the
 /// current pin (if any) is kept for the next paged access.
 ///
+/// Callers read runs, not elements: Chunk hands out a zero-copy pointer
+/// to up to MaxChunk elements and ReadInto copies any number, so one call
+/// serves a whole node's worth of boxes or ids. At is the one-element
+/// form, left for node records and single child links. Page number and
+/// in-page offset come from a shift and a mask (the page size is a power
+/// of two by the PagedSource contract), not a division.
+///
 /// IO errors in the access path are process-fatal (GSR_CHECK): a snapshot
 /// file vanishing under a live server is not a recoverable per-query
 /// condition, and threading a Status through every descent would cost
@@ -97,7 +105,11 @@ class PagedArrayCursor {
         count_(array.count),
         resident_(array.resident.data()),
         resident_count_(array.resident.size()),
-        page_size_(source_ != nullptr ? source_->page_size() : 1) {}
+        page_size_(source_ != nullptr ? source_->page_size() : 1),
+        page_shift_(std::countr_zero(page_size_)),
+        page_mask_(page_size_ - 1) {
+    GSR_DCHECK(std::has_single_bit(page_size_));
+  }
 
   PagedArrayCursor(const PagedArrayCursor&) = delete;
   PagedArrayCursor& operator=(const PagedArrayCursor&) = delete;
@@ -126,9 +138,9 @@ class PagedArrayCursor {
     if (base + n <= resident_count_) return resident_ + base;
     const uint64_t off = base_offset_ + base * sizeof(T);
     const size_t len = n * sizeof(T);
-    const size_t in_page = static_cast<size_t>(off % page_size_);
+    const size_t in_page = static_cast<size_t>(off & page_mask_);
     if (in_page + len <= page_size_) {
-      const std::byte* data = PageData(off / page_size_);
+      const std::byte* data = PageData(off >> page_shift_);
       if (data != nullptr) return reinterpret_cast<const T*>(data + in_page);
     }
     CheckedRead(off, len, bounce_);
@@ -145,9 +157,9 @@ class PagedArrayCursor {
     }
     const uint64_t off = base_offset_ + base * sizeof(T);
     const size_t len = n * sizeof(T);
-    const size_t in_page = static_cast<size_t>(off % page_size_);
+    const size_t in_page = static_cast<size_t>(off & page_mask_);
     if (in_page + len <= page_size_) {
-      const std::byte* data = PageData(off / page_size_);
+      const std::byte* data = PageData(off >> page_shift_);
       if (data != nullptr) {
         std::memcpy(out, data + in_page, len);
         return;
@@ -195,6 +207,8 @@ class PagedArrayCursor {
   const T* const resident_;
   const size_t resident_count_;
   const size_t page_size_;
+  const int page_shift_;
+  const uint64_t page_mask_;
 
   const std::byte* pin_data_ = nullptr;
   void* pin_handle_ = nullptr;

@@ -1,6 +1,7 @@
 #include "snapshot/page_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/check.h"
@@ -8,9 +9,11 @@
 namespace gsr::snapshot {
 
 PageCache::PageCache(std::shared_ptr<PagedFile> file, const Options& options)
-    : file_(std::move(file)), page_size_(options.page_size) {
+    : file_(std::move(file)),
+      page_size_(options.page_size),
+      page_shift_(std::countr_zero(page_size_)) {
   GSR_CHECK(file_ != nullptr);
-  GSR_CHECK(page_size_ > 0 && (page_size_ & (page_size_ - 1)) == 0);
+  GSR_CHECK(std::has_single_bit(page_size_));
   file_pages_ = (file_->size() + page_size_ - 1) / page_size_;
   size_t frames = std::max<size_t>(options.budget_bytes / page_size_,
                                    kMinFrames);
@@ -158,8 +161,8 @@ void PageCache::UnpinPage(void* handle) {
 Status PageCache::Read(uint64_t offset, size_t len, void* out) {
   std::byte* dst = static_cast<std::byte*>(out);
   while (len > 0) {
-    const uint64_t page_no = offset / page_size_;
-    const size_t in_page = static_cast<size_t>(offset % page_size_);
+    const uint64_t page_no = offset >> page_shift_;
+    const size_t in_page = static_cast<size_t>(offset & (page_size_ - 1));
     const size_t take = std::min(len, page_size_ - in_page);
     void* handle = nullptr;
     if (const std::byte* page = PinPage(page_no, &handle)) {

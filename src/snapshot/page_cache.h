@@ -135,6 +135,7 @@ class PageCache final : public PagedSource {
 
   const std::shared_ptr<PagedFile> file_;
   const size_t page_size_;
+  const int page_shift_;  // log2(page_size_): page numbers by shift.
   uint64_t file_pages_ = 0;
 
   std::unique_ptr<std::byte[]> arena_;

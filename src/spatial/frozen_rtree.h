@@ -142,7 +142,10 @@ class FrozenRTree {
   /// positive probes typically resolve on the first intersecting entry,
   /// and a per-entry test exits there, where the batch kernel would pay
   /// for the whole node before looking at a single bit (3DReach issues
-  /// millions of these per second; see EXPERIMENTS.md).
+  /// millions of these per second; see EXPERIMENTS.md). The entries are
+  /// still read a chunk at a time — one view run per <= kMaskWidth
+  /// children, zero-copy out of the pinned page on a paged tree — and
+  /// only the tests run one by one.
   bool AnyIntersecting(const BoxT& query) const {
     if (NumNodes() == 0) return false;
     if (paged_) {
@@ -263,7 +266,6 @@ class FrozenRTree {
   struct ResidentView {
     explicit ResidentView(const FrozenRTree& tree) : t(tree) {}
     const Node& GetNode(uint32_t i) const { return t.nodes_[i]; }
-    const BoxT& ChildBox(uint32_t i) const { return t.child_boxes_[i]; }
     const BoxT* ChildBoxes(uint32_t base, uint32_t) const {
       return &t.child_boxes_[base];
     }
@@ -271,23 +273,26 @@ class FrozenRTree {
     const uint32_t* ChildNodes(uint32_t base, uint32_t, uint32_t*) const {
       return &t.child_nodes_[base];
     }
-    const LeafT& LeafGeom(uint32_t i) const { return t.leaf_geoms_[i]; }
     const LeafT* LeafGeoms(uint32_t base, uint32_t) const {
       return &t.leaf_geoms_[base];
     }
-    uint64_t LeafId(uint32_t i) const { return t.leaf_ids_[i]; }
+    const uint64_t* LeafIds(uint32_t base, uint32_t, uint64_t*) const {
+      return &t.leaf_ids_[base];
+    }
     void PrefetchNode(uint32_t i) const { simd::PrefetchRead(&t.nodes_[i]); }
     const FrozenRTree& t;
   };
 
   /// Paged data access: one cursor per on-disk array, each pinning at
-  /// most one cache page. Chunk pointers are valid until the next call on
-  /// the SAME cursor, so descents copy child node ids into caller
-  /// `scratch` before recursing (the recursion reuses the cursors) and
-  /// consume box/geom chunk pointers before any other same-array access.
-  /// Node records and single elements travel by value. Hardware prefetch
-  /// of node records is meaningless here, so PrefetchNode is a no-op;
-  /// sequential readahead happens at the page level instead.
+  /// most one cache page. Every descent reads runs: boxes and geometries
+  /// as zero-copy chunk pointers, child and leaf ids copied into caller
+  /// `scratch`. A chunk pointer is valid until the next call on the SAME
+  /// cursor, and a recursion reuses the cursors, so a descent that keeps
+  /// scanning a box run after recursing fetches it again first
+  /// (VisitAny). Node records and single child links travel by value.
+  /// Hardware prefetch of node records is meaningless here, so
+  /// PrefetchNode is a no-op; sequential readahead happens at the page
+  /// level instead.
   struct PagedView {
     explicit PagedView(const FrozenRTree& tree)
         : nodes(tree.paged_nodes_),
@@ -296,7 +301,6 @@ class FrozenRTree {
           leaf_geoms(tree.paged_leaf_geoms_),
           leaf_ids(tree.paged_leaf_ids_) {}
     Node GetNode(uint32_t i) { return nodes.At(i); }
-    BoxT ChildBox(uint32_t i) { return child_boxes.At(i); }
     const BoxT* ChildBoxes(uint32_t base, uint32_t n) {
       return child_boxes.Chunk(base, n);
     }
@@ -305,11 +309,13 @@ class FrozenRTree {
       child_nodes.ReadInto(base, n, scratch);
       return scratch;
     }
-    LeafT LeafGeom(uint32_t i) { return leaf_geoms.At(i); }
     const LeafT* LeafGeoms(uint32_t base, uint32_t n) {
       return leaf_geoms.Chunk(base, n);
     }
-    uint64_t LeafId(uint32_t i) { return leaf_ids.At(i); }
+    const uint64_t* LeafIds(uint32_t base, uint32_t n, uint64_t* scratch) {
+      leaf_ids.ReadInto(base, n, scratch);
+      return scratch;
+    }
     void PrefetchNode(uint32_t) const {}
     PagedArrayCursor<Node, 1> nodes;
     PagedArrayCursor<BoxT, simd::kMaskWidth> child_boxes;
@@ -352,10 +358,13 @@ class FrozenRTree {
             std::min<uint32_t>(simd::kMaskWidth, end - base);
         const LeafT* geoms = view.LeafGeoms(base, chunk);
         uint64_t mask = simd::IntersectMask(query, geoms, chunk);
+        if (mask == 0) continue;
+        uint64_t scratch[simd::kMaskWidth];
+        const uint64_t* ids = view.LeafIds(base, chunk, scratch);
         while (mask != 0) {
           const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
           mask &= mask - 1;
-          if (!fn(geoms[i], view.LeafId(base + i))) return true;
+          if (!fn(geoms[i], ids[i])) return true;
         }
       }
       return false;
@@ -396,13 +405,18 @@ class FrozenRTree {
       for (uint32_t base = node.first; base < end; base += simd::kMaskWidth) {
         const uint32_t chunk = std::min<uint32_t>(simd::kMaskWidth, end - base);
         const LeafT* geoms = view.LeafGeoms(base, chunk);
+        uint64_t scratch[simd::kMaskWidth];
+        const uint64_t* ids = nullptr;  // Read on the chunk's first hit.
         for (uint64_t m = mask; m != 0; m &= m - 1) {
           const size_t k = static_cast<size_t>(std::countr_zero(m));
           uint64_t hits = simd::IntersectMask(queries[k], geoms, chunk);
+          if (hits != 0 && ids == nullptr) {
+            ids = view.LeafIds(base, chunk, scratch);
+          }
           while (hits != 0) {
             const uint32_t i = static_cast<uint32_t>(std::countr_zero(hits));
             hits &= hits - 1;
-            fn(k, geoms[i], view.LeafId(base + i));
+            fn(k, geoms[i], ids[i]);
           }
         }
       }
@@ -433,21 +447,33 @@ class FrozenRTree {
     }
   }
 
-  /// First-hit existence descent (see AnyIntersecting). Per-element view
-  /// access keeps the early exit exact: one box test, then recurse.
+  /// First-hit existence descent (see AnyIntersecting). Each chunk of a
+  /// node's children is one view run, tested entry by entry in packed
+  /// order so the early exit stays exact. The recursion reuses the same
+  /// cursors and invalidates the run, so it is fetched again before the
+  /// next child is tested; on ResidentView that is pointer arithmetic.
   template <typename View>
   bool VisitAny(View& view, uint32_t node_idx, const BoxT& query) const {
     const Node& node = view.GetNode(node_idx);
     const uint32_t end = node.first + node.count;
     if (node.is_leaf) {
-      for (uint32_t i = node.first; i < end; ++i) {
-        if (GeomIntersects(query, view.LeafGeom(i))) return true;
+      for (uint32_t base = node.first; base < end; base += simd::kMaskWidth) {
+        const uint32_t chunk = std::min<uint32_t>(simd::kMaskWidth, end - base);
+        const LeafT* geoms = view.LeafGeoms(base, chunk);
+        for (uint32_t i = 0; i < chunk; ++i) {
+          if (GeomIntersects(query, geoms[i])) return true;
+        }
       }
       return false;
     }
-    for (uint32_t i = node.first; i < end; ++i) {
-      if (!view.ChildBox(i).Intersects(query)) continue;
-      if (VisitAny(view, view.ChildNode(i), query)) return true;
+    for (uint32_t base = node.first; base < end; base += simd::kMaskWidth) {
+      const uint32_t chunk = std::min<uint32_t>(simd::kMaskWidth, end - base);
+      for (uint32_t i = 0; i < chunk; ++i) {
+        const BoxT* boxes = view.ChildBoxes(base, chunk);
+        while (i < chunk && !boxes[i].Intersects(query)) ++i;
+        if (i == chunk) break;
+        if (VisitAny(view, view.ChildNode(base + i), query)) return true;
+      }
     }
     return false;
   }

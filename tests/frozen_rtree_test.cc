@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -155,10 +156,15 @@ TEST(FrozenRTreeTest, SerializeRoundTripBothModes) {
 }
 
 /// A PagedSource over an in-memory byte buffer (the serialized tree
-/// stands in for a snapshot file).
-class BufferSource final : public PagedSource {
+/// stands in for a snapshot file) that gives every pin its own copy of
+/// the page in a small frame pool and overwrites that copy with 0xFF
+/// bytes — NaN coordinates, garbage ids — on unpin. A run pointer that a
+/// descent keeps after its cursor moved to another page then reads
+/// poison instead of bytes that happen to be still right, and the answer
+/// goes wrong. Single-threaded, like the tests that use it.
+class PoisoningSource final : public PagedSource {
  public:
-  explicit BufferSource(std::vector<std::byte> bytes)
+  explicit PoisoningSource(std::vector<std::byte> bytes)
       : bytes_(std::move(bytes)) {
     bytes_.resize((bytes_.size() / kPage + 1) * kPage);
   }
@@ -168,15 +174,33 @@ class BufferSource final : public PagedSource {
     return Status::Ok();
   }
   const std::byte* PinPage(uint64_t page_no, void** handle) override {
-    *handle = nullptr;
-    return bytes_.data() + page_no * kPage;
+    // Round robin over the free frames: a frame unpinned a moment ago is
+    // left poisoned, not refilled at once.
+    for (size_t step = 0; step < kFrames; ++step) {
+      const size_t f = next_;
+      next_ = (next_ + 1) % kFrames;
+      if (pinned_[f]) continue;
+      pinned_[f] = true;
+      std::memcpy(frames_[f].data(), bytes_.data() + page_no * kPage, kPage);
+      *handle = reinterpret_cast<void*>(static_cast<uintptr_t>(f) + 1);
+      return frames_[f].data();
+    }
+    return nullptr;
   }
-  void UnpinPage(void*) override {}
+  void UnpinPage(void* handle) override {
+    const size_t f = reinterpret_cast<uintptr_t>(handle) - 1;
+    pinned_[f] = false;
+    frames_[f].fill(std::byte{0xFF});
+  }
   void Prefetch(uint64_t, size_t) override {}
 
  private:
-  static constexpr size_t kPage = 256;
+  static constexpr size_t kPage = 256;  // 48-byte boxes straddle pages.
+  static constexpr size_t kFrames = 8;  // > the 5 cursors of a descent.
   std::vector<std::byte> bytes_;
+  alignas(16) std::array<std::array<std::byte, kPage>, kFrames> frames_{};
+  std::array<bool, kFrames> pinned_{};
+  size_t next_ = 0;
 };
 
 TEST(FrozenRTreeTest, PagedResidentPrefixFitsTheBudgetAndAnswersExactly) {
@@ -187,7 +211,7 @@ TEST(FrozenRTreeTest, PagedResidentPrefixFitsTheBudgetAndAnswersExactly) {
   const auto frozen = FrozenRTreePoints2D::Build(entries);
   BinaryWriter writer;
   frozen.SerializeTo(writer);
-  const auto source = std::make_shared<BufferSource>(writer.bytes());
+  const auto source = std::make_shared<PoisoningSource>(writer.bytes());
   using Tree = FrozenRTreePoints2D;
   const size_t full = frozen.SizeBytes() -
                       frozen.size() * (sizeof(Point2D) + sizeof(uint64_t));
@@ -215,6 +239,112 @@ TEST(FrozenRTreeTest, PagedResidentPrefixFitsTheBudgetAndAnswersExactly) {
     ExpectRestoredAgrees(entries, frozen, *restored, queries);
   }
   EXPECT_GT(previous, 0u);
+}
+
+std::vector<std::pair<Point3D, uint64_t>> RandomPoints3D(size_t n,
+                                                         uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<Point3D, uint64_t>> entries;
+  for (size_t i = 0; i < n; ++i) {
+    const double x = rng.NextDoubleInRange(0, 100);
+    const double y = rng.NextDoubleInRange(0, 100);
+    entries.emplace_back(Point3D{x, y, rng.NextDoubleInRange(0, 100)}, i);
+  }
+  return entries;
+}
+
+/// Queries of mixed extent: small ones leave many intersecting subtrees
+/// without a hit, so a first-hit descent backs out of a child and goes on
+/// scanning its parent's run, the step that must fetch the run again.
+template <typename BoxT>
+BoxT MixedQuery(Rng& rng) {
+  const double extent = rng.NextBounded(2) == 0 ? 3 : 30;
+  const double x = rng.NextDoubleInRange(-5, 100);
+  const double y = rng.NextDoubleInRange(-5, 100);
+  const Rect rect(x, y, x + rng.NextDoubleInRange(0, extent),
+                  y + rng.NextDoubleInRange(0, extent));
+  if constexpr (std::is_same_v<BoxT, Rect>) {
+    return rect;
+  } else {
+    const double z = rng.NextDoubleInRange(-5, 100);
+    return Box3D::FromRectAndInterval(rect, z,
+                                      z + rng.NextDoubleInRange(0, extent));
+  }
+}
+
+/// Loads `entries` paged through a PoisoningSource, with no resident
+/// prefix and with a partial one (512 bytes: the root alone), and checks
+/// every descent against the built tree: existence (single and masked),
+/// enumeration ids in order (single and masked) and counts.
+template <typename BoxT, typename LeafT>
+void ExpectPoisonedPagedAgrees(
+    const std::vector<std::pair<LeafT, uint64_t>>& entries, uint64_t seed) {
+  using Tree = FrozenRTree<BoxT, LeafT>;
+  const auto built = Tree::Build(entries);
+  // Height 4: the first-hit descent recurses from internal nodes into
+  // internal nodes, which moves the box cursor under its parent's run at
+  // both prefix sizes.
+  ASSERT_GE(built.Height(), 4);
+  BinaryWriter writer;
+  built.SerializeTo(writer);
+  const auto source = std::make_shared<PoisoningSource>(writer.bytes());
+  const size_t internal =
+      built.SizeBytes() - built.size() * (sizeof(LeafT) + sizeof(uint64_t));
+
+  Rng rng(seed);
+  std::vector<BoxT> queries;
+  for (int q = 0; q < 256; ++q) queries.push_back(MixedQuery<BoxT>(rng));
+
+  for (const size_t budget : {size_t{0}, size_t{512}}) {
+    BinaryReader reader(writer.bytes());
+    BorrowContext ctx;
+    ctx.paged = source;
+    ctx.resident_bytes_left = std::make_shared<size_t>(budget);
+    auto paged = Tree::Deserialize(reader, ctx);
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    ASSERT_TRUE(paged->paged());
+    const size_t kept = budget - *ctx.resident_bytes_left;
+    EXPECT_EQ(kept > 0, budget > 0);
+    EXPECT_LT(kept, internal);
+
+    size_t positives = 0;
+    for (const BoxT& query : queries) {
+      const bool any = built.AnyIntersecting(query);
+      positives += any;
+      EXPECT_EQ(paged->AnyIntersecting(query), any) << "budget " << budget;
+      EXPECT_EQ(paged->CollectIntersecting(query),
+                built.CollectIntersecting(query))
+          << "budget " << budget;
+      EXPECT_EQ(paged->CountIntersecting(query),
+                built.CountIntersecting(query))
+          << "budget " << budget;
+    }
+    EXPECT_GT(positives, 0u);
+    EXPECT_LT(positives, queries.size());
+
+    for (size_t base = 0; base < queries.size(); base += 64) {
+      const BoxT* group = queries.data() + base;
+      for (const uint64_t mask :
+           {~uint64_t{0}, uint64_t{0x5555555555555555}, uint64_t{1} << 9}) {
+        EXPECT_EQ(paged->AnyIntersectingMasked(group, mask),
+                  built.AnyIntersectingMasked(group, mask))
+            << "budget " << budget << " mask " << mask;
+        std::vector<std::vector<uint64_t>> got(64);
+        std::vector<std::vector<uint64_t>> want(64);
+        paged->CollectIntersectingMasked(
+            group, mask, std::span<std::vector<uint64_t>>(got));
+        built.CollectIntersectingMasked(
+            group, mask, std::span<std::vector<uint64_t>>(want));
+        EXPECT_EQ(got, want) << "budget " << budget << " mask " << mask;
+      }
+    }
+  }
+}
+
+TEST(FrozenRTreeTest, PagedDescentsNeverReadARunAfterItsPageIsUnpinned) {
+  ExpectPoisonedPagedAgrees<Rect, Point2D>(RandomPoints(40000, 81), 82);
+  ExpectPoisonedPagedAgrees<Box3D, Point3D>(RandomPoints3D(40000, 83), 84);
+  ExpectPoisonedPagedAgrees<Box3D, Box3D>(RandomSegments(40000, 85), 86);
 }
 
 TEST(FrozenRTreeTest, MaskedEnumerationMatchesPerQueryOrder) {
