@@ -18,6 +18,11 @@
 // hides in page faults. Answers are verified query-by-query against the
 // built index before any timing is reported.
 //
+// One pass of a few hundred sub-microsecond queries swings by up to 3x
+// run to run, so each regime is repeated (mmap and warm kTimedPasses
+// times, the cold drop-and-pass kColdPasses times) and reported as the
+// median pass with its 25th/75th percentiles.
+//
 // Outputs one table + CSV per dataset (<out>/paged_<dataset>.csv) and a
 // machine-readable <out>/BENCH_paged.json mirrored to the repo root.
 
@@ -42,6 +47,37 @@ namespace {
 using namespace gsr;         // NOLINT
 using namespace gsr::bench;  // NOLINT
 
+constexpr int kTimedPasses = 7;
+constexpr int kColdPasses = 3;
+
+/// Median and quartiles of repeated passes' average µs per query.
+struct Spread {
+  double p25 = 0.0;
+  double median = 0.0;
+  double p75 = 0.0;
+};
+
+/// Quartiles of the passes, linearly interpolated between sorted ranks.
+Spread SpreadOf(std::vector<double> passes) {
+  std::sort(passes.begin(), passes.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(passes.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, passes.size() - 1);
+    return passes[lo] +
+           (pos - static_cast<double>(lo)) * (passes[hi] - passes[lo]);
+  };
+  return Spread{at(0.25), at(0.5), at(0.75)};
+}
+
+/// Runs `pass` (which returns one pass's average µs per query) `n` times.
+template <typename Pass>
+Spread Repeat(int n, Pass&& pass) {
+  std::vector<double> passes;
+  for (int i = 0; i < n; ++i) passes.push_back(pass());
+  return SpreadOf(std::move(passes));
+}
+
 struct Measurement {
   std::string dataset;
   std::string method;
@@ -51,12 +87,12 @@ struct Measurement {
   size_t budget_bytes = 0;
   size_t frames = 0;
   size_t resident_bytes = 0;  // R-tree prefix kept out of budget_bytes.
-  double cold_avg_us = 0.0;
-  double warm_avg_us = 0.0;
-  double mmap_avg_us = 0.0;
-  double warm_over_mmap = 0.0;  // Warm-cache latency / resident baseline.
-  uint64_t cold_misses = 0;
-  uint64_t cold_evictions = 0;
+  Spread cold_us;
+  Spread warm_us;
+  Spread mmap_us;
+  double warm_over_mmap = 0.0;  // Median warm / median mmap.
+  uint64_t cold_misses = 0;     // Cache counters of the last cold pass
+  uint64_t cold_evictions = 0;  // and of the last warm pass.
   uint64_t warm_hits = 0;
   uint64_t warm_misses = 0;
 };
@@ -123,7 +159,17 @@ void WriteJson(const std::string& path, const std::vector<Measurement>& all,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"paged\",\n  \"scale\": %g,\n", scale);
+  std::fprintf(f,
+               "  \"passes\": {\"cold\": %d, \"warm\": %d, \"mmap\": %d},\n",
+               kColdPasses, kTimedPasses, kTimedPasses);
   std::fprintf(f, "  \"measurements\": [\n");
+  const auto spread = [](const Spread& s) {
+    char out[96];
+    std::snprintf(out, sizeof(out),
+                  "{\"median\": %.3f, \"p25\": %.3f, \"p75\": %.3f}",
+                  s.median, s.p25, s.p75);
+    return std::string(out);
+  };
   for (size_t i = 0; i < all.size(); ++i) {
     const Measurement& m = all[i];
     std::fprintf(
@@ -132,14 +178,14 @@ void WriteJson(const std::string& path, const std::vector<Measurement>& all,
         "\"file_bytes\": %zu, \"index_bytes\": %zu, "
         "\"budget_fraction\": %.2f, \"budget_bytes\": %zu, "
         "\"frames\": %zu, \"resident_bytes\": %zu, "
-        "\"cold_avg_us\": %.3f, \"warm_avg_us\": %.3f, "
-        "\"mmap_avg_us\": %.3f, \"warm_over_mmap\": %.2f, "
+        "\"cold_us\": %s, \"warm_us\": %s, "
+        "\"mmap_us\": %s, \"warm_over_mmap\": %.2f, "
         "\"cold_misses\": %llu, \"cold_evictions\": %llu, "
         "\"warm_hits\": %llu, \"warm_misses\": %llu}%s\n",
         m.dataset.c_str(), m.method.c_str(), m.file_bytes, m.index_bytes,
         m.budget_fraction, m.budget_bytes, m.frames, m.resident_bytes,
-        m.cold_avg_us,
-        m.warm_avg_us, m.mmap_avg_us, m.warm_over_mmap,
+        spread(m.cold_us).c_str(), spread(m.warm_us).c_str(),
+        spread(m.mmap_us).c_str(), m.warm_over_mmap,
         static_cast<unsigned long long>(m.cold_misses),
         static_cast<unsigned long long>(m.cold_evictions),
         static_cast<unsigned long long>(m.warm_hits),
@@ -180,7 +226,8 @@ int main(int argc, char** argv) {
 
     TablePrinter table(
         "paged serving / " + bundle.name() +
-            ": explicit cache vs resident mmap (avg microseconds per query)",
+            ": explicit cache vs resident mmap (median pass, avg "
+            "microseconds per query)",
         {"method", "budget", "frames", "resident", "cold", "warm", "mmap",
          "warm/mmap", "warm hit%"});
 
@@ -203,8 +250,9 @@ int main(int argc, char** argv) {
       const LoadedMethod resident = VerifiedLoad(
           bundle.cn.get(), path, snapshot::LoadMode::kMmap, 0, *built.method,
           queries);
-      const QueryStats mmap_stats =
-          MeasureQueries(*resident.method, queries);
+      const Spread mmap_us = Repeat(kTimedPasses, [&] {
+        return MeasureQueries(*resident.method, queries).avg_micros;
+      });
 
       for (const double fraction : kBudgetFractions) {
         const size_t budget = std::max<size_t>(
@@ -215,16 +263,20 @@ int main(int argc, char** argv) {
                          budget, *built.method, queries);
 
         // Cold: both cache layers emptied, every touched page preads.
-        paged.page_cache->Drop();
-        DropOsCache(path);
-        paged.page_cache->ResetStats();
-        const QueryStats cold = MeasureQueries(*paged.method, queries);
+        const Spread cold_us = Repeat(kColdPasses, [&] {
+          paged.page_cache->Drop();
+          DropOsCache(path);
+          paged.page_cache->ResetStats();
+          return MeasureQueries(*paged.method, queries).avg_micros;
+        });
         const snapshot::PageCache::Stats cold_stats =
             paged.page_cache->GetStats();
 
-        // Warm: steady state reached by the cold pass.
-        paged.page_cache->ResetStats();
-        const QueryStats warm = MeasureQueries(*paged.method, queries);
+        // Warm: steady state reached by the last cold pass.
+        const Spread warm_us = Repeat(kTimedPasses, [&] {
+          paged.page_cache->ResetStats();
+          return MeasureQueries(*paged.method, queries).avg_micros;
+        });
         const snapshot::PageCache::Stats warm_stats =
             paged.page_cache->GetStats();
 
@@ -237,11 +289,12 @@ int main(int argc, char** argv) {
         m.budget_bytes = budget;
         m.frames = paged.page_cache->num_frames();
         m.resident_bytes = paged.resident_bytes;
-        m.cold_avg_us = cold.avg_micros;
-        m.warm_avg_us = warm.avg_micros;
-        m.mmap_avg_us = mmap_stats.avg_micros;
-        m.warm_over_mmap =
-            m.mmap_avg_us > 0.0 ? m.warm_avg_us / m.mmap_avg_us : 0.0;
+        m.cold_us = cold_us;
+        m.warm_us = warm_us;
+        m.mmap_us = mmap_us;
+        m.warm_over_mmap = mmap_us.median > 0.0
+                               ? warm_us.median / mmap_us.median
+                               : 0.0;
         m.cold_misses = cold_stats.misses;
         m.cold_evictions = cold_stats.evictions;
         m.warm_hits = warm_stats.hits;
@@ -259,8 +312,8 @@ int main(int argc, char** argv) {
                       fraction * 100.0);
         table.AddRow({method_name, budget_label, std::to_string(m.frames),
                       std::to_string(m.resident_bytes),
-                      Micros(m.cold_avg_us), Micros(m.warm_avg_us),
-                      Micros(m.mmap_avg_us),
+                      Micros(cold_us.median), Micros(warm_us.median),
+                      Micros(mmap_us.median),
                       TablePrinter::FormatNumber(m.warm_over_mmap, 3),
                       TablePrinter::FormatNumber(warm_hit_pct, 4)});
       }

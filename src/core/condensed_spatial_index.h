@@ -104,21 +104,23 @@ class CondensedSpatialIndex {
   }
 
   /// Restores an index from `r`; with `ctx.borrow` the tree arrays stay
-  /// zero-copy views into the reader's buffer.
+  /// zero-copy views into the reader's buffer. Every leaf id must be a
+  /// component id, below `num_components`.
   static Result<CondensedSpatialIndex> Deserialize(BinaryReader& r,
-                                                   const BorrowContext& ctx) {
+                                                   const BorrowContext& ctx,
+                                                   size_t num_components) {
     uint8_t mode_tag = 0;
     GSR_RETURN_IF_ERROR(r.ReadU8(&mode_tag));
     if (mode_tag > 1) {
       return Status::InvalidArgument("spatial index: bad SCC mode tag");
     }
     if (mode_tag == 0) {
-      auto points = FrozenRTreePoints2D::Deserialize(r, ctx);
+      auto points = FrozenRTreePoints2D::Deserialize(r, ctx, num_components);
       if (!points.ok()) return points.status();
       return CondensedSpatialIndex(SccSpatialMode::kReplicate,
                                    std::move(*points), FrozenRTree2D());
     }
-    auto boxes = FrozenRTree2D::Deserialize(r, ctx);
+    auto boxes = FrozenRTree2D::Deserialize(r, ctx, num_components);
     if (!boxes.ok()) return boxes.status();
     return CondensedSpatialIndex(SccSpatialMode::kMbr, FrozenRTreePoints2D(),
                                  std::move(*boxes));

@@ -196,9 +196,11 @@ Result<IntervalLabeling> LoadLabeling(StructureIn& in,
 }
 
 Result<CondensedSpatialIndex> LoadSpatialIndex(StructureIn& in,
+                                               const CondensedNetwork& cn,
                                                SccSpatialMode expected_mode) {
   GSR_RETURN_IF_ERROR(in.Next(SectionId::kSpatialIndex));
-  auto index = CondensedSpatialIndex::Deserialize(in.stream(), in.ctx());
+  auto index = CondensedSpatialIndex::Deserialize(in.stream(), in.ctx(),
+                                                  cn.num_components());
   if (!index.ok()) return index.status();
   if (index->mode() != expected_mode) {
     return Status::InvalidArgument(
@@ -395,7 +397,7 @@ struct MethodSnapshotAccess {
         break;
       }
       case MethodKind::kSpaReachBfl: {
-        auto index = LoadSpatialIndex(in, config.scc_mode);
+        auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
         if (!index.ok()) return index.status();
         GSR_RETURN_IF_ERROR(in.Next(SectionId::kBfl));
         auto bfl = BflIndex::Deserialize(in.stream(), &cn->dag());
@@ -404,7 +406,7 @@ struct MethodSnapshotAccess {
         break;
       }
       case MethodKind::kSpaReachInt: {
-        auto index = LoadSpatialIndex(in, config.scc_mode);
+        auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
         if (!index.ok()) return index.status();
         auto labeling = LoadLabeling(in, *cn);
         if (!labeling.ok()) return labeling.status();
@@ -413,7 +415,7 @@ struct MethodSnapshotAccess {
         break;
       }
       case MethodKind::kSpaReachPll: {
-        auto index = LoadSpatialIndex(in, config.scc_mode);
+        auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
         if (!index.ok()) return index.status();
         GSR_RETURN_IF_ERROR(in.Next(SectionId::kPll));
         auto pll = PllIndex::Deserialize(in.stream());
@@ -426,7 +428,7 @@ struct MethodSnapshotAccess {
         break;
       }
       case MethodKind::kSpaReachFeline: {
-        auto index = LoadSpatialIndex(in, config.scc_mode);
+        auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
         if (!index.ok()) return index.status();
         GSR_RETURN_IF_ERROR(in.Next(SectionId::kFeline));
         auto feline = FelineIndex::Deserialize(in.stream(), &cn->dag());
@@ -450,13 +452,22 @@ struct MethodSnapshotAccess {
             .scc_mode = config.scc_mode,
             .forest_strategy = config.forest_strategy};
         if (config.scc_mode == SccSpatialMode::kReplicate) {
-          auto points = FrozenRTreePoints3D::Deserialize(in.stream(), in.ctx());
+          // Leaf ids are vertex ids, and the tree must be exactly the one
+          // this network and labeling build (see CheckReplicateLeaves).
+          auto points = FrozenRTreePoints3D::Deserialize(
+              in.stream(), in.ctx(), cn->network().num_vertices(),
+              [&](std::span<const Point3D> geoms,
+                  std::span<const uint64_t> ids) {
+                return ThreeDReach::CheckReplicateLeaves(*cn, *labeling,
+                                                         geoms, ids);
+              });
           if (!points.ok()) return points.status();
           method.reset(new ThreeDReach(cn, method_options,
                                        std::move(*labeling),
                                        std::move(*points), FrozenRTree3D()));
         } else {
-          auto boxes = FrozenRTree3D::Deserialize(in.stream(), in.ctx());
+          auto boxes = FrozenRTree3D::Deserialize(in.stream(), in.ctx(),
+                                                  cn->num_components());
           if (!boxes.ok()) return boxes.status();
           method.reset(new ThreeDReach(cn, method_options,
                                        std::move(*labeling),
@@ -469,7 +480,8 @@ struct MethodSnapshotAccess {
         auto labeling = LoadLabeling(in, *cn);
         if (!labeling.ok()) return labeling.status();
         GSR_RETURN_IF_ERROR(in.Next(SectionId::kRTree));
-        auto rtree = FrozenRTree3D::Deserialize(in.stream(), in.ctx());
+        auto rtree = FrozenRTree3D::Deserialize(in.stream(), in.ctx(),
+                                                cn->num_components());
         if (!rtree.ok()) return rtree.status();
         method.reset(new ThreeDReachRev(
             cn, ThreeDReachRev::Options{.scc_mode = config.scc_mode},

@@ -36,7 +36,7 @@ ThreeDReach::ThreeDReach(const CondensedNetwork* cn, const Options& options,
   const GeoSocialNetwork& network = cn->network();
   if (options.scc_mode == SccSpatialMode::kReplicate) {
     // One genuine 3-D point (u.point, post(u)) per spatial vertex; the
-    // entry id is the component so verification can reach member points.
+    // entry id is the vertex itself, so every hit is one answer vertex.
     // Each entry is written at its own index, so the fill parallelizes.
     const auto& spatial = network.spatial_vertices();
     std::vector<std::pair<Point3D, uint64_t>> entries(spatial.size());
@@ -45,7 +45,7 @@ ThreeDReach::ThreeDReach(const CondensedNetwork* cn, const Options& options,
       const ComponentId c = cn->ComponentOf(v);
       const Point2D& p = network.PointOf(v);
       entries[i] = {Point3D{p.x, p.y, static_cast<double>(labeling_.post(c))},
-                    c};
+                    v};
     });
     points_ = FrozenRTreePoints3D::Build(std::move(entries), pool);
   } else {
@@ -143,30 +143,29 @@ void ThreeDReach::CollectInto(VertexId vertex, const Rect& region,
   ++s.counters.queries;
   const ComponentId source = cn_->ComponentOf(vertex);
   const bool replicate = options_.scc_mode == SccSpatialMode::kReplicate;
-  // A component's post number lies in exactly one (disjoint) label, but
-  // the replicate tree holds one point per member, so a multi-member
-  // component hits several times within a cuboid — dedup before emitting.
-  s.seen.BeginPass(cn_->num_components());
-  auto emit = [&](uint64_t id) {
-    const ComponentId c = static_cast<ComponentId>(id);
-    if (!s.seen.TestAndSet(c)) return;
-    cn_->ForEachSpatialMemberIn(c, region, [&](VertexId v) { sink.Add(v); });
-  };
+  // Replicate leaves are vertices, and the labels are disjoint, so each
+  // hit is one answer vertex, met once. An MBR box stands for a whole
+  // component: dedup it, then verify its member points one by one.
+  if (!replicate) s.seen.BeginPass(cn_->num_components());
   for (const Interval& label : labeling_.Labels(source).intervals()) {
     ++s.counters.range_queries;
     const Box3D cuboid = Box3D::FromRectAndInterval(
         region, static_cast<double>(label.lo), static_cast<double>(label.hi));
     if (replicate) {
       points_.ForEachIntersecting(cuboid, [&](const Point3D&, uint64_t id) {
-        emit(id);
+        sink.Add(static_cast<VertexId>(id));
         return true;
       });
-    } else {
-      boxes_.ForEachIntersecting(cuboid, [&](const Box3D&, uint64_t id) {
-        emit(id);
-        return true;
-      });
+      continue;
     }
+    boxes_.ForEachIntersecting(cuboid, [&](const Box3D&, uint64_t id) {
+      const ComponentId c = static_cast<ComponentId>(id);
+      if (s.seen.TestAndSet(c)) {
+        cn_->ForEachSpatialMemberIn(c, region,
+                                    [&](VertexId v) { sink.Add(v); });
+      }
+      return true;
+    });
   }
 }
 
@@ -189,13 +188,7 @@ void ThreeDReach::CollectGroupInto(VertexId vertex,
     const uint64_t live = chunk == simd::kMaskWidth
                               ? ~uint64_t{0}
                               : (uint64_t{1} << chunk) - 1;
-    s.group_seen.BeginPass(cn_->num_components());
-    auto emit = [&](size_t k, uint64_t id) {
-      const ComponentId c = static_cast<ComponentId>(id);
-      if (!s.group_seen.TestAndSet(c, static_cast<unsigned>(k))) return;
-      cn_->ForEachSpatialMemberIn(
-          c, regions[base + k], [&](VertexId v) { sinks[base + k].Add(v); });
-    };
+    if (!replicate) s.group_seen.BeginPass(cn_->num_components());
     for (const Interval& label : labels) {
       // All cuboids of this round share the label's z-interval; the
       // masked descent amortizes the shared subtree walks across the
@@ -209,13 +202,19 @@ void ThreeDReach::CollectGroupInto(VertexId vertex,
       s.counters.range_queries += chunk;
       if (replicate) {
         points_.ForEachIntersectingMasked(
-            cuboids, live,
-            [&](size_t k, const Point3D&, uint64_t id) { emit(k, id); });
-      } else {
-        boxes_.ForEachIntersectingMasked(
-            cuboids, live,
-            [&](size_t k, const Box3D&, uint64_t id) { emit(k, id); });
+            cuboids, live, [&](size_t k, const Point3D&, uint64_t id) {
+              sinks[base + k].Add(static_cast<VertexId>(id));
+            });
+        continue;
       }
+      boxes_.ForEachIntersectingMasked(
+          cuboids, live, [&](size_t k, const Box3D&, uint64_t id) {
+            const ComponentId c = static_cast<ComponentId>(id);
+            if (!s.group_seen.TestAndSet(c, static_cast<unsigned>(k))) return;
+            cn_->ForEachSpatialMemberIn(
+                c, regions[base + k],
+                [&](VertexId v) { sinks[base + k].Add(v); });
+          });
     }
   }
 }
@@ -256,6 +255,37 @@ bool ThreeDReach::EvaluateAny(std::span<const VertexId> sources,
     }
   }
   return flush();
+}
+
+Status ThreeDReach::CheckReplicateLeaves(const CondensedNetwork& cn,
+                                         const IntervalLabeling& labeling,
+                                         std::span<const Point3D> points,
+                                         std::span<const uint64_t> ids) {
+  // Ids are already below num_vertices (the tree's id limit). Distinct
+  // spatial ids, as many as there are spatial vertices, make the leaves
+  // a bijection onto them; each leaf must sit at its vertex's point, at
+  // the height of its component's post number.
+  const GeoSocialNetwork& network = cn.network();
+  if (ids.size() != network.num_spatial_vertices()) {
+    return Status::InvalidArgument(
+        "3DReach snapshot: tree does not hold one point per spatial vertex");
+  }
+  std::vector<uint8_t> seen(network.num_vertices(), 0);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const VertexId v = static_cast<VertexId>(ids[i]);
+    if (!network.IsSpatial(v) || seen[v] != 0) {
+      return Status::InvalidArgument(
+          "3DReach snapshot: leaf ids are not distinct spatial vertices");
+    }
+    seen[v] = 1;
+    const Point2D& p = network.PointOf(v);
+    const double z = static_cast<double>(labeling.post(cn.ComponentOf(v)));
+    if (points[i] != Point3D{p.x, p.y, z}) {
+      return Status::InvalidArgument(
+          "3DReach snapshot: leaf point disagrees with its vertex");
+    }
+  }
+  return Status::Ok();
 }
 
 std::string ThreeDReach::name() const {

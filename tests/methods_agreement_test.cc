@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/condensed_network.h"
@@ -535,6 +538,158 @@ TEST(MethodsAgreementTest, CountEnumMatrixMatchesOracleEverywhere) {
         ASSERT_EQ(runner.RunShared(*method, queries, shared).enums,
                   expected_enums)
             << where << " (scheduler enum)";
+      }
+    }
+  }
+}
+
+/// One giant SCC (the even ids below 300, most of them spatial) between
+/// singleton components: odd ids below 100 feed into it, it feeds the
+/// odd ids from 100 up, and ids 300+ hang off those as a chain. A
+/// component-id index meets the giant SCC through many entries, which is
+/// where a lost dedup or a double emit shows in count and enum answers.
+GeoSocialNetwork GiantSccNetwork() {
+  Rng rng(0x61A27);
+  GraphBuilder builder;
+  builder.ReserveVertices(400);
+  std::vector<VertexId> giant;
+  for (VertexId v = 0; v < 300; v += 2) giant.push_back(v);
+  for (size_t i = 0; i < giant.size(); ++i) {
+    builder.AddEdge(giant[i], giant[(i + 1) % giant.size()]);
+    builder.AddEdge(giant[i], giant[rng.NextBounded(giant.size())]);
+  }
+  for (VertexId v = 1; v < 300; v += 2) {
+    const VertexId g = giant[rng.NextBounded(giant.size())];
+    if (v < 100) {
+      builder.AddEdge(v, g);
+    } else {
+      builder.AddEdge(g, v);
+      builder.AddEdge(v, 300 + static_cast<VertexId>(rng.NextBounded(100)));
+    }
+  }
+  for (VertexId v = 300; v + 1 < 400; ++v) builder.AddEdge(v, v + 1);
+  auto graph = builder.Build();
+  GSR_CHECK(graph.ok());
+  std::vector<std::optional<Point2D>> points(400);
+  for (VertexId v = 0; v < 400; ++v) {
+    const bool spatial = v < 300 && v % 2 == 0 ? v % 14 != 0
+                                               : rng.NextBernoulli(0.7);
+    if (spatial) {
+      points[v] = Point2D{rng.NextDoubleInRange(0, 100),
+                          rng.NextDoubleInRange(0, 100)};
+    }
+  }
+  auto network = GeoSocialNetwork::Create(std::move(graph).value(), points);
+  GSR_CHECK(network.ok());
+  return std::move(network).value();
+}
+
+TEST(MethodsAgreementTest, GiantSccCountAndEnumMatchNaiveBfs) {
+  // 3DReach in both SCC modes and the default planner, built and loaded
+  // in every mode, against the oracle on the giant-SCC network: per
+  // query through Run, grouped through RunShared, and straight through
+  // CollectGroupInto with 12 regions per vertex, past the masked grouped
+  // path's minimum group size.
+  const GeoSocialNetwork network = GiantSccNetwork();
+  const CondensedNetwork cn(&network);
+  ASSERT_LT(cn.num_components(), network.num_vertices() - 100);
+  const NaiveBfsMethod oracle(&network);
+
+  constexpr size_t kRegionsPerVertex = 12;
+  const VertexId query_vertices[] = {1, 7, 51, 99, 0, 2, 150, 298,
+                                     101, 203, 299, 300, 350};
+  Rng rng(0xC0117);
+  std::vector<RangeReachQuery> queries;
+  for (const VertexId v : query_vertices) {
+    queries.push_back({v, Rect(-1, -1, 101, 101)});
+    for (size_t k = 1; k < kRegionsPerVertex; ++k) {
+      const double x = rng.NextDoubleInRange(-10, 100);
+      const double y = rng.NextDoubleInRange(-10, 100);
+      queries.push_back({v, Rect(x, y, x + rng.NextDoubleInRange(0, 70),
+                                 y + rng.NextDoubleInRange(0, 70))});
+    }
+    queries.push_back(queries[queries.size() - 3]);  // A duplicate region.
+  }
+  std::vector<uint64_t> expected_counts;
+  std::vector<std::vector<VertexId>> expected_enums;
+  for (const RangeReachQuery& query : queries) {
+    expected_counts.push_back(
+        oracle.EvaluateCount(query.vertex, query.region));
+    expected_enums.push_back(oracle.EvaluateEnum(query.vertex, query.region));
+  }
+  ASSERT_GT(*std::max_element(expected_counts.begin(), expected_counts.end()),
+            100u);
+
+  std::vector<MethodConfig> configs;
+  for (const MethodKind kind : {MethodKind::kThreeDReach, MethodKind::kPlanner}) {
+    for (const SccSpatialMode mode :
+         {SccSpatialMode::kReplicate, SccSpatialMode::kMbr}) {
+      MethodConfig config;
+      config.kind = kind;
+      config.scc_mode = mode;
+      config.planner.calibration_samples = 8;
+      configs.push_back(config);
+    }
+  }
+  std::string dir = ::testing::TempDir();
+  if (!dir.empty() && dir.back() != '/') dir += '/';
+  exec::ThreadPool pool(2);
+  exec::BatchRunner runner(&pool);
+  int config_index = 0;
+  for (const MethodConfig& config : configs) {
+    std::vector<std::unique_ptr<RangeReachMethod>> methods;
+    methods.push_back(CreateMethod(&cn, config));
+    const std::string path =
+        dir + "giant_scc_" + std::to_string(config_index++) + ".snap";
+    ASSERT_TRUE(SaveMethodSnapshot(*methods[0], config, cn, path).ok());
+    for (const snapshot::LoadMode mode :
+         {snapshot::LoadMode::kOwnedCopy, snapshot::LoadMode::kMmap,
+          snapshot::LoadMode::kPaged}) {
+      auto loaded = LoadMethodSnapshot(&cn, path, {.mode = mode});
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      methods.push_back(std::move(loaded->method));
+    }
+    for (size_t m = 0; m < methods.size(); ++m) {
+      const RangeReachMethod& method = *methods[m];
+      const std::string where =
+          method.name() + (m == 0 ? " built" : " loaded, mode " +
+                                                   std::to_string(m - 1));
+      exec::BatchOptions batch;
+      batch.kind = QueryKind::kCount;
+      ASSERT_EQ(runner.Run(method, queries, batch).counts, expected_counts)
+          << where << " (batch count)";
+      batch.kind = QueryKind::kEnum;
+      ASSERT_EQ(runner.Run(method, queries, batch).enums, expected_enums)
+          << where << " (batch enum)";
+      exec::SchedulerOptions shared;
+      shared.min_window_to_group = 1;
+      shared.kind = QueryKind::kCount;
+      ASSERT_EQ(runner.RunShared(method, queries, shared).counts,
+                expected_counts)
+          << where << " (scheduler count)";
+      shared.kind = QueryKind::kEnum;
+      ASSERT_EQ(runner.RunShared(method, queries, shared).enums,
+                expected_enums)
+          << where << " (scheduler enum)";
+
+      const auto scratch = method.NewScratch();
+      for (size_t base = 0; base < queries.size();
+           base += kRegionsPerVertex + 1) {
+        std::vector<Rect> regions;
+        std::vector<std::vector<VertexId>> arenas(kRegionsPerVertex);
+        std::vector<ResultSink> sinks;
+        for (size_t k = 0; k < kRegionsPerVertex; ++k) {
+          regions.push_back(queries[base + k].region);
+          sinks.push_back(ResultSink::Enum(&arenas[k]));
+        }
+        method.CollectGroupInto(queries[base].vertex, regions, sinks,
+                                *scratch);
+        for (size_t k = 0; k < kRegionsPerVertex; ++k) {
+          sinks[k].Finalize();
+          ASSERT_EQ(arenas[k], expected_enums[base + k])
+              << where << " (CollectGroupInto) vertex "
+              << queries[base].vertex << " region " << k;
+        }
       }
     }
   }
