@@ -86,6 +86,20 @@ Result<FlatLabelStore> FlatLabelStore::Deserialize(BinaryReader& r,
           "flat label store: offsets table is not monotonic");
     }
   }
+  // Each vertex's label must be normalized (sorted, disjoint, lo <= hi):
+  // the containment kernels assume it, and a method that counts hits per
+  // label interval would otherwise count a vertex once per overlap. In
+  // paged mode this reads the transient section buffer once, here.
+  for (size_t v = 0; v + 1 < store.offsets_.size(); ++v) {
+    for (uint32_t i = store.offsets_[v]; i < store.offsets_[v + 1]; ++i) {
+      const Interval& interval = store.intervals_[i];
+      if (interval.lo > interval.hi ||
+          (i > store.offsets_[v] && store.intervals_[i - 1].hi >= interval.lo)) {
+        return Status::InvalidArgument(
+            "flat label store: a label is not sorted and disjoint");
+      }
+    }
+  }
   if (store.paged_intervals_.paged()) {
     // The span above pointed into the reader's transient section buffer,
     // only needed for validation; queries go through the PagedArray.

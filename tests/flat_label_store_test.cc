@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "labeling/label_set.h"
@@ -84,6 +89,52 @@ TEST(FlatLabelStoreTest, SizeBytesCoversBothArrays) {
   EXPECT_GE(store.SizeBytes(),
             store.total_intervals() * sizeof(Interval) +
                 (store.num_vertices() + 1) * sizeof(uint32_t));
+}
+
+TEST(FlatLabelStoreTest, LabelThatIsNotSortedAndDisjointIsRejected) {
+  // A label repeating an interval, holding a reversed one, or out of
+  // order must fail the load, owned or borrowed, and the untouched bytes
+  // must load.
+  const std::vector<LabelSet> sets = RandomSets(100, 5);
+  const FlatLabelStore store = FlatLabelStore::Freeze(sets);
+  size_t first = 0;  // Index of the first interval of a two-interval label.
+  VertexId v = 0;
+  while (v < store.num_vertices() && store.Intervals(v).size() < 2) {
+    first += store.Intervals(v).size();
+    ++v;
+  }
+  ASSERT_LT(v, store.num_vertices());
+  BinaryWriter writer;
+  store.SerializeTo(writer);
+  const std::vector<std::byte> bytes = writer.TakeBytes();
+  // The interval array is the last thing written.
+  const size_t at = bytes.size() -
+                    (store.total_intervals() - first) * sizeof(Interval);
+  const Interval a = store.Intervals(v)[0];
+  const Interval b = store.Intervals(v)[1];
+
+  std::vector<std::pair<std::string, std::vector<Interval>>> forgeries = {
+      {"repeated", {a, a}},
+      {"reversed", {a, Interval{b.hi + 1, b.hi}}},
+      {"out of order", {b, a}},
+      {"untouched", {a, b}}};
+  for (const auto& [what, pair] : forgeries) {
+    const auto buffer = std::make_shared<std::vector<std::byte>>(bytes);
+    std::memcpy(buffer->data() + at, pair.data(), 2 * sizeof(Interval));
+    BorrowContext borrow;
+    borrow.borrow = true;
+    borrow.keepalive = buffer;
+    for (const BorrowContext& ctx : {BorrowContext{}, borrow}) {
+      BinaryReader reader(*buffer);
+      auto loaded = FlatLabelStore::Deserialize(reader, ctx);
+      if (what == "untouched") {
+        EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+        continue;
+      }
+      ASSERT_FALSE(loaded.ok()) << what;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << what;
+    }
+  }
 }
 
 }  // namespace
