@@ -466,8 +466,13 @@ struct MethodSnapshotAccess {
                                        std::move(*labeling),
                                        std::move(*points), FrozenRTree3D()));
         } else {
-          auto boxes = FrozenRTree3D::Deserialize(in.stream(), in.ctx(),
-                                                  cn->num_components());
+          auto boxes = FrozenRTree3D::Deserialize(
+              in.stream(), in.ctx(), cn->num_components(),
+              [&](std::span<const Box3D> geoms,
+                  std::span<const uint64_t> ids) {
+                return ThreeDReach::CheckMbrLeaves(*cn, *labeling, geoms,
+                                                   ids);
+              });
           if (!boxes.ok()) return boxes.status();
           method.reset(new ThreeDReach(cn, method_options,
                                        std::move(*labeling),

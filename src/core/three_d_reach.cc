@@ -143,10 +143,10 @@ void ThreeDReach::CollectInto(VertexId vertex, const Rect& region,
   ++s.counters.queries;
   const ComponentId source = cn_->ComponentOf(vertex);
   const bool replicate = options_.scc_mode == SccSpatialMode::kReplicate;
-  // Replicate leaves are vertices, and the labels are disjoint, so each
-  // hit is one answer vertex, met once. An MBR box stands for a whole
-  // component: dedup it, then verify its member points one by one.
-  if (!replicate) s.seen.BeginPass(cn_->num_components());
+  // The labels are disjoint and every leaf sits at one post number, so
+  // each leaf is met at most once. A replicate leaf is one answer vertex;
+  // an MBR leaf stands for its whole component, whose member points are
+  // verified one by one.
   for (const Interval& label : labeling_.Labels(source).intervals()) {
     ++s.counters.range_queries;
     const Box3D cuboid = Box3D::FromRectAndInterval(
@@ -159,11 +159,8 @@ void ThreeDReach::CollectInto(VertexId vertex, const Rect& region,
       continue;
     }
     boxes_.ForEachIntersecting(cuboid, [&](const Box3D&, uint64_t id) {
-      const ComponentId c = static_cast<ComponentId>(id);
-      if (s.seen.TestAndSet(c)) {
-        cn_->ForEachSpatialMemberIn(c, region,
-                                    [&](VertexId v) { sink.Add(v); });
-      }
+      cn_->ForEachSpatialMemberIn(static_cast<ComponentId>(id), region,
+                                  [&](VertexId v) { sink.Add(v); });
       return true;
     });
   }
@@ -188,7 +185,6 @@ void ThreeDReach::CollectGroupInto(VertexId vertex,
     const uint64_t live = chunk == simd::kMaskWidth
                               ? ~uint64_t{0}
                               : (uint64_t{1} << chunk) - 1;
-    if (!replicate) s.group_seen.BeginPass(cn_->num_components());
     for (const Interval& label : labels) {
       // All cuboids of this round share the label's z-interval; the
       // masked descent amortizes the shared subtree walks across the
@@ -209,10 +205,8 @@ void ThreeDReach::CollectGroupInto(VertexId vertex,
       }
       boxes_.ForEachIntersectingMasked(
           cuboids, live, [&](size_t k, const Box3D&, uint64_t id) {
-            const ComponentId c = static_cast<ComponentId>(id);
-            if (!s.group_seen.TestAndSet(c, static_cast<unsigned>(k))) return;
             cn_->ForEachSpatialMemberIn(
-                c, regions[base + k],
+                static_cast<ComponentId>(id), regions[base + k],
                 [&](VertexId v) { sinks[base + k].Add(v); });
           });
     }
@@ -283,6 +277,39 @@ Status ThreeDReach::CheckReplicateLeaves(const CondensedNetwork& cn,
     if (points[i] != Point3D{p.x, p.y, z}) {
       return Status::InvalidArgument(
           "3DReach snapshot: leaf point disagrees with its vertex");
+    }
+  }
+  return Status::Ok();
+}
+
+Status ThreeDReach::CheckMbrLeaves(const CondensedNetwork& cn,
+                                   const IntervalLabeling& labeling,
+                                   std::span<const Box3D> boxes,
+                                   std::span<const uint64_t> ids) {
+  // Ids are already below num_components (the tree's id limit). Distinct
+  // ids of components with spatial members, as many as there are such
+  // components, make the leaves a bijection onto them; each leaf must be
+  // its component's MBR, flat at the component's post number.
+  size_t spatial_components = 0;
+  for (ComponentId c = 0; c < cn.num_components(); ++c) {
+    if (cn.HasSpatialMember(c)) ++spatial_components;
+  }
+  if (ids.size() != spatial_components) {
+    return Status::InvalidArgument(
+        "3DReach snapshot: tree does not hold one box per spatial component");
+  }
+  std::vector<uint8_t> seen(cn.num_components(), 0);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const ComponentId c = static_cast<ComponentId>(ids[i]);
+    if (!cn.HasSpatialMember(c) || seen[c] != 0) {
+      return Status::InvalidArgument(
+          "3DReach snapshot: leaf ids are not distinct spatial components");
+    }
+    seen[c] = 1;
+    const double z = static_cast<double>(labeling.post(c));
+    if (boxes[i] != Box3D::FromRectAndInterval(cn.MbrOf(c), z, z)) {
+      return Status::InvalidArgument(
+          "3DReach snapshot: leaf box disagrees with its component");
     }
   }
   return Status::Ok();

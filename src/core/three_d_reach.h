@@ -41,13 +41,11 @@ class ThreeDReach : public RangeReachMethod {
       : ThreeDReach(cn, Options{}) {}
 
   /// Per-thread state: the component dedup marks of EvaluateAny (friends
-  /// in one SCC share a label set) and of the MBR variant's collection
-  /// paths (a box stands for its whole component). The range_queries
-  /// counter tracks the dominant cost: one 3-D existence query per label
-  /// of the query vertex (until a hit).
+  /// in one SCC share a label set). The range_queries counter tracks the
+  /// dominant cost: one 3-D existence query per label of the query vertex
+  /// (until a hit).
   struct Scratch : QueryScratch {
     SeenMarks seen;
-    GroupSeenMarks group_seen;
   };
 
   std::unique_ptr<QueryScratch> NewScratch() const override {
@@ -66,18 +64,18 @@ class ThreeDReach : public RangeReachMethod {
                      QueryScratch& scratch) const override;
 
   /// Collection form: per label, one *enumerating* descent over the
-  /// mode's tree. A replicate hit is one answer vertex, added as is: a
-  /// vertex is one point and the labels are disjoint, so none is met
-  /// twice. An MBR hit is a component, deduplicated, whose member points
+  /// mode's tree. Every leaf sits at one post number and the labels are
+  /// disjoint, so no leaf is met twice. A replicate hit is one answer
+  /// vertex, added as is; an MBR hit is a component, whose member points
   /// inside the region are added (the MBR variant's verification).
   void CollectInto(VertexId vertex, const Rect& region, ResultSink& sink,
                    QueryScratch& scratch) const override;
 
   /// Grouped collection: per label, the cuboids of all regions share one
   /// masked enumerating descent (ForEachIntersectingMasked). Replicate
-  /// hits go straight to their region's sink; MBR hits go through
-  /// per-(region, component) dedup marks and the member enumeration, so
-  /// unlike the boolean group path this serves both SCC variants.
+  /// hits go straight to their region's sink; MBR hits go through the
+  /// member enumeration, so unlike the boolean group path this serves
+  /// both SCC variants.
   void CollectGroupInto(VertexId vertex, std::span<const Rect> regions,
                         std::span<ResultSink> sinks,
                         QueryScratch& scratch) const override;
@@ -124,6 +122,16 @@ class ThreeDReach : public RangeReachMethod {
                                      const IntervalLabeling& labeling,
                                      std::span<const Point3D> points,
                                      std::span<const uint64_t> ids);
+
+  /// The MBR counterpart of CheckReplicateLeaves: accepts the leaves of
+  /// a loaded MBR tree only when they are exactly this network's
+  /// components with spatial members, one each, with box (MBR(c),
+  /// post(c)). The collection paths rely on it to need no dedup marks.
+  /// Leaf ids are already known to be below num_components.
+  static Status CheckMbrLeaves(const CondensedNetwork& cn,
+                               const IntervalLabeling& labeling,
+                               std::span<const Box3D> boxes,
+                               std::span<const uint64_t> ids);
 
   size_t RtreeSizeBytes() const {
     return options_.scc_mode == SccSpatialMode::kReplicate

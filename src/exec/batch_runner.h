@@ -38,16 +38,16 @@ struct SchedulerOptions : BatchOptions {
   /// Windows smaller than this skip grouping and run one query per pool
   /// task, exactly like Run. A small window has little to share — on
   /// skewed streams duplicate density grows with window size — but would
-  /// still pay the hash-and-sort grouping pass and the per-group dispatch
-  /// overhead; under an open-loop arrival process that fixed cost is pure
-  /// added latency whenever the backlog is small. The default is sized to
-  /// the *fastest* method (sub-µs 3DReach probes), whose grouping
-  /// breakeven sits near a thousand queries: below it the per-query path
-  /// runs at parity with Run, and real backlogs — a scheduling stall at
-  /// any method's sustainable offered rate backlogs queries in proportion
-  /// to that rate, so slow methods only ever see large backlogs alongside
-  /// large absolute sharing wins — still group and drain faster than
-  /// per-query execution can. 0 means always group.
+  /// still pay the shard sort, the hash-and-sort grouping pass and the
+  /// dispatch of every shard; under an open-loop arrival process that
+  /// fixed cost is pure added latency whenever the backlog is small. The
+  /// default is sized to the *fastest* method (sub-µs 3DReach probes),
+  /// whose grouping breakeven sits near a thousand queries: below it the
+  /// per-query path runs at parity with Run, and real backlogs — a
+  /// scheduling stall at any method's sustainable offered rate backlogs
+  /// queries in proportion to that rate, so slow methods only ever see
+  /// large backlogs alongside large absolute sharing wins — still group
+  /// and drain faster than per-query execution can. 0 means always group.
   size_t min_window_to_group = 1024;
 };
 
@@ -100,11 +100,14 @@ class BatchRunner {
   /// windows of options.grouping.window (the fairness bound: no query
   /// waits on more than one window of later arrivals), and within a
   /// window queries sharing a query vertex (and, within a vertex,
-  /// spatially close regions) execute as one group, one group per pool
-  /// task, through the method's EvaluateGroup / CollectGroupInto hook.
-  /// Answers are bit-identical to Run — grouping only changes how often
-  /// shared probes and descents run — which methods_agreement_test
-  /// enforces for every method, thread count and kernel level.
+  /// spatially close regions) execute as one group through the method's
+  /// EvaluateGroup / CollectGroupInto hook. The calling thread only
+  /// splits each window into vertex-hash shards; each pool task claims a
+  /// shard, groups it with its worker's GroupingArena and runs the
+  /// shard's groups. Answers are bit-identical to Run — grouping only
+  /// changes how often shared probes and descents run — which
+  /// methods_agreement_test enforces for every method, thread count and
+  /// kernel level.
   BatchResult RunShared(const RangeReachMethod& method,
                         const std::vector<RangeReachQuery>& queries,
                         const SchedulerOptions& options = {});
@@ -128,10 +131,15 @@ class BatchRunner {
   /// (Re)fills the per-worker scratch cache for `method`.
   void EnsureScratches(const RangeReachMethod& method);
 
-  /// Runs fn(index, worker scratch) for every index in [0, n) on the
-  /// pool, `chunk` indices per claim. An index whose fn throws is
-  /// skipped: the first exception is kept for Finish and every other
-  /// index still runs. Defined (and only instantiated) in the .cc.
+  /// Runs fn(), keeping its exception (the batch's first one) for
+  /// Finish instead of letting it escape. Safe on pool workers.
+  template <typename Fn>
+  void Guarded(const Fn& fn);
+
+  /// Runs fn(index, worker) for every index in [0, n) on the pool,
+  /// `chunk` indices per claim. An index whose fn throws is skipped
+  /// (Guarded) and every other index still runs. Defined (and only
+  /// instantiated) in the .cc.
   template <typename Fn>
   void ParallelFor(size_t n, size_t chunk, const Fn& fn);
 

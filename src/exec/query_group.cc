@@ -31,6 +31,14 @@ uint32_t CellOf(const Rect& region, const Rect& bounds) {
 
 }  // namespace
 
+Rect CenterBounds(std::span<const RangeReachQuery> window) {
+  Rect bounds;
+  for (const RangeReachQuery& query : window) {
+    bounds.Expand(query.region.Center());
+  }
+  return bounds;
+}
+
 QueryGroup& GroupingArena::NewGroup() {
   if (groups_used_ == groups_.size()) groups_.emplace_back();
   QueryGroup& group = groups_[groups_used_++];
@@ -42,18 +50,28 @@ QueryGroup& GroupingArena::NewGroup() {
 
 std::span<const QueryGroup> GroupingArena::Build(
     std::span<const RangeReachQuery> window, const GroupingOptions& options) {
+  for (size_t i = all_.size(); i < window.size(); ++i) {
+    all_.push_back(static_cast<uint32_t>(i));
+  }
+  return Build(window, std::span<const uint32_t>(all_.data(), window.size()),
+               CenterBounds(window), options);
+}
+
+std::span<const QueryGroup> GroupingArena::Build(
+    std::span<const RangeReachQuery> window, std::span<const uint32_t> indices,
+    const Rect& bounds, const GroupingOptions& options) {
   groups_used_ = 0;
   buckets_used_ = 0;
-  if (window.empty()) return {};
+  if (indices.empty()) return {};
   const size_t cap =
       std::clamp<size_t>(options.max_group_regions, 1, simd::kMaskWidth);
 
-  // Axis (a): bucket the window's query indices by query vertex, keeping
-  // vertices in first-appearance order so the partition is deterministic.
-  // The vertex table is open-addressed at <= 50% load (this pass is the
+  // Axis (a): bucket the query indices by query vertex, keeping vertices
+  // in first-appearance order so the partition is deterministic. The
+  // vertex table is open-addressed at <= 50% load (this pass is the
   // grouping hot spot — a node-based map here costs more than the probes
   // some groups share).
-  const size_t min_slots = std::bit_ceil(window.size() * 2);
+  const size_t min_slots = std::bit_ceil(indices.size() * 2);
   if (slots_.size() < min_slots) {
     slots_.assign(min_slots, VertexSlot{});
     slot_gen_ = 0;
@@ -65,7 +83,7 @@ std::span<const QueryGroup> GroupingArena::Build(
   const size_t slot_mask = slots_.size() - 1;
   const int hash_shift =
       64 - std::countr_zero(static_cast<uint64_t>(slots_.size()));
-  for (size_t i = 0; i < window.size(); ++i) {
+  for (const uint32_t i : indices) {
     const VertexId vertex = window[i].vertex;
     size_t s = (static_cast<uint64_t>(vertex) * 0x9E3779B97F4A7C15ull) >>
                hash_shift;
@@ -85,14 +103,7 @@ std::span<const QueryGroup> GroupingArena::Build(
       }
       s = (s + 1) & slot_mask;
     }
-    buckets_[bucket].push_back(static_cast<uint32_t>(i));
-  }
-
-  // Axis (b): the bounds the spatial bucketing snaps to — the union of
-  // this window's region centers.
-  Rect bounds;
-  for (const RangeReachQuery& query : window) {
-    bounds.Expand(query.region.Center());
+    buckets_[bucket].push_back(i);
   }
 
   for (size_t b = 0; b < buckets_used_; ++b) {

@@ -43,20 +43,38 @@ struct QueryGroup {
   std::vector<uint32_t> member_region;
 };
 
+/// The bounds the spatial bucketing (axis (b)) snaps to: the union of
+/// the window's region centers.
+Rect CenterBounds(std::span<const RangeReachQuery> window);
+
 /// Reusable allocation state for repeated grouping passes. A scheduler
 /// dispatching many small windows (the open-loop serving shape) would
 /// otherwise pay a fresh hash map, bucket vectors and per-group vectors
 /// on every dispatch; the arena clears containers instead of freeing
 /// them, so a steady-state Build touches no allocator at all. Not
-/// thread-safe; the returned span is valid until the next Build.
+/// thread-safe (RunShared keeps one per pool worker); the returned span
+/// is valid until the next Build.
 class GroupingArena {
  public:
   /// Partitions `window` into shared-work groups, deterministically:
   /// vertices in first-appearance order, one vertex's groups in bucketed
   /// region order, duplicates collapsed. Every query appears in exactly
   /// one group. Groups write disjoint answer slots, so they may run in
-  /// any order and in parallel.
+  /// any order and in parallel. The one-shard form of the Build below:
+  /// every index, over CenterBounds(window).
   std::span<const QueryGroup> Build(std::span<const RangeReachQuery> window,
+                                    const GroupingOptions& options);
+
+  /// Groups only the window queries named by `indices` (window-relative,
+  /// ascending), bucketing regions over `bounds`. A vertex's groups
+  /// depend only on its own queries, their order and the bounds, so when
+  /// `indices` holds all of a vertex's queries and `bounds` is
+  /// CenterBounds(window), that vertex gets exactly the groups the
+  /// whole-window Build gives it. That is what lets RunShared split a
+  /// window into vertex shards and group each on its own worker.
+  std::span<const QueryGroup> Build(std::span<const RangeReachQuery> window,
+                                    std::span<const uint32_t> indices,
+                                    const Rect& bounds,
                                     const GroupingOptions& options);
 
  private:
@@ -78,6 +96,7 @@ class GroupingArena {
   std::vector<std::pair<uint32_t, uint32_t>> ordered_;  // (cell, index)
   std::vector<QueryGroup> groups_;  // First groups_used_ live.
   size_t groups_used_ = 0;
+  std::vector<uint32_t> all_;  // 0, 1, 2, ...: the one-shard Build's indices.
 };
 
 }  // namespace gsr::exec

@@ -2,6 +2,8 @@
 #define GSR_EXEC_QUERY_SCHEDULER_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "exec/query_group.h"
 
@@ -10,7 +12,7 @@ namespace gsr::exec {
 class BatchRunner;
 
 /// The grouping state behind BatchRunner::RunShared, which owns one and
-/// executes the groups (see BatchRunner). The arena is reused across
+/// executes the groups (see BatchRunner). Everything is reused across
 /// windows and batches, so a steady-state dispatch allocates nothing
 /// (the open-loop serving shape: many small windows per second).
 class QueryScheduler {
@@ -26,7 +28,16 @@ class QueryScheduler {
  private:
   friend class BatchRunner;
 
-  GroupingArena arena_;
+  /// What one pool worker grouped with and counted in the running batch.
+  struct Worker {
+    GroupingArena arena;
+    ShareStats stats;
+  };
+
+  std::vector<Worker> workers_;  // One per pool worker.
+  /// The running window's query indices, counting-sorted by vertex-hash
+  /// shard, ascending within a shard.
+  std::vector<uint32_t> shard_indices_;
   ShareStats last_share_stats_;
 };
 

@@ -670,6 +670,78 @@ TEST(MethodSnapshotTest, ReplicateThreeDReachTreeMustBeOneTree) {
   ExpectRejectedEveryMode(cn, path, "3DReach, child linked twice");
 }
 
+TEST(MethodSnapshotTest, MbrThreeDReachTreeMustMapOntoItsComponents) {
+  // MBR 3DReach collects each hit component's members without dedup
+  // marks, so its tree is accepted only when the leaves are this
+  // network's spatial components, each once, at (MBR, post): a repeated
+  // id, two ids swapped, or one box shrunk must all fail the load.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(250, 2.5, 0.4, 101);
+  const CondensedNetwork cn(&network);
+  MethodConfig config;
+  config.kind = MethodKind::kThreeDReach;
+  config.scc_mode = SccSpatialMode::kMbr;
+  const std::string path = TempPath("method_forged_mbr.snap");
+  ASSERT_TRUE(
+      SaveMethodSnapshot(*CreateMethod(&cn, config), config, cn, path).ok());
+  const std::vector<std::byte> tree =
+      SectionPayload(path, snapshot::SectionId::kRTree);
+  size_t count = 0;
+  const size_t tail = TailLeafIdsOffset(tree, 0, &count);
+  const std::vector<uint64_t> ids = ReadIds(tree, tail, count);
+  ASSERT_GE(count, 2u);
+
+  // The leaf boxes are the array before the ids.
+  BinaryReader scan(tree);
+  scan.set_array_alignment(snapshot::kPageAlignment);
+  uint64_t size = 0;
+  int32_t height = 0;
+  std::span<const FrozenRTree3D::Node> nodes;
+  std::span<const Box3D> child_boxes;
+  std::span<const uint32_t> child_nodes;
+  std::span<const Box3D> leaf_boxes;
+  ASSERT_TRUE(scan.ReadU64(&size).ok());
+  ASSERT_TRUE(scan.ReadI32(&height).ok());
+  ASSERT_TRUE(scan.ReadArrayView(&nodes).ok());
+  ASSERT_TRUE(scan.ReadArrayView(&child_boxes).ok());
+  ASSERT_TRUE(scan.ReadArrayView(&child_nodes).ok());
+  ASSERT_TRUE(scan.ReadArrayView(&leaf_boxes).ok());
+  ASSERT_EQ(leaf_boxes.size(), count);
+  const size_t boxes_at = scan.offset() - count * sizeof(Box3D);
+  size_t wide = count;  // A leaf with x extent, which shrinking changes.
+  for (size_t i = 0; i < count; ++i) {
+    if (leaf_boxes[i].min[0] < leaf_boxes[i].max[0]) {
+      wide = i;
+      break;
+    }
+  }
+  ASSERT_LT(wide, count);
+
+  std::vector<std::pair<std::string, std::vector<std::byte>>> forgeries;
+  std::vector<uint64_t> forged = ids;
+  forged[1] = forged[0];
+  forgeries.emplace_back("repeated id", tree);
+  WriteIds(forgeries.back().second, tail, forged);
+  forged = ids;
+  std::swap(forged[0], forged[1]);
+  forgeries.emplace_back("swapped ids", tree);
+  WriteIds(forgeries.back().second, tail, forged);
+  Box3D shrunk = leaf_boxes[wide];
+  shrunk.max[0] = shrunk.min[0];
+  forgeries.emplace_back("shrunk box", tree);
+  std::memcpy(forgeries.back().second.data() + boxes_at + wide * sizeof(Box3D),
+              &shrunk, sizeof(shrunk));
+
+  for (const auto& [what, payload] : forgeries) {
+    auto sections = AllSections(path);
+    for (auto& [id, section] : sections) {
+      if (id == snapshot::SectionId::kRTree) section = payload;
+    }
+    WriteSections(path, sections);
+    ExpectRejectedEveryMode(cn, path, "3DReach (mbr), " + what);
+  }
+}
+
 TEST(MethodSnapshotTest, LabelThatIsNotSortedAndDisjointIsRejected) {
   // A replicate 3DReach hit is one answer vertex only because a
   // component's label intervals are disjoint: a label repeating one

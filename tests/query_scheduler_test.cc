@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/method_factory.h"
@@ -267,6 +271,183 @@ TEST(QuerySchedulerTest, ExceptionInOneGroupDoesNotPoisonTheBatch) {
   const exec::BatchResult result = runner.RunShared(method, queries);
   EXPECT_EQ(result.answers.size(), 6u);
   EXPECT_EQ(result.true_count, 6u);
+}
+
+TEST(QuerySchedulerTest, ExceptionInOneGroupSparesTheRestOfItsShard) {
+  // 500 vertices, one query each, in one grouped window: the window's
+  // vertex shards hold about 8 vertices each, so the poison vertex (in
+  // the middle of the window) shares its shard with vertices grouped
+  // after it. Its throw must skip its own group only.
+  std::vector<RangeReachQuery> queries;
+  for (VertexId v = 100; v < 600; ++v) {
+    queries.push_back({v, Rect(0, 0, 1000, 1000)});
+  }
+  queries[250].vertex = ThrowingMethod::kPoison;
+
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const ThrowingMethod method;
+    exec::ThreadPool pool(threads);
+    exec::BatchRunner runner(&pool);
+    exec::SchedulerOptions grouped;
+    grouped.min_window_to_group = 1;
+    EXPECT_THROW((void)runner.RunShared(method, queries, grouped),
+                 std::runtime_error);
+    EXPECT_EQ(method.evaluations.load(), queries.size() - 1);
+    EXPECT_EQ(runner.scheduler()->last_share_stats().groups, queries.size());
+  }
+}
+
+/// Records the group calls RunShared makes, and answers so that the test
+/// can read back which group and slot answered each query. Each group of
+/// `expected` (GroupingArena::Build's partition of the window) has the
+/// code index * 64 + slot for each of its slots; a call answers slot r
+/// with bit `bit` of that code (TRUE, a count of 1, or the enum {0}).
+/// Running once per bit spells out every query's code.
+class RecordingMethod : public RangeReachMethod {
+ public:
+  /// A group's identity: its vertex and region list, as numbers.
+  using Key = std::vector<double>;
+
+  static Key KeyOf(VertexId vertex, std::span<const Rect> regions) {
+    Key key{static_cast<double>(vertex)};
+    for (const Rect& r : regions) {
+      key.insert(key.end(), {r.min_x, r.min_y, r.max_x, r.max_y});
+    }
+    return key;
+  }
+
+  explicit RecordingMethod(std::span<const exec::QueryGroup> expected) {
+    for (size_t g = 0; g < expected.size(); ++g) {
+      codes_.emplace(KeyOf(expected[g].vertex, expected[g].regions), g * 64);
+    }
+  }
+
+  /// False when two expected groups share a key (the codes would be
+  /// ambiguous).
+  bool keys_unique(size_t groups) const { return codes_.size() == groups; }
+
+  bool Evaluate(VertexId, const Rect&, QueryScratch&) const override {
+    ADD_FAILURE() << "a grouped window ran a query on its own";
+    return false;
+  }
+  void EvaluateGroup(VertexId vertex, std::span<const Rect> regions,
+                     std::span<bool> out, QueryScratch&) const override {
+    const uint64_t code = Record(vertex, regions);
+    for (size_t r = 0; r < regions.size(); ++r) out[r] = Bit(code + r);
+  }
+  void CollectGroupInto(VertexId vertex, std::span<const Rect> regions,
+                        std::span<ResultSink> sinks,
+                        QueryScratch&) const override {
+    const uint64_t code = Record(vertex, regions);
+    for (size_t r = 0; r < regions.size(); ++r) {
+      if (Bit(code + r)) sinks[r].Add(0);
+    }
+  }
+  std::string name() const override { return "Recording"; }
+  size_t IndexSizeBytes() const override { return 1; }
+
+  unsigned bit = 0;
+  mutable std::mutex mutex;
+  mutable std::vector<Key> calls;
+
+ private:
+  uint64_t Record(VertexId vertex, std::span<const Rect> regions) const {
+    Key key = KeyOf(vertex, regions);
+    const auto it = codes_.find(key);
+    const std::lock_guard<std::mutex> lock(mutex);
+    calls.push_back(std::move(key));
+    return it == codes_.end() ? 0 : it->second;
+  }
+  bool Bit(uint64_t code) const { return ((code >> bit) & 1) != 0; }
+
+  std::map<Key, uint64_t> codes_;
+};
+
+TEST(QuerySchedulerTest, ShardedRunSharedExecutesExactlyTheWindowPartition) {
+  // Windows below and above the shard count, grouped on 1, 2 and 4
+  // workers, for every kind: the group calls must be exactly Build's
+  // groups (vertex and regions), each query must be answered by the slot
+  // Build gave it, and the share stats must be the partition's.
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(400, 2.0, 0.5, 41);
+  for (const uint32_t size : {40u, 1500u}) {
+    SCOPED_TRACE(size);
+    const std::vector<RangeReachQuery> queries =
+        SkewedWorkload(network, size, 17);
+    exec::GroupingArena arena;
+    const std::span<const exec::QueryGroup> built = arena.Build(queries, {});
+    const std::vector<exec::QueryGroup> expected(built.begin(), built.end());
+    std::vector<RecordingMethod::Key> expected_calls;
+    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> expected_members;
+    exec::QueryScheduler::ShareStats expected_stats;
+    for (const exec::QueryGroup& group : expected) {
+      expected_calls.push_back(
+          RecordingMethod::KeyOf(group.vertex, group.regions));
+      std::vector<std::pair<uint32_t, uint32_t>> members;
+      for (size_t m = 0; m < group.member_query.size(); ++m) {
+        members.emplace_back(group.member_query[m], group.member_region[m]);
+      }
+      std::sort(members.begin(), members.end());
+      expected_members.push_back(std::move(members));
+      ++expected_stats.groups;
+      expected_stats.queries += group.member_query.size();
+      expected_stats.distinct_regions += group.regions.size();
+    }
+    std::sort(expected_calls.begin(), expected_calls.end());
+    ASSERT_LT(expected.size(), queries.size());  // Grouping fired.
+    RecordingMethod method(expected);
+    ASSERT_TRUE(method.keys_unique(expected.size()));
+    const int bits = std::bit_width(expected.size() * 64 - 1);
+
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      exec::ThreadPool pool(threads);
+      exec::BatchRunner runner(&pool);
+      for (const QueryKind kind :
+           {QueryKind::kBool, QueryKind::kCount, QueryKind::kEnum}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                     QueryKindName(kind));
+        exec::SchedulerOptions options;
+        options.kind = kind;
+        options.min_window_to_group = 1;
+        std::vector<uint64_t> codes(queries.size(), 0);
+        for (int b = 0; b < bits; ++b) {
+          method.bit = static_cast<unsigned>(b);
+          method.calls.clear();
+          const exec::BatchResult result =
+              runner.RunShared(method, queries, options);
+          std::sort(method.calls.begin(), method.calls.end());
+          ASSERT_EQ(method.calls, expected_calls) << "bit " << b;
+          const exec::QueryScheduler::ShareStats& stats =
+              runner.scheduler()->last_share_stats();
+          EXPECT_EQ(stats.groups, expected_stats.groups);
+          EXPECT_EQ(stats.queries, expected_stats.queries);
+          EXPECT_EQ(stats.distinct_regions, expected_stats.distinct_regions);
+          for (size_t q = 0; q < queries.size(); ++q) {
+            codes[q] |= uint64_t{result.answers[q]} << b;
+            if (kind == QueryKind::kBool) continue;
+            EXPECT_EQ(result.counts[q], result.answers[q]);
+            if (kind != QueryKind::kEnum) continue;
+            EXPECT_EQ(result.enums[q],
+                      result.answers[q] != 0 ? std::vector<VertexId>{0}
+                                             : std::vector<VertexId>{});
+          }
+        }
+        std::vector<std::vector<std::pair<uint32_t, uint32_t>>> executed(
+            expected.size());
+        for (size_t q = 0; q < queries.size(); ++q) {
+          const uint64_t group = codes[q] / 64;
+          ASSERT_LT(group, executed.size()) << "query " << q;
+          executed[group].emplace_back(static_cast<uint32_t>(q),
+                                       static_cast<uint32_t>(codes[q] % 64));
+        }
+        for (auto& members : executed) {
+          std::sort(members.begin(), members.end());
+        }
+        EXPECT_EQ(executed, expected_members);
+      }
+    }
+  }
 }
 
 TEST(QuerySchedulerTest, WideSpanEvaluateGroupMatchesSerial) {
