@@ -2,14 +2,13 @@
 // scratch versus restoring it from a versioned binary snapshot
 // (src/snapshot). For each method of the final comparison (Figure 7 set)
 // this harness measures the 1-thread build time, the snapshot save time
-// and file size, and the load time in both modes — owned copy (read +
-// copy out) and zero-copy mmap (map + validate, pages faulted lazily).
+// and file size, and the zero-copy mmap load time (map + validate, pages
+// faulted lazily).
 //
 // Expected shape: snapshot loads sit orders of magnitude below rebuilds —
-// loading is bounded by checksumming + memcpy (owned) or by page-table
-// setup (mmap), while building runs graph traversals per vertex. The
-// loaded method is verified query-by-query against the built one before
-// any timing is reported.
+// loading is bounded by checksumming and page-table setup, while building
+// runs graph traversals per vertex. The loaded method is verified
+// query-by-query against the built one before any timing is reported.
 //
 // Outputs one table + CSV per dataset (<out>/cold_start_<dataset>.csv)
 // and a machine-readable <out>/BENCH_snapshot.json with every
@@ -36,11 +35,9 @@ struct Measurement {
   double build_seconds = 0.0;
   double save_seconds = 0.0;
   size_t file_bytes = 0;
-  double load_owned_seconds = 0.0;
   double load_mmap_seconds = 0.0;
   size_t index_bytes = 0;
   // Build time over load time; the cold-start win of snapshots.
-  double speedup_owned = 0.0;
   double speedup_mmap = 0.0;
 };
 
@@ -53,16 +50,16 @@ size_t FileSize(const std::string& path) {
   return size > 0 ? static_cast<size_t>(size) : 0;
 }
 
-/// Loads the snapshot in `mode`, checks the result answers every query
+/// Loads the snapshot with kMmap, checks the result answers every query
 /// exactly like `built`, and returns the load wall time. Exits on any
 /// load failure or divergence — a bench over wrong answers is worthless.
 double TimedVerifiedLoad(const CondensedNetwork* cn, const std::string& path,
-                         snapshot::LoadMode mode,
                          const RangeReachMethod& built,
                          const std::vector<RangeReachQuery>& queries,
                          size_t* index_bytes) {
   Stopwatch watch;
-  auto loaded = LoadMethodSnapshot(cn, path, {.mode = mode});
+  auto loaded =
+      LoadMethodSnapshot(cn, path, {.mode = snapshot::LoadMode::kMmap});
   const double seconds = watch.ElapsedSeconds();
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: loading %s failed: %s\n", path.c_str(),
@@ -96,12 +93,11 @@ void WriteJson(const std::string& path, const std::vector<Measurement>& all,
                  "    {\"dataset\": \"%s\", \"method\": \"%s\", "
                  "\"build_seconds\": %.6f, \"save_seconds\": %.6f, "
                  "\"file_bytes\": %zu, \"index_bytes\": %zu, "
-                 "\"load_owned_seconds\": %.6f, \"load_mmap_seconds\": %.6f, "
-                 "\"speedup_owned\": %.1f, \"speedup_mmap\": %.1f}%s\n",
+                 "\"load_mmap_seconds\": %.6f, \"speedup_mmap\": %.1f}%s\n",
                  m.dataset.c_str(), m.method.c_str(), m.build_seconds,
                  m.save_seconds, m.file_bytes, m.index_bytes,
-                 m.load_owned_seconds, m.load_mmap_seconds, m.speedup_owned,
-                 m.speedup_mmap, i + 1 < all.size() ? "," : "");
+                 m.load_mmap_seconds, m.speedup_mmap,
+                 i + 1 < all.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -125,8 +121,7 @@ int main(int argc, char** argv) {
     TablePrinter table(
         "cold start / " + bundle.name() +
             ": 1-thread rebuild vs snapshot load (times in seconds)",
-        {"method", "build", "save", "file MB", "load copy", "load mmap",
-         "speedup(mmap)"});
+        {"method", "build", "save", "file MB", "load mmap", "speedup(mmap)"});
 
     // Aggregate cold start over the whole method set: what a server pays
     // to bring every index of the comparison online.
@@ -156,15 +151,9 @@ int main(int argc, char** argv) {
       m.build_seconds = built.build_seconds;
       m.save_seconds = save_seconds;
       m.file_bytes = FileSize(path);
-      m.load_owned_seconds =
-          TimedVerifiedLoad(bundle.cn.get(), path, snapshot::LoadMode::kOwnedCopy,
-                            *built.method, queries, &m.index_bytes);
-      m.load_mmap_seconds =
-          TimedVerifiedLoad(bundle.cn.get(), path, snapshot::LoadMode::kMmap,
-                            *built.method, queries, &m.index_bytes);
-      m.speedup_owned = m.load_owned_seconds > 0.0
-                            ? m.build_seconds / m.load_owned_seconds
-                            : 0.0;
+      m.load_mmap_seconds = TimedVerifiedLoad(bundle.cn.get(), path,
+                                              *built.method, queries,
+                                              &m.index_bytes);
       m.speedup_mmap = m.load_mmap_seconds > 0.0
                            ? m.build_seconds / m.load_mmap_seconds
                            : 0.0;
@@ -173,7 +162,6 @@ int main(int argc, char** argv) {
       total.save_seconds += m.save_seconds;
       total.file_bytes += m.file_bytes;
       total.index_bytes += m.index_bytes;
-      total.load_owned_seconds += m.load_owned_seconds;
       total.load_mmap_seconds += m.load_mmap_seconds;
       std::remove(path.c_str());
 
@@ -181,14 +169,10 @@ int main(int argc, char** argv) {
                     TablePrinter::FormatNumber(m.build_seconds, 4),
                     TablePrinter::FormatNumber(m.save_seconds, 4),
                     Mb(m.file_bytes),
-                    TablePrinter::FormatNumber(m.load_owned_seconds, 4),
                     TablePrinter::FormatNumber(m.load_mmap_seconds, 4),
                     TablePrinter::FormatNumber(m.speedup_mmap, 1)});
     }
 
-    total.speedup_owned = total.load_owned_seconds > 0.0
-                              ? total.build_seconds / total.load_owned_seconds
-                              : 0.0;
     total.speedup_mmap = total.load_mmap_seconds > 0.0
                              ? total.build_seconds / total.load_mmap_seconds
                              : 0.0;
@@ -196,7 +180,6 @@ int main(int argc, char** argv) {
     table.AddRow({"ALL", TablePrinter::FormatNumber(total.build_seconds, 4),
                   TablePrinter::FormatNumber(total.save_seconds, 4),
                   Mb(total.file_bytes),
-                  TablePrinter::FormatNumber(total.load_owned_seconds, 4),
                   TablePrinter::FormatNumber(total.load_mmap_seconds, 4),
                   TablePrinter::FormatNumber(total.speedup_mmap, 1)});
 

@@ -1,5 +1,5 @@
 // Micro-benchmark of the SIMD query kernels: every kernel at every level
-// this machine supports (scalar reference, SSE4.2, AVX2), reported as
+// this machine supports (scalar reference, AVX2), reported as
 // ns/op plus speedup over scalar. Probes are issued back-to-back over a
 // cache-resident working set, the way the query paths issue them: BFL's
 // pruned DFS tests every neighbor of the popped vertex, SocReach probes
@@ -75,9 +75,6 @@ double MeasureNs(size_t iters, Body&& body, int repeats = 3) {
 
 std::vector<KernelLevel> SupportedLevels() {
   std::vector<KernelLevel> levels = {KernelLevel::kScalar};
-  if (simd::MaxSupportedLevel() >= KernelLevel::kSse42) {
-    levels.push_back(KernelLevel::kSse42);
-  }
   if (simd::MaxSupportedLevel() >= KernelLevel::kAvx2) {
     levels.push_back(KernelLevel::kAvx2);
   }

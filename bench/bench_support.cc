@@ -39,7 +39,7 @@ std::vector<std::string> SplitCommas(const std::string& value) {
   std::fprintf(stderr,
                "usage: %s [--scale f] [--queries n] [--out dir] "
                "[--datasets a,b,...] [--threads n] "
-               "[--kernel scalar|sse42|avx2|native] [--baseline path]\n",
+               "[--kernel scalar|avx2|native] [--baseline path]\n",
                argv0);
   std::exit(2);
 }

@@ -27,7 +27,7 @@ namespace gsr::bench {
 ///   --threads <n>  worker threads for throughput harnesses; 0 (default)
 ///                  means hardware concurrency
 ///   --kernel <k>   force the SIMD query-kernel level for the whole run:
-///                  scalar | sse42 | avx2 | native (default: native
+///                  scalar | avx2 | native (default: native
 ///                  dispatch, i.e. the strongest level the CPU supports)
 ///   --baseline <p> tracked BENCH_throughput.json to compare against
 ///                  (bench_throughput only; default the repo-root copy)

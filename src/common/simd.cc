@@ -1,7 +1,5 @@
 #include "common/simd.h"
 
-#include <cstdlib>
-
 #include "common/simd_internal.h"
 
 namespace gsr::simd {
@@ -15,7 +13,6 @@ namespace {
 KernelLevel DetectMaxLevel() {
 #if GSR_SIMD_ENABLED && (defined(__GNUC__) || defined(__clang__))
   if (__builtin_cpu_supports("avx2")) return KernelLevel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return KernelLevel::kSse42;
 #endif
   return KernelLevel::kScalar;
 }
@@ -31,14 +28,7 @@ const KernelTable& Table(KernelLevel level) {
   // Requests above what the build/CPU supports clamp down, never up.
   if (level > MaxSupportedLevel()) level = MaxSupportedLevel();
 #if GSR_SIMD_ENABLED
-  switch (level) {
-    case KernelLevel::kAvx2:
-      return internal::kAvx2Table;
-    case KernelLevel::kSse42:
-      return internal::kSse42Table;
-    case KernelLevel::kScalar:
-      break;
-  }
+  if (level == KernelLevel::kAvx2) return internal::kAvx2Table;
 #endif
   return internal::kScalarTable;
 }
@@ -54,8 +44,6 @@ KernelLevel SetKernelLevel(KernelLevel level) {
 bool SetKernelLevelFromString(std::string_view name) {
   if (name == "scalar") {
     SetKernelLevel(KernelLevel::kScalar);
-  } else if (name == "sse42") {
-    SetKernelLevel(KernelLevel::kSse42);
   } else if (name == "avx2") {
     SetKernelLevel(KernelLevel::kAvx2);
   } else if (name == "native") {
@@ -70,8 +58,6 @@ const char* KernelLevelName(KernelLevel level) {
   switch (level) {
     case KernelLevel::kScalar:
       return "scalar";
-    case KernelLevel::kSse42:
-      return "sse42";
     case KernelLevel::kAvx2:
       return "avx2";
   }
@@ -81,13 +67,10 @@ const char* KernelLevelName(KernelLevel level) {
 namespace internal {
 
 const KernelTable& ResolveAndInstallDefault() {
-  // First probe in this process: honor a GSR_KERNEL override, else run
-  // at the strongest level the CPU supports. Concurrent first probes
-  // race benignly — every contender installs the same table.
-  const char* env = std::getenv("GSR_KERNEL");
-  if (env == nullptr || !SetKernelLevelFromString(env)) {
-    SetKernelLevel(MaxSupportedLevel());
-  }
+  // First probe in this process: run at the strongest level the CPU
+  // supports. Concurrent first probes race benignly — every contender
+  // installs the same table.
+  SetKernelLevel(MaxSupportedLevel());
   return *active_table.load(std::memory_order_acquire);
 }
 

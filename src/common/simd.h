@@ -20,15 +20,15 @@ struct Point3D;
 
 namespace simd {
 
-/// The instruction-set tiers one binary can dispatch between. Higher
-/// levels are strict supersets: a CPU supporting kAvx2 also runs kSse42.
-/// Every kernel computes *exact* predicates (integer/double comparisons
-/// only, no arithmetic), so all levels return bit-identical answers —
-/// the contract methods_agreement_test enforces per level.
+/// The instruction-set tiers one binary can dispatch between: the
+/// portable scalar kernels (the GSR_SIMD=OFF / non-x86-64 path and the
+/// AVX2 kernels' oracle) and AVX2. Every kernel computes *exact*
+/// predicates (integer/double comparisons only, no arithmetic), so both
+/// levels return bit-identical answers — the contract
+/// methods_agreement_test enforces per level.
 enum class KernelLevel : int {
   kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 /// Number of entries one mask-kernel call can report. Callers with wider
@@ -109,8 +109,8 @@ KernelLevel MaxSupportedLevel();
 const KernelTable& Table(KernelLevel level);
 
 /// The active table every query hot path dispatches through. Resolved on
-/// first use: MaxSupportedLevel(), unless the GSR_KERNEL environment
-/// variable ("scalar" | "sse42" | "avx2" | "native") says otherwise.
+/// first use to MaxSupportedLevel(); tests and benches force another
+/// level through ScopedKernelLevel / SetKernelLevelFromString.
 inline const KernelTable& Kernels();
 
 KernelLevel ActiveLevel();
@@ -120,7 +120,7 @@ KernelLevel ActiveLevel();
 /// use concurrently with running queries.
 KernelLevel SetKernelLevel(KernelLevel level);
 
-/// Parses "scalar" | "sse42" | "avx2" | "native" and installs the level.
+/// Parses "scalar" | "avx2" | "native" and installs the level.
 /// Returns false (installing nothing) on an unknown name.
 bool SetKernelLevelFromString(std::string_view name);
 

@@ -82,7 +82,6 @@ uint64_t Box3ContainsPointMaskScalar(const Point3D* points, size_t n,
 extern const KernelTable kScalarTable;
 
 #if GSR_SIMD_ENABLED
-extern const KernelTable kSse42Table;
 extern const KernelTable kAvx2Table;
 #endif
 

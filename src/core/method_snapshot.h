@@ -25,11 +25,12 @@ Status SaveMethodSnapshot(const RangeReachMethod& method,
                           exec::ThreadPool* pool = nullptr);
 
 struct SnapshotLoadOptions {
-  /// kOwnedCopy reads and copies (portable); kMmap maps the file and keeps
-  /// the index arrays as zero-copy views into it (fast cold start); kPaged
-  /// leaves the big index arrays on disk behind a fixed-budget page cache
-  /// (bounded memory however large the index — see snapshot::LoadMode).
-  snapshot::LoadMode mode = snapshot::LoadMode::kOwnedCopy;
+  /// kMmap maps the file and keeps the index arrays as zero-copy views
+  /// into it (fast cold start); kPaged leaves the big index arrays on disk
+  /// behind a fixed-budget page cache (bounded memory however large the
+  /// index — see snapshot::LoadMode). Both keep reading the file, so a
+  /// live snapshot is replaced by rename (SaveMethodSnapshot does).
+  snapshot::LoadMode mode = snapshot::LoadMode::kMmap;
   /// When non-null, per-section checksum verification fans out here.
   exec::ThreadPool* pool = nullptr;
   /// kPaged only: the memory budget shared by all of the method's paged

@@ -3,25 +3,12 @@
 #include <cerrno>
 #include <cstring>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace gsr::snapshot {
-
-#if defined(_WIN32)
-
-Result<std::shared_ptr<MmapFile>> MmapFile::Map(const std::string& path) {
-  return Status::IoError("mmap load is not supported on this platform: " +
-                         path);
-}
-
-MmapFile::~MmapFile() = default;
-
-#else
 
 Result<std::shared_ptr<MmapFile>> MmapFile::Map(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -54,7 +41,5 @@ Result<std::shared_ptr<MmapFile>> MmapFile::Map(const std::string& path) {
 MmapFile::~MmapFile() {
   if (addr_ != nullptr) ::munmap(addr_, len_);
 }
-
-#endif  // defined(_WIN32)
 
 }  // namespace gsr::snapshot

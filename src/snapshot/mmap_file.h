@@ -15,8 +15,8 @@ namespace gsr::snapshot {
 /// structures can pin it via their BorrowContext keepalive.
 class MmapFile {
  public:
-  /// Maps `path` read-only. Fails with IoError when the file cannot be
-  /// opened or mapped (including on platforms without mmap support).
+  /// Maps `path` read-only (POSIX mmap). Fails with IoError when the file
+  /// cannot be opened or mapped.
   static Result<std::shared_ptr<MmapFile>> Map(const std::string& path);
 
   ~MmapFile();

@@ -3,30 +3,11 @@
 #include <cerrno>
 #include <cstring>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace gsr::snapshot {
-
-#if defined(_WIN32)
-
-Result<std::shared_ptr<PagedFile>> PagedFile::Open(const std::string& path) {
-  return Status::IoError("paged load is not supported on this platform: " +
-                         path);
-}
-
-PagedFile::~PagedFile() = default;
-
-Status PagedFile::ReadAt(uint64_t, size_t, void*) const {
-  return Status::IoError("paged load is not supported on this platform");
-}
-
-void PagedFile::Advise(uint64_t, size_t) const {}
-
-#else
 
 Result<std::shared_ptr<PagedFile>> PagedFile::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -80,7 +61,5 @@ void PagedFile::Advise(uint64_t offset, size_t len) const {
   (void)len;
 #endif
 }
-
-#endif  // defined(_WIN32)
 
 }  // namespace gsr::snapshot

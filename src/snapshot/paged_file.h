@@ -20,8 +20,8 @@ namespace gsr::snapshot {
 /// offset), so one PagedFile serves any number of concurrent readers.
 class PagedFile {
  public:
-  /// Opens `path` read-only. Fails with IoError when the file cannot be
-  /// opened or stat'ed (including on platforms without pread support).
+  /// Opens `path` read-only (POSIX open/pread). Fails with IoError when
+  /// the file cannot be opened or stat'ed.
   static Result<std::shared_ptr<PagedFile>> Open(const std::string& path);
 
   ~PagedFile();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 
 #include "common/checksum.h"
@@ -12,34 +11,6 @@
 namespace gsr::snapshot {
 
 namespace {
-
-Result<std::shared_ptr<std::vector<std::byte>>> ReadWholeFile(
-    const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open snapshot file: " + path);
-  }
-  auto buffer = std::make_shared<std::vector<std::byte>>();
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IoError("seek failed on snapshot file: " + path);
-  }
-  const long end = std::ftell(f);
-  if (end < 0) {
-    std::fclose(f);
-    return Status::IoError("tell failed on snapshot file: " + path);
-  }
-  std::rewind(f);
-  buffer->resize(static_cast<size_t>(end));
-  const size_t read = buffer->empty()
-                          ? 0
-                          : std::fread(buffer->data(), 1, buffer->size(), f);
-  std::fclose(f);
-  if (read != buffer->size()) {
-    return Status::IoError("short read on snapshot file: " + path);
-  }
-  return buffer;
-}
 
 /// XxHash64 over a possibly-empty range; a zero-size vector's data() may
 /// be null, which the hash must never see.
@@ -65,11 +36,6 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path,
     if (!mapped.ok()) return mapped.status();
     reader.bytes_ = (*mapped)->bytes();
     reader.storage_ = std::shared_ptr<const void>(*mapped, (*mapped).get());
-  } else if (options.mode == LoadMode::kOwnedCopy) {
-    auto buffer = ReadWholeFile(path);
-    if (!buffer.ok()) return buffer.status();
-    reader.bytes_ = std::span<const std::byte>(**buffer);
-    reader.storage_ = std::shared_ptr<const void>(*buffer, (*buffer).get());
   } else {
     // kPaged: no bulk read at all — just the file handle; header and
     // table come in through two positional reads below.

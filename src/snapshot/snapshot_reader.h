@@ -16,12 +16,11 @@
 
 namespace gsr::snapshot {
 
-/// How Open brings the snapshot bytes into memory.
+/// How Open brings the snapshot bytes into memory. Both modes read the
+/// file through POSIX calls (mmap, pread) and keep it open while anything
+/// loaded from it lives, so a live snapshot is replaced by rename (what
+/// SnapshotWriter does), never rewritten in place.
 enum class LoadMode {
-  /// Read the file into an owned buffer; deserialized structures copy
-  /// their arrays out of it. Portable and independent of the file after
-  /// Open returns.
-  kOwnedCopy,
   /// Memory-map the file; deserialized structures keep zero-copy views
   /// into the mapping (pinned by the BorrowContext keepalive). Pages are
   /// faulted in lazily, so cold-start load cost is near-constant.
@@ -36,7 +35,7 @@ enum class LoadMode {
 };
 
 struct OpenOptions {
-  LoadMode mode = LoadMode::kOwnedCopy;
+  LoadMode mode = LoadMode::kMmap;
   /// When non-null, per-section checksum verification fans out here.
   exec::ThreadPool* pool = nullptr;
   /// kPaged only: the memory budget shared by every structure loaded
@@ -79,8 +78,8 @@ class SnapshotReader {
   Result<BinaryReader> Section(SectionId id) const;
 
   /// The context structures deserialize under: borrowing (with the file
-  /// mapping as keepalive) in kMmap mode, copying otherwise — including
-  /// kPaged, where this section-less overload is the safe fallback.
+  /// mapping as keepalive) in kMmap mode, copying in kPaged, where this
+  /// section-less overload is the safe fallback.
   BorrowContext borrow_context() const {
     BorrowContext ctx;
     ctx.borrow = mode_ == LoadMode::kMmap;
@@ -118,10 +117,10 @@ class SnapshotReader {
 
   const SectionEntry* FindSection(SectionId id) const;
 
-  LoadMode mode_ = LoadMode::kOwnedCopy;
+  LoadMode mode_ = LoadMode::kMmap;
   uint32_t format_version_ = kFormatVersion;
   size_t file_size_ = 0;
-  std::shared_ptr<const void> storage_;  // Owns bytes_ (buffer or mapping).
+  std::shared_ptr<const void> storage_;  // Owns bytes_ (the mapping).
   std::span<const std::byte> bytes_;
   std::vector<SectionEntry> table_;
 

@@ -1,5 +1,11 @@
 #include "snapshot/snapshot_writer.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -14,6 +20,28 @@ namespace {
 size_t AlignUp(size_t value, size_t alignment) {
   const size_t rem = value % alignment;
   return rem == 0 ? value : value + (alignment - rem);
+}
+
+/// Creates `path`'s temp sibling, unique per process and call. It gets
+/// the permissions a fresh fopen would give `path`, or `path`'s own when
+/// it already exists.
+std::FILE* CreateTempSibling(const std::string& path, std::string* temp) {
+  static std::atomic<uint64_t> calls{0};
+  *temp = path + ".tmp." + std::to_string(::getpid()) + "." +
+          std::to_string(calls.fetch_add(1));
+  const int fd = ::open(temp->c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                        0666);
+  if (fd < 0) return nullptr;
+  struct stat st;
+  if (::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
+    ::fchmod(fd, st.st_mode & 07777);
+  }
+  std::FILE* f = ::fdopen(fd, "wb");
+  if (f == nullptr) {
+    ::close(fd);
+    ::unlink(temp->c_str());
+  }
+  return f;
 }
 
 }  // namespace
@@ -73,9 +101,14 @@ Status SnapshotWriter::WriteFile(const std::string& path,
   header.file_size = file_size;
   header.table_checksum = XxHash64(table.data(), table_bytes);
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // Written to a temp sibling and renamed over `path`: a method loaded
+  // from the old file (mapped or paged) keeps reading the old inode, and
+  // a failed save leaves the old snapshot intact.
+  std::string temp;
+  std::FILE* f = CreateTempSibling(path, &temp);
   if (f == nullptr) {
-    return Status::IoError("cannot open snapshot file for writing: " + path);
+    return Status::IoError("cannot open snapshot file for writing: " + path +
+                           ": " + std::strerror(errno));
   }
   const auto write_all = [f](const void* data, size_t len) {
     return len == 0 || std::fwrite(data, 1, len, f) == len;
@@ -96,8 +129,14 @@ Status SnapshotWriter::WriteFile(const std::string& path,
   }
   ok = std::fclose(f) == 0 && ok;
   if (!ok) {
-    std::remove(path.c_str());
+    ::unlink(temp.c_str());
     return Status::IoError("short write while writing snapshot: " + path);
+  }
+  if (::rename(temp.c_str(), path.c_str()) != 0) {
+    const std::string err = std::strerror(errno);
+    ::unlink(temp.c_str());
+    return Status::IoError("cannot replace snapshot file " + path + ": " +
+                           err);
   }
   return Status::Ok();
 }

@@ -21,7 +21,10 @@ namespace gsr::snapshot {
 /// Sections are buffered in memory; WriteFile lays them out at the
 /// format version's section alignment, checksums each payload (in
 /// parallel on `pool` when given), and writes header + table + payloads
-/// in one pass.
+/// in one pass to a temp file beside the target, which it then renames
+/// over the target. A live snapshot is replaced by rename, never
+/// rewritten in place, so methods still loaded from the old file keep
+/// answering from it.
 ///
 /// By default files are written at kFormatVersion (v2: page-aligned
 /// sections and array payloads, ready for LoadMode::kPaged). Passing
@@ -38,9 +41,10 @@ class SnapshotWriter {
   /// The reference stays valid until WriteFile; each id may appear once.
   BinaryWriter& BeginSection(SectionId id);
 
-  /// Writes the complete snapshot file. Section checksums are computed on
-  /// `pool`'s workers when it is non-null. Returns IoError on filesystem
-  /// failures.
+  /// Writes the complete snapshot file and renames it over `path`.
+  /// Section checksums are computed on `pool`'s workers when it is
+  /// non-null. Returns IoError on filesystem failures, after removing the
+  /// temp file; `path` is then left as it was.
   Status WriteFile(const std::string& path, exec::ThreadPool* pool) const;
   Status WriteFile(const std::string& path) const {
     return WriteFile(path, nullptr);

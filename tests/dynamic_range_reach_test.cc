@@ -409,8 +409,7 @@ TEST(DynamicRangeReachTest, SnapshotRoundTripBaseAnswersIdentically) {
 
   const std::string path = ::testing::TempDir() + "/dyn_base_roundtrip.gsr";
   for (const auto mode :
-       {snapshot::LoadMode::kOwnedCopy, snapshot::LoadMode::kMmap,
-        snapshot::LoadMode::kPaged}) {
+       {snapshot::LoadMode::kMmap, snapshot::LoadMode::kPaged}) {
     auto swapped =
         DynamicRangeReach::Base::RoundTripThroughSnapshot(dynamic.base(), path,
                                                           mode);

@@ -62,8 +62,7 @@ TEST(FrozenRTreeTest, MaskedDescentMatchesPerQueryExistence) {
 
   Rng rng(62);
   for (const simd::KernelLevel level :
-       {simd::KernelLevel::kScalar, simd::KernelLevel::kSse42,
-        simd::KernelLevel::kAvx2}) {
+       {simd::KernelLevel::kScalar, simd::KernelLevel::kAvx2}) {
     simd::ScopedKernelLevel scoped(level);
     for (const size_t count : {size_t{1}, size_t{3}, size_t{17}, size_t{64}}) {
       Box3D queries[64];
@@ -366,8 +365,7 @@ TEST(FrozenRTreeTest, MaskedEnumerationMatchesPerQueryOrder) {
   queries[17] = Rect(500, 500, 600, 600);
 
   for (const simd::KernelLevel level :
-       {simd::KernelLevel::kScalar, simd::KernelLevel::kSse42,
-        simd::KernelLevel::kAvx2}) {
+       {simd::KernelLevel::kScalar, simd::KernelLevel::kAvx2}) {
     simd::ScopedKernelLevel scoped(level);
     for (const uint64_t mask :
          {~uint64_t{0}, uint64_t{1}, uint64_t{0xAAAAAAAAAAAAAAAA},

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -32,8 +33,7 @@ namespace {
 
 /// Save/load round trips for every snapshot-able method. The loaded
 /// instance must answer every query exactly like the built one — in
-/// owned-copy mode, in zero-copy mmap mode, and in explicitly-cached
-/// paged mode.
+/// zero-copy mmap mode and in explicitly-cached paged mode.
 
 std::string TempPath(const std::string& name) {
   std::string dir = ::testing::TempDir();
@@ -93,8 +93,7 @@ TEST(MethodSnapshotTest, AllMethodsRoundTripEveryLoadMode) {
         << built->name();
 
     for (const snapshot::LoadMode mode :
-         {snapshot::LoadMode::kOwnedCopy, snapshot::LoadMode::kMmap,
-          snapshot::LoadMode::kPaged}) {
+         {snapshot::LoadMode::kMmap, snapshot::LoadMode::kPaged}) {
       auto loaded = LoadMethodSnapshot(&cn, path, {.mode = mode});
       ASSERT_TRUE(loaded.ok())
           << built->name() << ": " << loaded.status().ToString();
@@ -121,7 +120,7 @@ TEST(MethodSnapshotTest, RoundTripWithThreadPool) {
   const std::string path = TempPath("method_pool.snap");
   ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path, &pool).ok());
   auto loaded = LoadMethodSnapshot(
-      &cn, path, {.mode = snapshot::LoadMode::kOwnedCopy, .pool = &pool});
+      &cn, path, {.mode = snapshot::LoadMode::kMmap, .pool = &pool});
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectIdenticalAnswers(*built, *loaded->method, network, 204);
 }
@@ -148,6 +147,67 @@ TEST(MethodSnapshotTest, LoadedMethodOutlivesTheFile) {
     if (loaded->page_cache != nullptr) loaded->page_cache->Drop();
     ExpectIdenticalAnswers(*built, *loaded->method, network, 206);
   }
+}
+
+TEST(MethodSnapshotTest, LoadedMethodSurvivesAnOverwriteOfItsFile) {
+  // Saving over a live snapshot replaces the file by rename: the method
+  // loaded first keeps its mapping (kMmap) or descriptor (kPaged) on the
+  // old file. Rewritten in place, the much smaller second file would cut
+  // the first's pages off under it (SIGBUS in kMmap, a failed page read
+  // in kPaged).
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(20000, 2.0, 0.5, 107);
+  const CondensedNetwork cn(&network);
+  const GeoSocialNetwork small_network =
+      testing::RandomGeoSocialNetwork(50, 2.0, 0.5, 108);
+  const CondensedNetwork small_cn(&small_network);
+  MethodConfig config;
+  config.kind = MethodKind::kThreeDReach;
+  const auto built = CreateMethod(&cn, config);
+  const auto small_built = CreateMethod(&small_cn, config);
+
+  for (const snapshot::LoadMode mode :
+       {snapshot::LoadMode::kMmap, snapshot::LoadMode::kPaged}) {
+    const std::string path = TempPath("method_overwrite.snap");
+    ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path).ok());
+    auto loaded = LoadMethodSnapshot(&cn, path, {.mode = mode});
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(
+        SaveMethodSnapshot(*small_built, config, small_cn, path).ok());
+    if (loaded->page_cache != nullptr) loaded->page_cache->Drop();
+    ExpectIdenticalAnswers(*built, *loaded->method, network, 208);
+
+    auto reloaded = LoadMethodSnapshot(&small_cn, path, {.mode = mode});
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    ExpectIdenticalAnswers(*small_built, *reloaded->method, small_network,
+                           209);
+  }
+}
+
+TEST(MethodSnapshotTest, FailedRenameLeavesNoTempFile) {
+  const GeoSocialNetwork network =
+      testing::RandomGeoSocialNetwork(50, 2.0, 0.5, 110);
+  const CondensedNetwork cn(&network);
+  MethodConfig config;
+  config.kind = MethodKind::kSocReach;
+  const auto built = CreateMethod(&cn, config);
+
+  // The target is an existing directory, so the temp file is written but
+  // cannot be renamed over it.
+  const std::filesystem::path dir = TempPath("method_rename_fails");
+  std::filesystem::remove_all(dir);
+  const std::filesystem::path target = dir / "method.snap";
+  ASSERT_TRUE(std::filesystem::create_directories(target));
+  const Status status = SaveMethodSnapshot(*built, config, cn, target);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"method.snap"});
+  EXPECT_TRUE(std::filesystem::is_directory(target));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MethodSnapshotTest, PagedConcurrentQueriesShareOneTinyCache) {
@@ -393,9 +453,8 @@ void WriteSections(
   GSR_CHECK(writer.WriteFile(path).ok());
 }
 
-constexpr snapshot::LoadMode kAllLoadModes[] = {
-    snapshot::LoadMode::kOwnedCopy, snapshot::LoadMode::kMmap,
-    snapshot::LoadMode::kPaged};
+constexpr snapshot::LoadMode kAllLoadModes[] = {snapshot::LoadMode::kMmap,
+                                                 snapshot::LoadMode::kPaged};
 
 TEST(MethodSnapshotTest, MissingStructureSectionIsNotFound) {
   const GeoSocialNetwork network =

@@ -173,12 +173,12 @@ TEST(MethodsAgreementTest, QueryVertexItselfSpatial) {
 }
 
 TEST(MethodsAgreementTest, SnapshotLoadedMethodsMatchNaiveBfs) {
-  // The snapshot guarantee: a method loaded from disk — owned copy,
-  // zero-copy mmap, or the explicitly-cached paged path — answers exactly
-  // like the ground truth, i.e. exactly like the instance it was saved
-  // from. The paged instances here also prove the lifetime contract: the
-  // LoadedMethod's page_cache handle is dropped immediately, and the
-  // method keeps answering through the shared_ptr its paged arrays hold.
+  // The snapshot guarantee: a method loaded from disk — zero-copy mmap
+  // or the explicitly-cached paged path — answers exactly like the ground
+  // truth, i.e. exactly like the instance it was saved from. The paged
+  // instances here also prove the lifetime contract: the LoadedMethod's
+  // page_cache handle is dropped immediately, and the method keeps
+  // answering through the shared_ptr its paged arrays hold.
   const GeoSocialNetwork network =
       testing::RandomGeoSocialNetwork(200, 2.5, 0.4, 77);
   const CondensedNetwork cn(&network);
@@ -196,8 +196,7 @@ TEST(MethodsAgreementTest, SnapshotLoadedMethodsMatchNaiveBfs) {
     ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path).ok())
         << built->name();
     for (const snapshot::LoadMode mode :
-         {snapshot::LoadMode::kOwnedCopy, snapshot::LoadMode::kMmap,
-          snapshot::LoadMode::kPaged}) {
+         {snapshot::LoadMode::kMmap, snapshot::LoadMode::kPaged}) {
       auto loaded = LoadMethodSnapshot(&cn, path, {.mode = mode});
       ASSERT_TRUE(loaded.ok())
           << built->name() << ": " << loaded.status().ToString();
@@ -341,9 +340,9 @@ TEST(MethodsAgreementTest, PagedTinyCacheBudgetsStayExactUnderEviction) {
 
 TEST(MethodsAgreementTest, AllKernelLevelsMatchNaiveBfs) {
   // The SIMD contract: every method answers bit-identically to the BFS
-  // ground truth whichever kernel level (scalar / SSE4.2 / AVX2) is
-  // forced. Levels above what this machine supports clamp down, so the
-  // loop is safe everywhere and exercises every level the host has.
+  // ground truth whichever kernel level (scalar / AVX2) is forced.
+  // Levels above what this machine supports clamp down, so the loop is
+  // safe everywhere and exercises every level the host has.
   const GeoSocialNetwork network =
       testing::RandomGeoSocialNetwork(250, 2.5, 0.4, 31);
   const CondensedNetwork cn(&network);
@@ -355,8 +354,7 @@ TEST(MethodsAgreementTest, AllKernelLevelsMatchNaiveBfs) {
   }
 
   for (const simd::KernelLevel level :
-       {simd::KernelLevel::kScalar, simd::KernelLevel::kSse42,
-        simd::KernelLevel::kAvx2}) {
+       {simd::KernelLevel::kScalar, simd::KernelLevel::kAvx2}) {
     simd::ScopedKernelLevel scoped(level);
     Rng rng(0xC0DE);  // Same query stream at every level.
     for (int q = 0; q < 120; ++q) {
@@ -410,8 +408,7 @@ TEST(MethodsAgreementTest, SchedulerSharedExecutionMatchesSerial) {
       exec::ThreadPool pool(threads);
       exec::BatchRunner runner(&pool);
       for (const simd::KernelLevel level :
-           {simd::KernelLevel::kScalar, simd::KernelLevel::kSse42,
-            simd::KernelLevel::kAvx2}) {
+           {simd::KernelLevel::kScalar, simd::KernelLevel::kAvx2}) {
         simd::ScopedKernelLevel scoped(level);
         // Force grouping: 250 queries sit below the adaptive small-window
         // bypass, which would run the per-query path we are not testing.
@@ -511,8 +508,7 @@ TEST(MethodsAgreementTest, CountEnumMatrixMatchesOracleEverywhere) {
       exec::ThreadPool pool(threads);
       exec::BatchRunner runner(&pool);
       for (const simd::KernelLevel level :
-           {simd::KernelLevel::kScalar, simd::KernelLevel::kSse42,
-            simd::KernelLevel::kAvx2}) {
+           {simd::KernelLevel::kScalar, simd::KernelLevel::kAvx2}) {
         simd::ScopedKernelLevel scoped(level);
         const std::string where =
             method->name() + " at " + std::to_string(threads) +
@@ -643,8 +639,7 @@ TEST(MethodsAgreementTest, GiantSccCountAndEnumMatchNaiveBfs) {
         dir + "giant_scc_" + std::to_string(config_index++) + ".snap";
     ASSERT_TRUE(SaveMethodSnapshot(*methods[0], config, cn, path).ok());
     for (const snapshot::LoadMode mode :
-         {snapshot::LoadMode::kOwnedCopy, snapshot::LoadMode::kMmap,
-          snapshot::LoadMode::kPaged}) {
+         {snapshot::LoadMode::kMmap, snapshot::LoadMode::kPaged}) {
       auto loaded = LoadMethodSnapshot(&cn, path, {.mode = mode});
       ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
       methods.push_back(std::move(loaded->method));
@@ -723,8 +718,7 @@ TEST(MethodsAgreementTest, AnyReachMatrixMatchesOracleEverywhere) {
       exec::ThreadPool pool(threads);
       exec::BatchRunner runner(&pool);
       for (const simd::KernelLevel level :
-           {simd::KernelLevel::kScalar, simd::KernelLevel::kSse42,
-            simd::KernelLevel::kAvx2}) {
+           {simd::KernelLevel::kScalar, simd::KernelLevel::kAvx2}) {
         simd::ScopedKernelLevel scoped(level);
         ASSERT_EQ(runner.RunAny(*method, queries).answers, expected)
             << method->name() << " AnyReach diverges at " << threads

@@ -339,7 +339,7 @@ TEST(QueryPlannerTest, SnapshotRoundTripPreservesRoutingAndAnswers) {
   ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path).ok());
 
   for (const snapshot::LoadMode mode :
-       {snapshot::LoadMode::kOwnedCopy, snapshot::LoadMode::kMmap}) {
+       {snapshot::LoadMode::kMmap, snapshot::LoadMode::kPaged}) {
     auto loaded = LoadMethodSnapshot(&cn, path, {.mode = mode});
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded->config.kind, MethodKind::kPlanner);

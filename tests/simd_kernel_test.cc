@@ -22,9 +22,6 @@ using simd::KernelTable;
 
 std::vector<KernelLevel> SupportedLevels() {
   std::vector<KernelLevel> levels = {KernelLevel::kScalar};
-  if (simd::MaxSupportedLevel() >= KernelLevel::kSse42) {
-    levels.push_back(KernelLevel::kSse42);
-  }
   if (simd::MaxSupportedLevel() >= KernelLevel::kAvx2) {
     levels.push_back(KernelLevel::kAvx2);
   }

@@ -61,8 +61,7 @@ std::string WriteSample(const std::string& name,
   return path;
 }
 
-constexpr LoadMode kAllModes[] = {LoadMode::kOwnedCopy, LoadMode::kMmap,
-                                  LoadMode::kPaged};
+constexpr LoadMode kAllModes[] = {LoadMode::kMmap, LoadMode::kPaged};
 
 void ExpectSampleReadsBack(const SnapshotReader& reader) {
   EXPECT_TRUE(reader.HasSection(SectionId::kMeta));
@@ -88,11 +87,11 @@ void ExpectSampleReadsBack(const SnapshotReader& reader) {
             StatusCode::kNotFound);
 }
 
-TEST(SnapshotTest, RoundTripOwnedCopy) {
-  const std::string path = WriteSample("roundtrip_owned.snap");
+TEST(SnapshotTest, RoundTripDefaultModeIsMmap) {
+  const std::string path = WriteSample("roundtrip_default.snap");
   auto reader = SnapshotReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader->mode(), LoadMode::kOwnedCopy);
+  EXPECT_EQ(reader->mode(), LoadMode::kMmap);
   ExpectSampleReadsBack(*reader);
 }
 
@@ -200,9 +199,8 @@ TEST(SnapshotTest, ParallelChecksumsMatchSerial) {
   const std::string serial_path = WriteSample("serial.snap");
   // The file contents must be byte-identical regardless of who checksums.
   EXPECT_EQ(ReadFileBytes(parallel_path), ReadFileBytes(serial_path));
-  auto reader =
-      SnapshotReader::Open(parallel_path, {.mode = LoadMode::kOwnedCopy,
-                                           .pool = &pool});
+  auto reader = SnapshotReader::Open(parallel_path,
+                                     {.mode = LoadMode::kMmap, .pool = &pool});
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   ExpectSampleReadsBack(*reader);
 }
@@ -318,12 +316,10 @@ TEST(SnapshotTest, FlippedPayloadByteFailsChecksum) {
   ASSERT_GT(entry.size, 0u);
   bytes[entry.offset] ^= 0x40;
   WriteFileBytes(path, bytes);
-  for (const LoadMode mode : {LoadMode::kOwnedCopy, LoadMode::kMmap}) {
-    auto reader = SnapshotReader::Open(path, {.mode = mode});
-    ASSERT_FALSE(reader.ok());
-    EXPECT_NE(reader.status().message().find("checksum"), std::string::npos)
-        << reader.status().ToString();
-  }
+  auto reader = SnapshotReader::Open(path, {.mode = LoadMode::kMmap});
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().message().find("checksum"), std::string::npos)
+      << reader.status().ToString();
 }
 
 TEST(SnapshotTest, PagedDefersPayloadChecksumToSectionAccess) {
@@ -372,8 +368,8 @@ TEST(SnapshotTest, CorruptionDetectedWithParallelVerification) {
   bytes[entry.offset + entry.size - 1] ^= 0x80;
   WriteFileBytes(path, bytes);
   exec::ThreadPool pool(2);
-  auto reader = SnapshotReader::Open(
-      path, {.mode = LoadMode::kOwnedCopy, .pool = &pool});
+  auto reader =
+      SnapshotReader::Open(path, {.mode = LoadMode::kMmap, .pool = &pool});
   ASSERT_FALSE(reader.ok());
   EXPECT_NE(reader.status().message().find("checksum"), std::string::npos)
       << reader.status().ToString();
