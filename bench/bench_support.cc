@@ -39,7 +39,7 @@ std::vector<std::string> SplitCommas(const std::string& value) {
   std::fprintf(stderr,
                "usage: %s [--scale f] [--queries n] [--out dir] "
                "[--datasets a,b,...] [--threads n] "
-               "[--kernel scalar|avx2|native] [--baseline path]\n",
+               "[--kernel scalar|avx2|native]\n",
                argv0);
   std::exit(2);
 }
@@ -71,8 +71,6 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
       if (!simd::SetKernelLevelFromString(name)) Usage(argv[0]);
       std::fprintf(stderr, "[bench] query kernels forced to %s\n",
                    simd::KernelLevelName(simd::ActiveLevel()));
-    } else if (arg == "--baseline") {
-      options.baseline = next();
     } else {
       Usage(argv[0]);
     }

@@ -29,8 +29,6 @@ namespace gsr::bench {
 ///   --kernel <k>   force the SIMD query-kernel level for the whole run:
 ///                  scalar | avx2 | native (default: native
 ///                  dispatch, i.e. the strongest level the CPU supports)
-///   --baseline <p> tracked BENCH_throughput.json to compare against
-///                  (bench_throughput only; default the repo-root copy)
 struct BenchOptions {
   double scale = 0.25;
   uint32_t queries = 200;
@@ -38,7 +36,6 @@ struct BenchOptions {
   std::vector<std::string> datasets = {"foursquare", "gowalla", "weeplaces",
                                        "yelp"};
   unsigned threads = 0;
-  std::string baseline = "BENCH_throughput.json";
 
   /// Parses argv; aborts with a usage message on unknown flags. A
   /// --kernel override is installed immediately via

@@ -11,14 +11,10 @@
 //
 // Outputs one table + CSV per dataset (<out>/throughput_<dataset>.csv)
 // and a machine-readable <out>/BENCH_throughput.json with every
-// (dataset, method, threads) measurement, its speedup over 1 thread, and
-// its qps ratio against the tracked baseline JSON (--baseline; the
-// repo-root BENCH_throughput.json by default) so per-method gains from
-// kernel work are attributable run over run.
+// (dataset, method, threads) measurement and its speedup over 1 thread.
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,42 +59,7 @@ struct Measurement {
   unsigned threads = 0;
   ThroughputStats stats;
   double speedup = 1.0;  // qps relative to the same method at 1 thread.
-  double vs_baseline = 0.0;  // qps relative to the tracked baseline; 0 =
-                             // no baseline entry for this configuration.
 };
-
-/// Reads the tracked BENCH_throughput.json (the PR-1 baseline) into a
-/// (dataset|method|threads) -> qps map. The file is our own line-per-
-/// measurement format, so a minimal line scan is enough — no JSON
-/// library in the tree. Returns empty (with a note) when missing, e.g.
-/// when running from a build directory.
-std::map<std::string, double> LoadBaselineQps(const std::string& path) {
-  std::map<std::string, double> out;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    std::fprintf(stderr,
-                 "[throughput] no baseline at %s; skipping comparison\n",
-                 path.c_str());
-    return out;
-  }
-  char line[1024];
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    char dataset[128], method[128];
-    unsigned threads = 0;
-    double qps = 0.0;
-    if (std::sscanf(line,
-                    " {\"dataset\": \"%127[^\"]\", \"method\": \"%127[^\"]\", "
-                    "\"threads\": %u, \"qps\": %lf",
-                    dataset, method, &threads, &qps) == 4) {
-      out[std::string(dataset) + "|" + method + "|" +
-          std::to_string(threads)] = qps;
-    }
-  }
-  std::fclose(f);
-  std::fprintf(stderr, "[throughput] baseline %s: %zu measurements\n",
-               path.c_str(), out.size());
-  return out;
-}
 
 void WriteJson(const std::string& path, const std::vector<Measurement>& all,
                size_t batch_size, double scale) {
@@ -118,11 +79,10 @@ void WriteJson(const std::string& path, const std::vector<Measurement>& all,
     std::fprintf(f,
                  "    {\"dataset\": \"%s\", \"method\": \"%s\", "
                  "\"threads\": %u, \"qps\": %.1f, \"speedup\": %.3f, "
-                 "\"vs_baseline\": %.3f, "
                  "\"p50_us\": %.2f, \"p95_us\": %.2f, \"p99_us\": %.2f, "
                  "\"true_answers\": %zu}%s\n",
                  m.dataset.c_str(), m.method.c_str(), m.threads, m.stats.qps,
-                 m.speedup, m.vs_baseline, m.stats.p50_us, m.stats.p95_us,
+                 m.speedup, m.stats.p50_us, m.stats.p95_us,
                  m.stats.p99_us, m.stats.true_answers,
                  i + 1 < all.size() ? "," : "");
   }
@@ -338,10 +298,6 @@ int main(int argc, char** argv) {
                                    ? options.threads
                                    : exec::ThreadPool::DefaultThreads();
   const std::vector<unsigned> sweep = ThreadSweep(max_threads);
-  // Read the tracked baseline before anything can overwrite it (the
-  // mirror step at the end copies the fresh JSON over it).
-  const std::map<std::string, double> baseline =
-      LoadBaselineQps(options.baseline);
   const auto bundles = LoadDatasets(options);
   const bool csv = EnsureDir(options.out_dir);
 
@@ -364,7 +320,6 @@ int main(int argc, char** argv) {
       headers.push_back(std::to_string(t) + "T qps");
     }
     headers.push_back("speedup");
-    headers.push_back("vs base");
     headers.push_back("p95 us (max T)");
     TablePrinter table("throughput / " + bundle.name() + ": batch of " +
                            std::to_string(queries.size()) +
@@ -392,22 +347,12 @@ int main(int argc, char** argv) {
         m.threads = threads;
         m.stats = stats;
         m.speedup = qps_1t > 0.0 ? stats.qps / qps_1t : 1.0;
-        const auto base = baseline.find(m.dataset + "|" + m.method + "|" +
-                                        std::to_string(threads));
-        if (base != baseline.end() && base->second > 0.0) {
-          m.vs_baseline = stats.qps / base->second;
-        }
         all.push_back(m);
 
         cells.push_back(TablePrinter::FormatNumber(stats.qps, 4));
       }
       cells.push_back(TablePrinter::FormatNumber(
           qps_1t > 0.0 ? last.qps / qps_1t : 1.0, 3));
-      cells.push_back(all.back().vs_baseline > 0.0
-                          ? TablePrinter::FormatNumber(
-                                all.back().vs_baseline, 3) +
-                                "x"
-                          : "-");
       cells.push_back(Micros(last.p95_us));
       table.AddRow(std::move(cells));
     }

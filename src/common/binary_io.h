@@ -129,9 +129,8 @@ class BinaryReader {
   size_t offset() const { return offset_; }
   size_t remaining() const { return data_.size() - offset_; }
 
-  /// Must match the alignment the writer used (8 for format v1, the page
-  /// size for page-aligned snapshots). Set by whoever constructs the
-  /// reader — the snapshot layer derives it from the file's version.
+  /// Must match the alignment the writer used. Set by whoever constructs
+  /// the reader — the snapshot layer sets its page alignment.
   void set_array_alignment(size_t alignment) { array_alignment_ = alignment; }
   size_t array_alignment() const { return array_alignment_; }
 

@@ -216,14 +216,14 @@ Result<CondensedSpatialIndex> LoadSpatialIndex(StructureIn& in,
 struct MethodSnapshotAccess {
   static Status Save(const RangeReachMethod& method,
                      const MethodConfig& config, const CondensedNetwork& cn,
-                     const std::string& path, exec::ThreadPool* pool) {
+                     const std::string& path) {
     SnapshotWriter writer;
     WriteMeta(writer.BeginSection(SectionId::kMeta), config, cn);
     if (config.kind != MethodKind::kPlanner) {
       StructureOut out(writer);
       GSR_RETURN_IF_ERROR(
           SaveStructures(method, config.kind, config.scc_mode, out));
-      return writer.WriteFile(path, pool);
+      return writer.WriteFile(path);
     }
     // One section holds the whole portfolio inline, each member in its
     // kind's structure order.
@@ -242,15 +242,13 @@ struct MethodSnapshotAccess {
       s.WriteF64(cm.base_ns);
       s.WriteF64(cm.per_unit_ns);
     }
-    return writer.WriteFile(path, pool);
+    return writer.WriteFile(path);
   }
 
   static Result<LoadedMethod> Load(const CondensedNetwork* cn,
                                    const std::string& path,
                                    const SnapshotLoadOptions& options) {
-    auto reader = SnapshotReader::Open(
-        path, snapshot::OpenOptions{options.mode, options.pool,
-                                    options.page_cache_bytes});
+    auto reader = SnapshotReader::Open(path, options);
     if (!reader.ok()) return reader.status();
     auto meta_reader = reader->Section(SectionId::kMeta);
     if (!meta_reader.ok()) return meta_reader.status();
@@ -583,9 +581,9 @@ struct MethodSnapshotAccess {
 
 Status SaveMethodSnapshot(const RangeReachMethod& method,
                           const MethodConfig& config,
-                          const CondensedNetwork& cn, const std::string& path,
-                          exec::ThreadPool* pool) {
-  return MethodSnapshotAccess::Save(method, config, cn, path, pool);
+                          const CondensedNetwork& cn,
+                          const std::string& path) {
+  return MethodSnapshotAccess::Save(method, config, cn, path);
 }
 
 Result<LoadedMethod> LoadMethodSnapshot(const CondensedNetwork* cn,

@@ -15,29 +15,20 @@ namespace gsr {
 /// snapshot records the config and a fingerprint of the dataset, and one
 /// section per index component (labeling, R-tree, filters, ...) — except
 /// for a planner, whose single section holds every portfolio member's
-/// components inline, each in its kind's own order. Section checksums are
-/// computed on `pool` when it is non-null.
+/// components inline, each in its kind's own order.
 ///
 /// NaiveBFS is index-free and cannot be snapshotted (InvalidArgument).
 Status SaveMethodSnapshot(const RangeReachMethod& method,
                           const MethodConfig& config,
-                          const CondensedNetwork& cn, const std::string& path,
-                          exec::ThreadPool* pool = nullptr);
+                          const CondensedNetwork& cn, const std::string& path);
 
-struct SnapshotLoadOptions {
-  /// kMmap maps the file and keeps the index arrays as zero-copy views
-  /// into it (fast cold start); kPaged leaves the big index arrays on disk
-  /// behind a fixed-budget page cache (bounded memory however large the
-  /// index — see snapshot::LoadMode). Both keep reading the file, so a
-  /// live snapshot is replaced by rename (SaveMethodSnapshot does).
-  snapshot::LoadMode mode = snapshot::LoadMode::kMmap;
-  /// When non-null, per-section checksum verification fans out here.
-  exec::ThreadPool* pool = nullptr;
-  /// kPaged only: the memory budget shared by all of the method's paged
-  /// structures — the page cache plus the resident R-tree prefixes (see
-  /// snapshot::OpenOptions::page_cache_bytes).
-  size_t page_cache_bytes = 64u << 20;
-};
+/// `mode` kMmap maps the file and keeps the index arrays as zero-copy
+/// views into it (fast cold start); kPaged leaves the big index arrays on
+/// disk behind a fixed-budget page cache of `page_cache_bytes` (bounded
+/// memory however large the index — see snapshot::LoadMode). Both keep
+/// reading the file, so a live snapshot is replaced by rename
+/// (SaveMethodSnapshot does).
+using SnapshotLoadOptions = snapshot::OpenOptions;
 
 /// A snapshot-loaded method together with the config it was built as.
 struct LoadedMethod {

@@ -3,17 +3,10 @@
 namespace gsr::exec {
 
 ScopedBuildPool::ScopedBuildPool(const BuildOptions& options) {
-  if (options.pool != nullptr) {
-    pool_ = options.pool;
-    return;
-  }
   const unsigned threads = options.num_threads == 0
                                ? ThreadPool::DefaultThreads()
                                : options.num_threads;
-  if (threads > 1) {
-    owned_.emplace(threads);
-    pool_ = &*owned_;
-  }
+  if (threads > 1) pool_.emplace(threads);
 }
 
 }  // namespace gsr::exec

@@ -19,25 +19,20 @@ struct BuildOptions {
   /// Worker threads for construction. 1 = serial (the default, and the
   /// exact seed behaviour); 0 = one worker per hardware thread.
   unsigned num_threads = 1;
-
-  /// Optional externally owned pool. When set it overrides num_threads;
-  /// it must outlive the build but is not retained afterwards.
-  ThreadPool* pool = nullptr;
 };
 
-/// Resolves BuildOptions into the ThreadPool* used for one build: borrows
-/// options.pool when given, spawns a private pool when num_threads asks
-/// for parallelism, and stays null (= serial everywhere) otherwise.
+/// Resolves BuildOptions into the ThreadPool* used for one build: spawns
+/// a private pool when num_threads asks for parallelism, and stays null
+/// (= serial everywhere) otherwise.
 class ScopedBuildPool {
  public:
   explicit ScopedBuildPool(const BuildOptions& options);
 
   /// Null means "run serial".
-  ThreadPool* get() const { return pool_; }
+  ThreadPool* get() { return pool_ ? &*pool_ : nullptr; }
 
  private:
-  std::optional<ThreadPool> owned_;
-  ThreadPool* pool_ = nullptr;
+  std::optional<ThreadPool> pool_;
 };
 
 }  // namespace gsr::exec

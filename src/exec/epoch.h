@@ -26,29 +26,41 @@ namespace gsr::exec {
 /// The shared_ptr control block *is* the epoch bookkeeping: publication
 /// is one mutex-guarded pointer swap (readers take the same mutex for a
 /// copy — nanoseconds, never held across queries), retirement is the
-/// refcount hitting zero. EpochManager tracks superseded epochs with
-/// weak_ptrs purely for observability (alive_epochs() in stats/tests).
-class EpochManager {
+/// refcount hitting zero. Superseded epochs are tracked with weak_ptrs
+/// purely for observability (alive_epochs() in stats/tests).
+///
+/// The streaming engine publishes DynamicRangeReach views through an
+/// EpochSlot<EpochView>.
+template <typename T>
+class EpochSlot {
  public:
+  /// A pinned epoch: the immutable state plus its epoch number. Valid
+  /// for as long as the holder keeps it, regardless of later publishes.
+  struct Pinned {
+    std::shared_ptr<const T> state;
+    uint64_t epoch = 0;
+  };
+
   /// Publishes `state` as the next epoch; returns its epoch number
   /// (starting at 1; 0 means "nothing published yet").
-  uint64_t Publish(std::shared_ptr<const void> state) {
+  uint64_t Publish(std::shared_ptr<const T> state) {
     // The displaced state may hold the last reference to its epoch; it is
     // destroyed after the lock drops, so readers never wait on a free and
-    // a destructor may call back into the manager.
-    std::shared_ptr<const void> displaced;
+    // a destructor may call back into the slot.
+    std::shared_ptr<const T> displaced;
     std::lock_guard<std::mutex> lock(mu_);
     if (current_) retired_.push_back(current_);
     displaced = std::exchange(current_, std::move(state));
-    CompactRetiredLocked();
+    std::erase_if(retired_, [](const std::weak_ptr<const T>& w) {
+      return w.expired();
+    });
     return ++epoch_;
   }
 
   /// The current (state, epoch) pair; state is null before first publish.
-  std::pair<std::shared_ptr<const void>, uint64_t> Pin() const {
+  Pinned Pin() const {
     std::lock_guard<std::mutex> lock(mu_);
-    ++pins_;
-    return {current_, epoch_};
+    return Pinned{current_, epoch_};
   }
 
   /// The current epoch number (0 before first publish).
@@ -68,53 +80,11 @@ class EpochManager {
     return alive;
   }
 
-  /// Total Pin() calls (observability).
-  uint64_t pins() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return pins_;
-  }
-
  private:
-  void CompactRetiredLocked() {
-    std::erase_if(retired_,
-                  [](const std::weak_ptr<const void>& w) { return w.expired(); });
-  }
-
   mutable std::mutex mu_;
-  std::shared_ptr<const void> current_;
+  std::shared_ptr<const T> current_;
   uint64_t epoch_ = 0;
-  mutable uint64_t pins_ = 0;
-  std::vector<std::weak_ptr<const void>> retired_;
-};
-
-/// Typed wrapper over EpochManager: Publish/Pin a `shared_ptr<const T>`
-/// instead of void. This is the slot the streaming engine publishes
-/// DynamicRangeReach views through.
-template <typename T>
-class EpochSlot {
- public:
-  /// A pinned epoch: the immutable state plus its epoch number. Valid
-  /// for as long as the holder keeps it, regardless of later publishes.
-  struct Pinned {
-    std::shared_ptr<const T> state;
-    uint64_t epoch = 0;
-  };
-
-  uint64_t Publish(std::shared_ptr<const T> state) {
-    return manager_.Publish(std::shared_ptr<const void>(std::move(state)));
-  }
-
-  Pinned Pin() const {
-    auto [state, epoch] = manager_.Pin();
-    return Pinned{std::static_pointer_cast<const T>(std::move(state)), epoch};
-  }
-
-  uint64_t epoch() const { return manager_.epoch(); }
-  size_t alive_epochs() const { return manager_.alive_epochs(); }
-  uint64_t pins() const { return manager_.pins(); }
-
- private:
-  EpochManager manager_;
+  std::vector<std::weak_ptr<const T>> retired_;
 };
 
 }  // namespace gsr::exec

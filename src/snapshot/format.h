@@ -13,7 +13,7 @@ namespace gsr::snapshot {
 ///
 ///   [FileHeader][SectionEntry x section_count][pad][section 0][pad]...
 ///
-/// Every section payload starts at a kSectionAlignment boundary so that a
+/// Every section payload starts at a kPageAlignment boundary so that a
 /// memory-mapped file can vend naturally aligned zero-copy array views.
 /// The header and table are guarded by `table_checksum`; each payload by
 /// its SectionEntry::checksum (both XXH64).
@@ -23,44 +23,16 @@ namespace gsr::snapshot {
 /// even pre-versioning readers fail loudly.
 inline constexpr char kMagic[8] = {'G', 'S', 'R', 'S', 'N', 'A', 'P', '1'};
 
-/// Bumped on any change to section layouts. Readers reject files whose
-/// version they do not know.
-///
-///  - v1: sections at 64-byte boundaries, array payloads 8-byte aligned
-///    within their section.
-///  - v2: sections at 4 KiB (page) boundaries, array payloads page-
-///    aligned within their section — so every array's absolute file
-///    offset lands on a page boundary and the paged load path can
-///    address elements straight off disk pages. v1 files stay readable
-///    (in every load mode; alignment only affects paging efficiency).
-inline constexpr uint32_t kFormatVersionV1 = 1;
-inline constexpr uint32_t kFormatVersionV2 = 2;
-inline constexpr uint32_t kFormatVersion = kFormatVersionV2;
+/// Bumped on any change to section layouts. Readers reject files of any
+/// other version.
+inline constexpr uint32_t kFormatVersion = 2;
 
-/// Section payload alignment within the file (v1; also the minimum every
-/// later version guarantees). 64 bytes = one cache line, and a multiple
-/// of every alignof() the stored arrays need.
-inline constexpr size_t kSectionAlignment = 64;
-
-/// Page unit of the v2 format and of the paged access layer: array
-/// payloads and section offsets align here so one cache page never
-/// spans two sections, and a 64-byte FrozenRTree<Box3D> node never
-/// straddles a page.
+/// Page unit of the format and of the paged access layer: section
+/// offsets and array payloads align here, so every array's absolute file
+/// offset lands on a page boundary, one cache page never spans two
+/// sections, and a 64-byte FrozenRTree<Box3D> node never straddles a
+/// page.
 inline constexpr size_t kPageAlignment = 4096;
-
-inline constexpr bool KnownFormatVersion(uint32_t version) {
-  return version == kFormatVersionV1 || version == kFormatVersionV2;
-}
-
-/// Alignment of WriteArray payloads within a section, by format version.
-inline constexpr size_t ArrayAlignmentForVersion(uint32_t version) {
-  return version >= kFormatVersionV2 ? kPageAlignment : 8;
-}
-
-/// Alignment of section offsets within the file, by format version.
-inline constexpr size_t SectionAlignmentForVersion(uint32_t version) {
-  return version >= kFormatVersionV2 ? kPageAlignment : kSectionAlignment;
-}
 
 /// Identifies what a section contains. Values are part of the on-disk
 /// format: append new ids, never renumber.
@@ -99,7 +71,7 @@ static_assert(sizeof(FileHeader) == 40, "header layout is frozen");
 struct SectionEntry {
   uint32_t id = 0;        // SectionId.
   uint32_t reserved = 0;  // Always zero on disk.
-  uint64_t offset = 0;    // From file start; kSectionAlignment-aligned.
+  uint64_t offset = 0;    // From file start; kPageAlignment-aligned.
   uint64_t size = 0;      // Payload bytes (excludes alignment padding).
   uint64_t checksum = 0;  // XXH64 of the payload bytes.
 };

@@ -1,26 +1,21 @@
 #include "snapshot/page_cache.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "common/check.h"
 
 namespace gsr::snapshot {
 
-PageCache::PageCache(std::shared_ptr<PagedFile> file, const Options& options)
-    : file_(std::move(file)),
-      page_size_(options.page_size),
-      page_shift_(std::countr_zero(page_size_)) {
+PageCache::PageCache(std::shared_ptr<PagedFile> file, size_t budget_bytes)
+    : file_(std::move(file)) {
   GSR_CHECK(file_ != nullptr);
-  GSR_CHECK(std::has_single_bit(page_size_));
-  file_pages_ = (file_->size() + page_size_ - 1) / page_size_;
-  size_t frames = std::max<size_t>(options.budget_bytes / page_size_,
-                                   kMinFrames);
+  file_pages_ = (file_->size() + kPageAlignment - 1) / kPageAlignment;
+  size_t frames = std::max<size_t>(budget_bytes / kPageAlignment, kMinFrames);
   // Never hold more frames than the file has pages.
   frames = std::min<uint64_t>(frames, std::max<uint64_t>(file_pages_, 1));
   GSR_CHECK(frames < kBusy);
-  arena_ = std::make_unique<std::byte[]>(frames * page_size_);
+  arena_ = std::make_unique<std::byte[]>(frames * kPageAlignment);
   num_frames_ = frames;
   frames_ = std::make_unique<Frame[]>(frames);
   page_table_ = std::make_unique<std::atomic<uint32_t>[]>(file_pages_);
@@ -92,9 +87,9 @@ const std::byte* PageCache::PinPage(uint64_t page_no, void** handle) {
   if (page_no >= file_pages_) return nullptr;
   if (const std::byte* data = TryPinResident(page_no, handle)) return data;
 
-  const uint64_t page_off = page_no * page_size_;
+  const uint64_t page_off = page_no * kPageAlignment;
   const size_t load_len = static_cast<size_t>(
-      std::min<uint64_t>(page_size_, file_->size() - page_off));
+      std::min<uint64_t>(kPageAlignment, file_->size() - page_off));
 
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -130,8 +125,8 @@ const std::byte* PageCache::PinPage(uint64_t page_no, void** handle) {
       lock.unlock();
       std::byte* data = FrameData(static_cast<size_t>(victim));
       status = file_->ReadAt(page_off, load_len, data);
-      if (status.ok() && load_len < page_size_) {
-        std::memset(data + load_len, 0, page_size_ - load_len);
+      if (status.ok() && load_len < kPageAlignment) {
+        std::memset(data + load_len, 0, kPageAlignment - load_len);
       }
       lock.lock();
     }
@@ -161,9 +156,9 @@ void PageCache::UnpinPage(void* handle) {
 Status PageCache::Read(uint64_t offset, size_t len, void* out) {
   std::byte* dst = static_cast<std::byte*>(out);
   while (len > 0) {
-    const uint64_t page_no = offset >> page_shift_;
-    const size_t in_page = static_cast<size_t>(offset & (page_size_ - 1));
-    const size_t take = std::min(len, page_size_ - in_page);
+    const uint64_t page_no = offset >> kPageShift;
+    const size_t in_page = static_cast<size_t>(offset & (kPageAlignment - 1));
+    const size_t take = std::min(len, kPageAlignment - in_page);
     void* handle = nullptr;
     if (const std::byte* page = PinPage(page_no, &handle)) {
       std::memcpy(dst, page + in_page, take);

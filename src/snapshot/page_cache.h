@@ -2,6 +2,7 @@
 #define GSR_SNAPSHOT_PAGE_CACHE_H_
 
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -19,7 +20,9 @@ namespace gsr::snapshot {
 /// LoadMode::kPaged. Unlike mmap, residency is explicit: at most
 /// `budget_bytes` of file pages are ever in memory, whatever the index
 /// size, plus a page table of 4 bytes per file page, and every
-/// hit/miss/eviction is counted.
+/// hit/miss/eviction is counted. Pages are kPageAlignment bytes, the
+/// unit the snapshot format aligns sections and arrays to, so no page
+/// spans two sections.
 ///
 /// Under SnapshotReader the budget is split: the cache gets 7/8 of the
 /// load's page_cache_bytes (never fewer than kMinFrames frames) and the
@@ -62,13 +65,6 @@ namespace gsr::snapshot {
 /// exact once every pinner is quiescent.
 class PageCache final : public PagedSource {
  public:
-  struct Options {
-    /// Cache budget in bytes; rounded down to whole pages and clamped to
-    /// at least kMinFrames pages so tiny budgets still make progress.
-    size_t budget_bytes = 64u << 20;
-    size_t page_size = kPageAlignment;
-  };
-
   /// Counter snapshot, drained like query counters. Exact once pinners
   /// are quiescent; a read racing live pins may miss in-flight hits.
   struct Stats {
@@ -80,21 +76,23 @@ class PageCache final : public PagedSource {
 
   static constexpr size_t kMinFrames = 4;
 
-  PageCache(std::shared_ptr<PagedFile> file, const Options& options);
+  /// `budget_bytes` is rounded down to whole pages and clamped to at
+  /// least kMinFrames pages so tiny budgets still make progress.
+  PageCache(std::shared_ptr<PagedFile> file, size_t budget_bytes);
   ~PageCache() override;
 
   PageCache(const PageCache&) = delete;
   PageCache& operator=(const PageCache&) = delete;
 
   // PagedSource implementation.
-  size_t page_size() const override { return page_size_; }
+  size_t page_size() const override { return kPageAlignment; }
   Status Read(uint64_t offset, size_t len, void* out) override;
   const std::byte* PinPage(uint64_t page_no, void** handle) override;
   void UnpinPage(void* handle) override;
   void Prefetch(uint64_t offset, size_t len) override;
 
   size_t num_frames() const { return num_frames_; }
-  size_t budget_bytes() const { return num_frames_ * page_size_; }
+  size_t budget_bytes() const { return num_frames_ * kPageAlignment; }
   uint64_t file_size() const { return file_->size(); }
 
   Stats GetStats() const;
@@ -108,6 +106,7 @@ class PageCache final : public PagedSource {
  private:
   static constexpr uint32_t kBusy = 1u << 31;  // State bit; rest = pins.
   static constexpr uint64_t kNoPage = ~uint64_t{0};
+  static constexpr int kPageShift = std::countr_zero(kPageAlignment);
 
   /// One cache line per frame: a hit writes only its own frame's line.
   struct alignas(64) Frame {
@@ -118,7 +117,7 @@ class PageCache final : public PagedSource {
   };
 
   std::byte* FrameData(size_t idx) {
-    return arena_.get() + idx * page_size_;
+    return arena_.get() + idx * kPageAlignment;
   }
 
   /// Lock-free pin of a resident, settled frame holding `page_no`;
@@ -134,8 +133,6 @@ class PageCache final : public PagedSource {
   int FindVictim();
 
   const std::shared_ptr<PagedFile> file_;
-  const size_t page_size_;
-  const int page_shift_;  // log2(page_size_): page numbers by shift.
   uint64_t file_pages_ = 0;
 
   std::unique_ptr<std::byte[]> arena_;

@@ -1,11 +1,9 @@
 #include "snapshot/snapshot_reader.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "common/checksum.h"
-#include "exec/parallel.h"
 #include "snapshot/mmap_file.h"
 
 namespace gsr::snapshot {
@@ -60,7 +58,7 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path,
   if (!header.MagicMatches()) {
     return Status::InvalidArgument("not a snapshot file (bad magic): " + path);
   }
-  if (!KnownFormatVersion(header.format_version)) {
+  if (header.format_version != kFormatVersion) {
     return Status::InvalidArgument(
         "unsupported snapshot format version " +
         std::to_string(header.format_version) + " (newest supported is " +
@@ -73,7 +71,6 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path,
   if (header.file_size != actual_size) {
     return Status::InvalidArgument("snapshot file is truncated: " + path);
   }
-  reader.format_version_ = header.format_version;
   reader.file_size_ = static_cast<size_t>(actual_size);
 
   // Section table: bounds, checksum, per-section placement.
@@ -101,10 +98,8 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path,
   }
   reader.table_.resize(header.section_count);
   std::memcpy(reader.table_.data(), table_base, table_bytes);
-  const size_t section_alignment =
-      SectionAlignmentForVersion(header.format_version);
   for (const SectionEntry& entry : reader.table_) {
-    if (entry.offset % section_alignment != 0 || entry.offset > actual_size ||
+    if (entry.offset % kPageAlignment != 0 || entry.offset > actual_size ||
         entry.size > actual_size - entry.offset) {
       return Status::InvalidArgument(
           "snapshot section placement is out of bounds: " + path);
@@ -120,38 +115,26 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path,
     // resident tree prefixes and the cache gets the rest. The slice never
     // takes the cache below its kMinFrames floor, so at the floor it is
     // empty and every structure pages in full.
-    PageCache::Options cache_options;
-    const size_t page_size = cache_options.page_size;
-    const size_t pages = options.page_cache_bytes / page_size;
+    const size_t pages = options.page_cache_bytes / kPageAlignment;
     const size_t slice_pages =
         pages > PageCache::kMinFrames
             ? std::min(pages / 8, pages - PageCache::kMinFrames)
             : 0;
-    reader.resident_slice_bytes_ = slice_pages * page_size;
+    reader.resident_slice_bytes_ = slice_pages * kPageAlignment;
     reader.resident_bytes_left_ =
         std::make_shared<size_t>(reader.resident_slice_bytes_);
-    cache_options.budget_bytes = (pages - slice_pages) * page_size;
-    reader.page_cache_ =
-        std::make_shared<PageCache>(reader.file_, cache_options);
+    reader.page_cache_ = std::make_shared<PageCache>(
+        reader.file_, (pages - slice_pages) * kPageAlignment);
     return reader;
   }
 
-  // Payload checksums, fanned out across sections when a pool is given.
-  std::atomic<size_t> bad_section{reader.table_.size()};
-  exec::ForEachIndex(options.pool, reader.table_.size(), 1, [&](size_t i) {
-    const SectionEntry& entry = reader.table_[i];
+  for (const SectionEntry& entry : reader.table_) {
     if (XxHash64(reader.bytes_.data() + entry.offset, entry.size) !=
         entry.checksum) {
-      size_t cur = bad_section.load();
-      while (i < cur && !bad_section.compare_exchange_weak(cur, i)) {
-      }
+      return Status::InvalidArgument("snapshot section " +
+                                     std::to_string(entry.id) +
+                                     " failed checksum verification: " + path);
     }
-  });
-  if (bad_section.load() != reader.table_.size()) {
-    return Status::InvalidArgument(
-        "snapshot section " +
-        std::to_string(reader.table_[bad_section.load()].id) +
-        " failed checksum verification: " + path);
   }
   return reader;
 }
@@ -195,8 +178,7 @@ Result<BinaryReader> SnapshotReader::Section(SectionId id) const {
     payload = bytes_.subspan(entry->offset, entry->size);
   }
   BinaryReader section_reader(payload);
-  section_reader.set_array_alignment(
-      ArrayAlignmentForVersion(format_version_));
+  section_reader.set_array_alignment(kPageAlignment);
   return section_reader;
 }
 

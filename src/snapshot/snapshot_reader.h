@@ -9,7 +9,6 @@
 
 #include "common/binary_io.h"
 #include "common/status.h"
-#include "exec/thread_pool.h"
 #include "snapshot/format.h"
 #include "snapshot/page_cache.h"
 #include "snapshot/paged_file.h"
@@ -29,15 +28,13 @@ enum class LoadMode {
   /// structures (FrozenRTree, FlatLabelStore) serve queries through a
   /// fixed-budget PageCache over pread, so memory use is bounded by the
   /// cache budget however large the index. Everything else is copied
-  /// resident, one section at a time. Works on v1 and v2 files; the v2
-  /// page-aligned layout is what makes it fast.
+  /// resident, one section at a time.
   kPaged,
 };
 
+/// How SnapshotReader::Open loads a file.
 struct OpenOptions {
   LoadMode mode = LoadMode::kMmap;
-  /// When non-null, per-section checksum verification fans out here.
-  exec::ThreadPool* pool = nullptr;
   /// kPaged only: the memory budget shared by every structure loaded
   /// from this reader. A fixed 1/8 of it, in whole pages, pays for the
   /// resident tree prefixes (see resident_bytes()); the PageCache gets
@@ -95,7 +92,6 @@ class SnapshotReader {
   BorrowContext borrow_context(SectionId id) const;
 
   LoadMode mode() const { return mode_; }
-  uint32_t format_version() const { return format_version_; }
   size_t file_size() const { return file_size_; }
 
   /// kPaged only (null otherwise): the cache every pageable structure
@@ -118,7 +114,6 @@ class SnapshotReader {
   const SectionEntry* FindSection(SectionId id) const;
 
   LoadMode mode_ = LoadMode::kMmap;
-  uint32_t format_version_ = kFormatVersion;
   size_t file_size_ = 0;
   std::shared_ptr<const void> storage_;  // Owns bytes_ (the mapping).
   std::span<const std::byte> bytes_;

@@ -11,7 +11,6 @@
 
 #include "common/check.h"
 #include "common/checksum.h"
-#include "exec/parallel.h"
 
 namespace gsr::snapshot {
 
@@ -46,26 +45,18 @@ std::FILE* CreateTempSibling(const std::string& path, std::string* temp) {
 
 }  // namespace
 
-SnapshotWriter::SnapshotWriter(uint32_t format_version)
-    : format_version_(format_version) {
-  GSR_CHECK(KnownFormatVersion(format_version));
-}
-
 BinaryWriter& SnapshotWriter::BeginSection(SectionId id) {
   for (const auto& [existing, writer] : sections_) {
     GSR_CHECK(existing != id);  // One section per id.
   }
   sections_.emplace_back(id, BinaryWriter());
-  // Array payloads inherit the version's alignment so that, combined
-  // with the section offset alignment below, their absolute file
-  // offsets land on page boundaries in v2 files.
-  sections_.back().second.set_array_alignment(
-      ArrayAlignmentForVersion(format_version_));
+  // Page-aligned array payloads in page-aligned sections: their
+  // absolute file offsets land on page boundaries.
+  sections_.back().second.set_array_alignment(kPageAlignment);
   return sections_.back().second;
 }
 
-Status SnapshotWriter::WriteFile(const std::string& path,
-                                 exec::ThreadPool* pool) const {
+Status SnapshotWriter::WriteFile(const std::string& path) const {
   if (!HostIsLittleEndian()) {
     return Status::FailedPrecondition(
         "snapshot format is little-endian only; refusing to write on a "
@@ -74,28 +65,22 @@ Status SnapshotWriter::WriteFile(const std::string& path,
 
   // Lay out the file: header, table, then each payload at an aligned
   // offset.
-  const size_t section_alignment = SectionAlignmentForVersion(format_version_);
   const size_t table_bytes = sections_.size() * sizeof(SectionEntry);
   std::vector<SectionEntry> table(sections_.size());
-  size_t cursor = AlignUp(sizeof(FileHeader) + table_bytes, section_alignment);
+  size_t cursor = AlignUp(sizeof(FileHeader) + table_bytes, kPageAlignment);
   for (size_t i = 0; i < sections_.size(); ++i) {
     table[i].id = static_cast<uint32_t>(sections_[i].first);
     table[i].offset = cursor;
-    table[i].size = sections_[i].second.size();
-    cursor = AlignUp(cursor + table[i].size, section_alignment);
+    const auto& bytes = sections_[i].second.bytes();
+    table[i].size = bytes.size();
+    table[i].checksum = XxHash64(bytes.data(), bytes.size());
+    cursor = AlignUp(cursor + table[i].size, kPageAlignment);
   }
   const size_t file_size = cursor;
 
-  // Payload checksums are independent per section — the one step of
-  // snapshot writing worth fanning out for multi-GB indexes.
-  exec::ForEachIndex(pool, sections_.size(), 1, [&](size_t i) {
-    const auto& bytes = sections_[i].second.bytes();
-    table[i].checksum = XxHash64(bytes.data(), bytes.size());
-  });
-
   FileHeader header;
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.format_version = format_version_;
+  header.format_version = kFormatVersion;
   header.endian_tag = kEndianTag;
   header.section_count = static_cast<uint32_t>(sections_.size());
   header.file_size = file_size;

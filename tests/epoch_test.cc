@@ -14,7 +14,7 @@
 namespace gsr::exec {
 namespace {
 
-TEST(EpochManagerTest, EpochNumbersAdvanceFromOne) {
+TEST(EpochSlotTest, EpochNumbersAdvanceFromOne) {
   EpochSlot<int> slot;
   EXPECT_EQ(slot.epoch(), 0u);
   EXPECT_EQ(slot.Pin().state, nullptr);
@@ -29,7 +29,7 @@ TEST(EpochManagerTest, EpochNumbersAdvanceFromOne) {
   EXPECT_EQ(pinned.epoch, 2u);
 }
 
-TEST(EpochManagerTest, PinnedEpochSurvivesPublishes) {
+TEST(EpochSlotTest, PinnedEpochSurvivesPublishes) {
   EpochSlot<std::string> slot;
   slot.Publish(std::make_shared<std::string>("old"));
   const auto pinned = slot.Pin();
@@ -42,7 +42,7 @@ TEST(EpochManagerTest, PinnedEpochSurvivesPublishes) {
   EXPECT_EQ(*slot.Pin().state, "new9");
 }
 
-TEST(EpochManagerTest, RetiredEpochsFreeWhenUnpinned) {
+TEST(EpochSlotTest, RetiredEpochsFreeWhenUnpinned) {
   EpochSlot<int> slot;
   slot.Publish(std::make_shared<int>(1));
   auto pin1 = slot.Pin();
@@ -58,7 +58,7 @@ TEST(EpochManagerTest, RetiredEpochsFreeWhenUnpinned) {
   EXPECT_EQ(slot.alive_epochs(), 0u);  // Retire is automatic (refcount).
 }
 
-TEST(EpochManagerTest, DestructionRunsOnLastRelease) {
+TEST(EpochSlotTest, DestructionRunsOnLastRelease) {
   struct Tracked {
     explicit Tracked(std::atomic<int>* counter) : counter(counter) {
       counter->fetch_add(1);
@@ -80,7 +80,7 @@ TEST(EpochManagerTest, DestructionRunsOnLastRelease) {
 // Publish must drop the displaced epoch after releasing its lock: here
 // the state's destructor waits for another thread to read the slot, which
 // deadlocks if the destructor runs under the lock.
-TEST(EpochManagerTest, DisplacedStateDiesOutsideTheLock) {
+TEST(EpochSlotTest, DisplacedStateDiesOutsideTheLock) {
   struct Probe {
     std::function<void()> on_destroy;
     ~Probe() {
@@ -108,18 +108,11 @@ TEST(EpochManagerTest, DisplacedStateDiesOutsideTheLock) {
   EXPECT_EQ(epoch_seen.get(), 2u);
 }
 
-TEST(EpochManagerTest, PinCounterCounts) {
-  EpochSlot<int> slot;
-  slot.Publish(std::make_shared<int>(7));
-  for (int i = 0; i < 5; ++i) (void)slot.Pin();
-  EXPECT_EQ(slot.pins(), 5u);
-}
-
 // Readers pin and dereference while a writer publishes continuously: the
 // TSan job runs this to certify the publication protocol. Every pinned
 // state must be a fully constructed value (monotone versions), never a
 // torn or freed one.
-TEST(EpochManagerTest, ConcurrentPinAndPublish) {
+TEST(EpochSlotTest, ConcurrentPinAndPublish) {
   struct Versioned {
     explicit Versioned(uint64_t v) : version(v), check(v * 31 + 7) {}
     uint64_t version;

@@ -108,23 +108,6 @@ TEST(MethodSnapshotTest, AllMethodsRoundTripEveryLoadMode) {
   }
 }
 
-TEST(MethodSnapshotTest, RoundTripWithThreadPool) {
-  const GeoSocialNetwork network =
-      testing::RandomGeoSocialNetwork(150, 2.0, 0.5, 103);
-  const CondensedNetwork cn(&network);
-  exec::ThreadPool pool(2);
-
-  MethodConfig config;
-  config.kind = MethodKind::kThreeDReach;
-  const auto built = CreateMethod(&cn, config);
-  const std::string path = TempPath("method_pool.snap");
-  ASSERT_TRUE(SaveMethodSnapshot(*built, config, cn, path, &pool).ok());
-  auto loaded = LoadMethodSnapshot(
-      &cn, path, {.mode = snapshot::LoadMode::kMmap, .pool = &pool});
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectIdenticalAnswers(*built, *loaded->method, network, 204);
-}
-
 TEST(MethodSnapshotTest, LoadedMethodOutlivesTheFile) {
   const GeoSocialNetwork network =
       testing::RandomGeoSocialNetwork(150, 2.0, 0.5, 105);

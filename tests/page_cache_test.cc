@@ -25,7 +25,7 @@ namespace {
 /// under concurrent readers racing evictions and Drop() on the lock-free
 /// hit path.
 
-constexpr size_t kPage = 256;  // Small pages keep the fixture file tiny.
+constexpr size_t kPage = kPageAlignment;
 constexpr size_t kFullPages = 16;
 constexpr size_t kTail = 100;  // A partial final page.
 constexpr size_t kFileSize = kFullPages * kPage + kTail;
@@ -49,10 +49,7 @@ std::shared_ptr<PageCache> OpenCache(const std::string& path,
                                      size_t budget_bytes) {
   auto file = PagedFile::Open(path);
   GSR_CHECK(file.ok());
-  PageCache::Options options;
-  options.budget_bytes = budget_bytes;
-  options.page_size = kPage;
-  return std::make_shared<PageCache>(std::move(file).value(), options);
+  return std::make_shared<PageCache>(std::move(file).value(), budget_bytes);
 }
 
 void ExpectBytes(const PageCache& cache_const, uint64_t offset, size_t len) {

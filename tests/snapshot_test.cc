@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/binary_io.h"
-#include "exec/thread_pool.h"
 #include "snapshot/format.h"
 #include "snapshot/page_cache.h"
 #include "snapshot/snapshot_reader.h"
@@ -47,17 +46,15 @@ std::vector<uint64_t> SampleValues() {
 }
 
 /// Writes a two-section sample snapshot and returns its path.
-std::string WriteSample(const std::string& name,
-                        exec::ThreadPool* pool = nullptr,
-                        uint32_t format_version = kFormatVersion) {
-  SnapshotWriter writer(format_version);
+std::string WriteSample(const std::string& name) {
+  SnapshotWriter writer;
   BinaryWriter& meta = writer.BeginSection(SectionId::kMeta);
   meta.WriteU32(42);
   meta.WriteU64(0xDEADBEEFull);
   BinaryWriter& labeling = writer.BeginSection(SectionId::kLabeling);
   labeling.WriteVector(SampleValues());
   const std::string path = TempPath(name);
-  EXPECT_TRUE(writer.WriteFile(path, pool).ok());
+  EXPECT_TRUE(writer.WriteFile(path).ok());
   return path;
 }
 
@@ -110,7 +107,9 @@ TEST(SnapshotTest, RoundTripPaged) {
   auto reader = SnapshotReader::Open(path, {.mode = LoadMode::kPaged});
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_EQ(reader->mode(), LoadMode::kPaged);
-  EXPECT_EQ(reader->format_version(), kFormatVersion);
+  FileHeader header;
+  std::memcpy(&header, ReadFileBytes(path).data(), sizeof(header));
+  EXPECT_EQ(header.format_version, kFormatVersion);
   ASSERT_NE(reader->page_cache(), nullptr);
   ExpectSampleReadsBack(*reader);
   // Section() materialization preads directly (a one-shot sequential load
@@ -126,27 +125,6 @@ TEST(SnapshotTest, RoundTripPaged) {
   EXPECT_GT(reader->page_cache()->GetStats().misses, 0u);
 }
 
-TEST(SnapshotTest, V1FilesReadBackInEveryMode) {
-  // Backward compatibility: the v2 reader accepts v1 files (64-byte
-  // section alignment, 8-byte array alignment) in every load mode —
-  // including kPaged, where the tighter packing only costs efficiency.
-  const std::string path =
-      WriteSample("v1_compat.snap", nullptr, kFormatVersionV1);
-
-  FileHeader header;
-  const std::vector<char> bytes = ReadFileBytes(path);
-  ASSERT_GE(bytes.size(), sizeof(header));
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  EXPECT_EQ(header.format_version, kFormatVersionV1);
-
-  for (const LoadMode mode : kAllModes) {
-    auto reader = SnapshotReader::Open(path, {.mode = mode});
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    EXPECT_EQ(reader->format_version(), kFormatVersionV1);
-    ExpectSampleReadsBack(*reader);
-  }
-}
-
 TEST(SnapshotTest, ZeroLengthSectionsReadBackInEveryMode) {
   SnapshotWriter writer;
   writer.BeginSection(SectionId::kMeta);  // Deliberately left empty.
@@ -154,7 +132,7 @@ TEST(SnapshotTest, ZeroLengthSectionsReadBackInEveryMode) {
   labeling.WriteU32(7);
   writer.BeginSection(SectionId::kBfl);  // Empty trailing section.
   const std::string path = TempPath("zero_len.snap");
-  ASSERT_TRUE(writer.WriteFile(path, nullptr).ok());
+  ASSERT_TRUE(writer.WriteFile(path).ok());
 
   for (const LoadMode mode : kAllModes) {
     auto reader = SnapshotReader::Open(path, {.mode = mode});
@@ -180,7 +158,7 @@ TEST(SnapshotTest, ReopenAfterRewriteSeesNewContents) {
   for (const uint32_t tag : {111u, 222u}) {
     SnapshotWriter writer;
     writer.BeginSection(SectionId::kMeta).WriteU32(tag);
-    ASSERT_TRUE(writer.WriteFile(path, nullptr).ok());
+    ASSERT_TRUE(writer.WriteFile(path).ok());
     for (const LoadMode mode : kAllModes) {
       auto reader = SnapshotReader::Open(path, {.mode = mode});
       ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -191,18 +169,6 @@ TEST(SnapshotTest, ReopenAfterRewriteSeesNewContents) {
       EXPECT_EQ(value, tag);
     }
   }
-}
-
-TEST(SnapshotTest, ParallelChecksumsMatchSerial) {
-  exec::ThreadPool pool(2);
-  const std::string parallel_path = WriteSample("parallel.snap", &pool);
-  const std::string serial_path = WriteSample("serial.snap");
-  // The file contents must be byte-identical regardless of who checksums.
-  EXPECT_EQ(ReadFileBytes(parallel_path), ReadFileBytes(serial_path));
-  auto reader = SnapshotReader::Open(parallel_path,
-                                     {.mode = LoadMode::kMmap, .pool = &pool});
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  ExpectSampleReadsBack(*reader);
 }
 
 TEST(SnapshotTest, SectionPayloadsAreAligned) {
@@ -220,8 +186,8 @@ TEST(SnapshotTest, SectionPayloadsAreAligned) {
     SectionEntry entry;
     std::memcpy(&entry, bytes.data() + sizeof(header) + i * sizeof(entry),
                 sizeof(entry));
-    // v2: sections start on page boundaries so a cache page never spans
-    // two sections (kPageAlignment is a multiple of kSectionAlignment).
+    // Sections start on page boundaries so a cache page never spans two
+    // sections.
     EXPECT_EQ(entry.offset % kPageAlignment, 0u);
     EXPECT_LE(entry.offset + entry.size, bytes.size());
   }
@@ -294,17 +260,22 @@ TEST(SnapshotTest, BadMagicFails) {
 }
 
 TEST(SnapshotTest, WrongFormatVersionFails) {
+  // A future version and the retired v1 (64-byte sections) alike.
   const std::string path = WriteSample("bad_version.snap");
-  std::vector<char> bytes = ReadFileBytes(path);
-  const uint32_t future_version = 99;
-  std::memcpy(bytes.data() + offsetof(FileHeader, format_version),
-              &future_version, sizeof(future_version));
-  WriteFileBytes(path, bytes);
-  for (const LoadMode mode : kAllModes) {
-    auto reader = SnapshotReader::Open(path, {.mode = mode});
-    ASSERT_FALSE(reader.ok());
-    EXPECT_NE(reader.status().message().find("version"), std::string::npos)
-        << reader.status().ToString();
+  for (const uint32_t version : {99u, 1u}) {
+    std::vector<char> bytes = ReadFileBytes(path);
+    std::memcpy(bytes.data() + offsetof(FileHeader, format_version), &version,
+                sizeof(version));
+    WriteFileBytes(path, bytes);
+    for (const LoadMode mode : kAllModes) {
+      auto reader = SnapshotReader::Open(path, {.mode = mode});
+      ASSERT_FALSE(reader.ok());
+      EXPECT_NE(reader.status().message().find(
+                    "unsupported snapshot format version " +
+                    std::to_string(version)),
+                std::string::npos)
+          << reader.status().ToString();
+    }
   }
 }
 
@@ -351,28 +322,12 @@ TEST(SnapshotTest, FlippedTableByteFailsChecksum) {
   std::vector<char> bytes = ReadFileBytes(path);
   bytes[sizeof(FileHeader) + offsetof(SectionEntry, checksum)] ^= 0x01;
   WriteFileBytes(path, bytes);
-  auto reader = SnapshotReader::Open(path);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_NE(reader.status().message().find("checksum"), std::string::npos)
-      << reader.status().ToString();
-}
-
-TEST(SnapshotTest, CorruptionDetectedWithParallelVerification) {
-  const std::string path = WriteSample("bad_payload_pool.snap");
-  std::vector<char> bytes = ReadFileBytes(path);
-  SectionEntry entry;
-  // Corrupt the second section so the bad index is not trivially 0.
-  std::memcpy(&entry, bytes.data() + sizeof(FileHeader) + sizeof(entry),
-              sizeof(entry));
-  ASSERT_GT(entry.size, 0u);
-  bytes[entry.offset + entry.size - 1] ^= 0x80;
-  WriteFileBytes(path, bytes);
-  exec::ThreadPool pool(2);
-  auto reader =
-      SnapshotReader::Open(path, {.mode = LoadMode::kMmap, .pool = &pool});
-  ASSERT_FALSE(reader.ok());
-  EXPECT_NE(reader.status().message().find("checksum"), std::string::npos)
-      << reader.status().ToString();
+  for (const LoadMode mode : kAllModes) {
+    auto reader = SnapshotReader::Open(path, {.mode = mode});
+    ASSERT_FALSE(reader.ok());
+    EXPECT_NE(reader.status().message().find("checksum"), std::string::npos)
+        << reader.status().ToString();
+  }
 }
 
 }  // namespace
