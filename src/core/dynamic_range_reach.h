@@ -87,9 +87,9 @@ class DynamicRangeReach {
     size_t IndexSizeBytes() const { return method->IndexSizeBytes(); }
 
     /// Builds a base over `network` at log position `position`. A non-null
-    /// `pool` parallelizes the 3DReach build (identical index). NOTE: a
-    /// background rebuild task running *on* a pool must pass nullptr here
-    /// (ThreadPool::ParallelFor must not be entered from a pool task).
+    /// `pool` parallelizes the 3DReach build (identical index). It must be
+    /// nullptr when called from inside a ParallelFor body (a nested
+    /// ParallelFor fails a GSR_CHECK).
     static std::shared_ptr<const Base> Build(GeoSocialNetwork network,
                                              uint64_t position,
                                              exec::ThreadPool* pool = nullptr);

@@ -72,9 +72,9 @@ struct BatchResult {
 
 /// Evaluates batches of RangeReach queries on a thread pool.
 ///
-/// Each pool worker gets its own QueryScratch (created via
+/// Each pool lane (the caller's included) gets its own QueryScratch (from
 /// method.NewScratch()), so any RangeReachMethod honoring the scratch
-/// contract of core/range_reach.h can be driven from all workers at once.
+/// contract of core/range_reach.h can be driven from all lanes at once.
 /// Every entry point shares one scratch cache, kept across batches for
 /// the same method (index buffers stay warm) and re-created when the
 /// method changes.
@@ -124,38 +124,38 @@ class BatchRunner {
   /// RunShared).
   const QueryScheduler* scheduler() const { return &scheduler_; }
 
-  /// Number of per-worker scratches currently cached (test hook).
+  /// Number of per-lane scratches currently cached (test hook).
   size_t cached_scratch_count() const { return scratches_.size(); }
 
  private:
-  /// (Re)fills the per-worker scratch cache for `method`.
+  /// (Re)fills the per-lane scratch cache for `method`.
   void EnsureScratches(const RangeReachMethod& method);
 
   /// Runs fn(), keeping its exception (the batch's first one) for
-  /// Finish instead of letting it escape. Safe on pool workers.
+  /// Finish instead of letting it escape. Safe on every lane.
   template <typename Fn>
   void Guarded(const Fn& fn);
 
-  /// Runs fn(index, worker) for every index in [0, n) on the pool,
+  /// Runs fn(index, lane) for every index in [0, n) on the pool's lanes,
   /// `chunk` indices per claim. An index whose fn throws is skipped
   /// (Guarded) and every other index still runs. Defined (and only
   /// instantiated) in the .cc.
   template <typename Fn>
   void ParallelFor(size_t n, size_t chunk, const Fn& fn);
 
-  /// Ends every batch, once the pool is idle: drains the worker
+  /// Ends every batch, once the pool is idle: drains the lane
   /// scratches into `method`'s counters, then rethrows the first
   /// exception ParallelFor kept, or else fills result.true_count.
   void Finish(const RangeReachMethod& method, BatchResult& result);
 
   ThreadPool* pool_;
-  /// Scratch cache, one slot per pool worker, valid for the method whose
+  /// Scratch cache, one slot per pool lane, valid for the method whose
   /// instance_id() this holds (0 = empty). Keyed by id, not address: a
   /// destroyed method's address can be reoccupied by a new instance whose
   /// scratch layout differs.
   uint64_t scratch_method_id_ = 0;
   std::vector<std::unique_ptr<QueryScratch>> scratches_;
-  /// The first exception of the running batch, set by pool workers.
+  /// The first exception of the running batch, set by any lane.
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
   QueryScheduler scheduler_;

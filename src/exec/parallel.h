@@ -10,14 +10,14 @@
 
 namespace gsr::exec {
 
-/// Runs fn(index) for every index in [0, n): inline when `pool` is null
-/// (or trivial), on the pool's workers in contiguous chunks otherwise.
-/// Both paths perform exactly the same set of calls, so any `fn` whose
-/// writes are confined to its own index yields identical results at every
-/// thread count. Blocks until all indices are done.
+/// Runs fn(index) for every index in [0, n): inline when `pool` is null,
+/// on the pool's lanes in contiguous chunks otherwise. Both paths perform
+/// exactly the same set of calls, so any `fn` whose writes are confined to
+/// its own index yields identical results at every thread count. Blocks
+/// until all indices are done.
 template <typename Fn>
 void ForEachIndex(ThreadPool* pool, size_t n, size_t chunk, Fn&& fn) {
-  if (pool == nullptr || pool->size() <= 1 || n <= 1) {
+  if (pool == nullptr) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -42,10 +42,7 @@ Result<VertexId> StreamingRangeReach::Apply(const Update& update) {
     if (++unpublished_ >= options_.publish_every) PublishLocked();
     capture = MaybeStartRebuildLocked();
   }
-  if (capture.inline_run) {
-    RunRebuild(std::move(capture.old_base), std::move(capture.suffix),
-               capture.cut, /*parallel=*/false);
-  }
+  if (capture.inline_run) RunRebuild(std::move(capture), /*parallel=*/false);
   return id;
 }
 
@@ -80,34 +77,30 @@ StreamingRangeReach::MaybeStartRebuildLocked() {
     capture.inline_run = true;
     return capture;
   }
-  // The future is dropped on purpose: completion is signalled through
-  // rebuild_inflight_/rebuild_cv_, and RunRebuild never throws.
-  (void)pool_->Submit([this, old_base = std::move(capture.old_base),
-                       suffix = std::move(capture.suffix),
-                       cut = capture.cut](unsigned) mutable {
-    // Serial base build: pool tasks must not re-enter ParallelFor.
-    RunRebuild(std::move(old_base), std::move(suffix), cut,
-               /*parallel=*/false);
+  // The last rebuild cleared rebuild_inflight_ under mu_ and never takes
+  // it again, so this join cannot deadlock; RunRebuild never throws.
+  if (rebuild_thread_.joinable()) rebuild_thread_.join();
+  rebuild_thread_ = std::thread([this, capture = std::move(capture)]() mutable {
+    // Serial: a ParallelFor would hold the pool for the whole build.
+    RunRebuild(std::move(capture), /*parallel=*/false);
   });
-  return capture;
+  return {};
 }
 
-void StreamingRangeReach::RunRebuild(
-    std::shared_ptr<const DynamicRangeReach::Base> old_base,
-    std::vector<Update> suffix, uint64_t cut, bool parallel) {
+void StreamingRangeReach::RunRebuild(RebuildCapture capture, bool parallel) {
   // Off-lock: materialize the network at the cut and build the fresh
   // base. Readers keep pinning and querying, the writer keeps applying —
-  // everything past `cut` stays in the delta after installation.
-  auto merged = MaterializeNetwork(*old_base->network, suffix);
+  // everything past the cut stays in the delta after installation.
+  auto merged = MaterializeNetwork(*capture.old_base->network, capture.suffix);
   GSR_CHECK(merged.ok());
-  auto built = DynamicRangeReach::Base::Build(std::move(merged).value(), cut,
-                                              parallel ? pool_ : nullptr);
+  auto built = DynamicRangeReach::Base::Build(
+      std::move(merged).value(), capture.cut, parallel ? pool_ : nullptr);
 
   Status spill_error;
   bool from_snapshot = false;
   if (!options_.spill_dir.empty()) {
     const std::string path =
-        options_.spill_dir + "/base_" + std::to_string(cut) + ".gsr";
+        options_.spill_dir + "/base_" + std::to_string(capture.cut) + ".gsr";
     auto swapped = DynamicRangeReach::Base::RoundTripThroughSnapshot(
         built, path, options_.spill_mode);
     if (swapped.ok()) {
@@ -149,7 +142,7 @@ void StreamingRangeReach::Flush() {
   lock.unlock();
   // Inline, but off-lock like the background path (readers stay live);
   // the writer is this caller, so nothing races the cut.
-  RunRebuild(std::move(old_base), std::move(suffix), cut, /*parallel=*/true);
+  RunRebuild({std::move(old_base), std::move(suffix), cut}, /*parallel=*/true);
 }
 
 std::shared_ptr<const EpochView> StreamingRangeReach::Pin() const {
@@ -161,6 +154,7 @@ std::shared_ptr<const EpochView> StreamingRangeReach::Pin() const {
 void StreamingRangeReach::WaitForRebuilds() {
   std::unique_lock<std::mutex> lock(mu_);
   rebuild_cv_.wait(lock, [this] { return !rebuild_inflight_; });
+  if (rebuild_thread_.joinable()) rebuild_thread_.join();
 }
 
 uint64_t StreamingRangeReach::log_size() const {

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -105,13 +106,13 @@ class EpochView : public RangeReachMethod {
 /// refcount when the last reader drops them.
 ///
 /// When the pending delta reaches rebuild_threshold, the writer path
-/// schedules a *background* rebuild on the ThreadPool: the task captures
-/// (current base, log suffix copy, cut position) under the lock, then —
-/// off-lock, while updates and queries keep flowing — materializes the
-/// network at the cut, builds a fresh 3DReach base (serially: pool tasks
-/// must not re-enter ParallelFor), optionally round-trips it through the
-/// snapshot layer (StreamingOptions::spill_dir), and finally installs it
-/// under the lock and publishes the next epoch. Queries racing the swap
+/// starts a *background* rebuild on a thread of its own, one at a time: it
+/// captures (current base, log suffix copy, cut position) under the lock,
+/// then — off-lock, while updates and queries keep flowing — materializes
+/// the network at the cut, builds a fresh 3DReach base (serially, leaving
+/// the pool to batches), optionally round-trips it through the snapshot
+/// layer (StreamingOptions::spill_dir), and finally installs it under the
+/// lock and publishes the next epoch. Queries racing the swap
 /// see either the old (base, delta) or the new one; both answer
 /// bit-identically, which tests enforce against a rebuilt-from-scratch
 /// oracle under TSan.
@@ -129,13 +130,13 @@ class StreamingRangeReach {
   };
 
   /// Builds the initial base over `network` and publishes epoch 1.
-  /// `pool` runs the background rebuilds (and parallelizes the initial
-  /// build); pass nullptr for a fully synchronous engine (rebuilds then
-  /// run inline on the writer thread).
+  /// `pool` parallelizes the initial build and Flush() and selects
+  /// background rebuilds; pass nullptr for a fully synchronous engine
+  /// (rebuilds then run inline on the writer thread).
   StreamingRangeReach(GeoSocialNetwork network, ThreadPool* pool,
                       StreamingOptions options = {});
 
-  /// Waits for any in-flight rebuild, then tears down.
+  /// Waits for (and joins) any in-flight rebuild, then tears down.
   ~StreamingRangeReach();
 
   StreamingRangeReach(const StreamingRangeReach&) = delete;
@@ -167,8 +168,8 @@ class StreamingRangeReach {
   /// forever — later updates land in later epochs.
   std::shared_ptr<const EpochView> Pin() const;
 
-  /// Blocks until no rebuild is in flight (the epoch the rebuild
-  /// publishes is then pinnable).
+  /// Blocks until no rebuild is in flight and its thread is joined (the
+  /// epoch the rebuild publishes is then pinnable).
   void WaitForRebuilds();
 
   // --- Introspection.
@@ -206,8 +207,7 @@ class StreamingRangeReach {
   RebuildCapture MaybeStartRebuildLocked();
   /// The body of a rebuild: build a base folding log [0, cut), spill it
   /// through the snapshot layer when configured, install + publish.
-  void RunRebuild(std::shared_ptr<const DynamicRangeReach::Base> old_base,
-                  std::vector<Update> suffix, uint64_t cut, bool parallel);
+  void RunRebuild(RebuildCapture capture, bool parallel);
 
   StreamingOptions options_;
   ThreadPool* pool_ = nullptr;
@@ -217,6 +217,7 @@ class StreamingRangeReach {
   DynamicRangeReach engine_;
   size_t unpublished_ = 0;
   bool rebuild_inflight_ = false;
+  std::thread rebuild_thread_;  // Under mu_; joined once !rebuild_inflight_.
   Stats stats_;
   Status last_rebuild_error_;
 
