@@ -19,10 +19,8 @@
 
 #include "bench/bench_support.h"
 #include "common/table_printer.h"
-#include "core/soc_reach.h"
-#include "core/spa_reach.h"
-#include "core/three_d_reach.h"
 #include "exec/thread_pool.h"
+#include "labeling/interval_labeling.h"
 
 namespace {
 
@@ -51,37 +49,6 @@ std::vector<unsigned> ThreadSweep(unsigned max_threads) {
   for (unsigned t = 1; t < max_threads; t *= 2) sweep.push_back(t);
   sweep.push_back(max_threads);
   return sweep;
-}
-
-/// The interval-labeling component of a method's index, i.e. the frozen
-/// FlatLabelStore bytes (offsets + packed intervals). Zero for methods
-/// without an interval labeling (BFL's byte signatures, GeoReach's
-/// SPA-graph).
-size_t FlatLabelBytes(MethodKind kind, const RangeReachMethod& method) {
-  switch (kind) {
-    case MethodKind::kSpaReachInt:
-      return static_cast<const SpaReachInt&>(method)
-          .labeling()
-          .flat_store()
-          .SizeBytes();
-    case MethodKind::kSocReach:
-      return static_cast<const SocReach&>(method)
-          .labeling()
-          .flat_store()
-          .SizeBytes();
-    case MethodKind::kThreeDReach:
-      return static_cast<const ThreeDReach&>(method)
-          .labeling()
-          .flat_store()
-          .SizeBytes();
-    case MethodKind::kThreeDReachRev:
-      return static_cast<const ThreeDReachRev&>(method)
-          .labeling()
-          .flat_store()
-          .SizeBytes();
-    default:
-      return 0;
-  }
 }
 
 struct BuildMeasurement {
@@ -221,7 +188,11 @@ int main(int argc, char** argv) {
         m.speedup =
             built.build_seconds > 0.0 ? secs_1t / built.build_seconds : 1.0;
         m.index_bytes = built.method->IndexSizeBytes();
-        m.flat_label_bytes = FlatLabelBytes(kind, *built.method);
+        // The frozen FlatLabelStore bytes (offsets + packed intervals);
+        // zero for methods without an interval labeling.
+        const IntervalLabeling* labeling = built.method->interval_labeling();
+        m.flat_label_bytes =
+            labeling == nullptr ? 0 : labeling->flat_store().SizeBytes();
         all.push_back(m);
 
         cells.push_back(TablePrinter::FormatNumber(built.build_seconds));

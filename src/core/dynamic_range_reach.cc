@@ -61,8 +61,8 @@ using Scratch = DynamicRangeReach::Scratch;
 
 /// Does base vertex `from` reach base vertex `to` over base edges?
 bool BaseReach(const Base& base, VertexId from, VertexId to) {
-  return base.index->labeling().CanReach(base.cn->ComponentOf(from),
-                                         base.cn->ComponentOf(to));
+  return base.index->interval_labeling()->CanReach(
+      base.cn->ComponentOf(from), base.cn->ComponentOf(to));
 }
 
 /// The base-index scratch of `scratch`, (re)created lazily: a hot-swapped

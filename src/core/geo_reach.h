@@ -116,9 +116,11 @@ class GeoReachMethod : public RangeReachMethod {
   };
   ClassCounts CountClasses() const;
 
- private:
-  friend struct MethodSnapshotAccess;
+  Status SaveStructures(StructureOut& out) const override;
+  static Result<std::unique_ptr<RangeReachMethod>> Load(
+      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config);
 
+ private:
   /// From-parts constructor used by the snapshot loader. The grid pyramid
   /// is deterministic given the network bounds and options, so it is
   /// rebuilt rather than persisted.

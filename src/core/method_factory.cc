@@ -1,5 +1,7 @@
 #include "core/method_factory.h"
 
+#include <iterator>
+
 #include "common/check.h"
 #include "core/naive_bfs.h"
 #include "core/query_planner.h"
@@ -9,30 +11,98 @@
 
 namespace gsr {
 
-const char* MethodKindName(MethodKind kind) {
-  switch (kind) {
-    case MethodKind::kNaiveBfs:
-      return "NaiveBFS";
-    case MethodKind::kSpaReachBfl:
-      return "SpaReach-BFL";
-    case MethodKind::kSpaReachInt:
-      return "SpaReach-INT";
-    case MethodKind::kSpaReachPll:
-      return "SpaReach-PLL";
-    case MethodKind::kSpaReachFeline:
-      return "SpaReach-Feline";
-    case MethodKind::kGeoReach:
-      return "GeoReach";
-    case MethodKind::kSocReach:
-      return "SocReach";
-    case MethodKind::kThreeDReach:
-      return "3DReach";
-    case MethodKind::kThreeDReachRev:
-      return "3DReach-REV";
-    case MethodKind::kPlanner:
-      return "Planner";
+namespace {
+
+using Built = std::unique_ptr<RangeReachMethod>;
+
+/// A spatial-first kind whose backend takes no options.
+template <typename SpaReach>
+Built CreateSpaReach(const CondensedNetwork* cn, const MethodConfig& config,
+                     exec::ThreadPool* pool) {
+  return std::make_unique<SpaReach>(cn, config.scc_mode, pool);
+}
+
+// The spatial-first kinds route on the region's points, SocReach on
+// |D(v)|, 3DReach on |L(v)| (each label is an R-tree descent) and
+// 3DReach-REV on its one plane probe.
+constexpr MethodKindRow kRows[] = {
+    {MethodKind::kNaiveBfs, "NaiveBFS",
+     [](const CondensedNetwork* cn, const MethodConfig&,
+        exec::ThreadPool*) -> Built {
+       return std::make_unique<NaiveBfsMethod>(&cn->network());
+     },
+     nullptr, RoutingFeature::kConstant, {1e12, 1e12}},
+    {MethodKind::kSpaReachBfl, "SpaReach-BFL",
+     [](const CondensedNetwork* cn, const MethodConfig& config,
+        exec::ThreadPool* pool) -> Built {
+       return std::make_unique<SpaReachBfl>(cn, config.scc_mode, config.bfl,
+                                            pool);
+     },
+     &SpaReachBfl::Load, RoutingFeature::kRegionBlocks, {350.0, 6.0}},
+    {MethodKind::kSpaReachInt, "SpaReach-INT", &CreateSpaReach<SpaReachInt>,
+     &SpaReachInt::Load, RoutingFeature::kRegionBlocks, {350.0, 4.0}},
+    {MethodKind::kSpaReachPll, "SpaReach-PLL", &CreateSpaReach<SpaReachPll>,
+     &SpaReachPll::Load, RoutingFeature::kRegionBlocks, {350.0, 5.0}},
+    {MethodKind::kSpaReachFeline, "SpaReach-Feline",
+     &CreateSpaReach<SpaReachFeline>, &SpaReachFeline::Load,
+     RoutingFeature::kRegionBlocks, {350.0, 5.0}},
+    {MethodKind::kGeoReach, "GeoReach",
+     [](const CondensedNetwork* cn, const MethodConfig& config,
+        exec::ThreadPool* pool) -> Built {
+       return std::make_unique<GeoReachMethod>(cn, config.geo_reach, pool);
+     },
+     &GeoReachMethod::Load, RoutingFeature::kRegionBlocks, {700.0, 3.0}},
+    {MethodKind::kSocReach, "SocReach",
+     [](const CondensedNetwork* cn, const MethodConfig&,
+        exec::ThreadPool* pool) -> Built {
+       return std::make_unique<SocReach>(cn, pool);
+     },
+     &SocReach::Load, RoutingFeature::kDescendants, {250.0, 2.5}},
+    {MethodKind::kThreeDReach, "3DReach",
+     [](const CondensedNetwork* cn, const MethodConfig& config,
+        exec::ThreadPool* pool) -> Built {
+       return std::make_unique<ThreeDReach>(
+           cn,
+           ThreeDReach::Options{.scc_mode = config.scc_mode,
+                                .forest_strategy = config.forest_strategy},
+           pool);
+     },
+     &ThreeDReach::Load, RoutingFeature::kLabels, {450.0, 220.0}},
+    {MethodKind::kThreeDReachRev, "3DReach-REV",
+     [](const CondensedNetwork* cn, const MethodConfig& config,
+        exec::ThreadPool* pool) -> Built {
+       return std::make_unique<ThreeDReachRev>(
+           cn, ThreeDReachRev::Options{.scc_mode = config.scc_mode}, pool);
+     },
+     &ThreeDReachRev::Load, RoutingFeature::kConstant, {900.0, 0.0}},
+    {MethodKind::kPlanner, "Planner",
+     [](const CondensedNetwork* cn, const MethodConfig& config,
+        exec::ThreadPool*) -> Built {
+       // The planner builds its members through CreateMethod itself, so
+       // each member gets its own scoped build pool.
+       return std::make_unique<PlannedMethod>(cn, config);
+     },
+     &PlannedMethod::Load, RoutingFeature::kConstant, {1e12, 1e12}},
+};
+
+constexpr bool RowsInKindOrder() {
+  for (size_t k = 0; k < std::size(kRows); ++k) {
+    if (kRows[k].kind != static_cast<MethodKind>(k)) return false;
   }
-  return "Unknown";
+  return std::size(kRows) == kMethodKindCount;
+}
+static_assert(RowsInKindOrder(), "one row per MethodKind, in enum order");
+
+}  // namespace
+
+const MethodKindRow& MethodKindRowOf(MethodKind kind) {
+  const size_t k = static_cast<size_t>(kind);
+  GSR_CHECK(k < std::size(kRows));
+  return kRows[k];
+}
+
+const char* MethodKindName(MethodKind kind) {
+  return MethodKindRowOf(kind).name;
 }
 
 std::unique_ptr<RangeReachMethod> CreateMethod(const CondensedNetwork* cn,
@@ -40,43 +110,7 @@ std::unique_ptr<RangeReachMethod> CreateMethod(const CondensedNetwork* cn,
   // One pool (possibly none, = serial) drives every build stage of the
   // method; it is torn down when construction finishes.
   exec::ScopedBuildPool build_pool(config.build);
-  exec::ThreadPool* pool = build_pool.get();
-  switch (config.kind) {
-    case MethodKind::kNaiveBfs:
-      return std::make_unique<NaiveBfsMethod>(&cn->network());
-    case MethodKind::kSpaReachBfl:
-      return std::make_unique<SpaReachBfl>(cn, config.scc_mode, config.bfl,
-                                           pool);
-    case MethodKind::kSpaReachInt:
-      return std::make_unique<SpaReachInt>(cn, config.scc_mode, pool);
-    case MethodKind::kSpaReachPll:
-      return std::make_unique<SpaReachPll>(cn, config.scc_mode, pool);
-    case MethodKind::kSpaReachFeline:
-      return std::make_unique<SpaReachFeline>(cn, config.scc_mode, pool);
-    case MethodKind::kGeoReach:
-      return std::make_unique<GeoReachMethod>(cn, config.geo_reach, pool);
-    case MethodKind::kSocReach:
-      return std::make_unique<SocReach>(cn, pool);
-    case MethodKind::kThreeDReach:
-      return std::make_unique<ThreeDReach>(
-          cn,
-          ThreeDReach::Options{.scc_mode = config.scc_mode,
-                               .forest_strategy = config.forest_strategy},
-          pool);
-    case MethodKind::kThreeDReachRev:
-      return std::make_unique<ThreeDReachRev>(
-          cn, ThreeDReachRev::Options{.scc_mode = config.scc_mode}, pool);
-    case MethodKind::kPlanner:
-      GSR_CHECK(!config.planner.portfolio.empty());
-      for (const MethodKind member : config.planner.portfolio) {
-        GSR_CHECK(member != MethodKind::kPlanner &&
-                  member != MethodKind::kNaiveBfs);
-      }
-      // The planner builds its members through CreateMethod itself, so
-      // each member gets its own scoped build pool.
-      return std::make_unique<PlannedMethod>(cn, config);
-  }
-  return nullptr;
+  return MethodKindRowOf(config.kind).create(cn, config, build_pool.get());
 }
 
 std::vector<MethodConfig> Figure7MethodConfigs() {

@@ -65,6 +65,40 @@ struct MethodConfig {
 std::unique_ptr<RangeReachMethod> CreateMethod(const CondensedNetwork* cn,
                                                const MethodConfig& config);
 
+/// What the planner prices a member's query by: its kind's cost driver.
+enum class RoutingFeature : uint8_t {
+  kRegionBlocks,  // Points in the region (histogram block count).
+  kDescendants,   // |D(v)|, from the member's interval labeling.
+  kLabels,        // |L(v)|, from the member's interval labeling.
+  kConstant,      // One probe, whatever the query.
+};
+
+/// cost_ns(query) = base_ns + per_unit_ns * feature(query).
+struct MethodCostModel {
+  double base_ns = 0.0;
+  double per_unit_ns = 0.0;
+};
+
+/// One row of the method table (core/method_factory.cc, in MethodKind
+/// order): all that the factory, the snapshot loader and the planner
+/// know about a kind.
+struct MethodKindRow {
+  MethodKind kind;
+  const char* name;
+  std::unique_ptr<RangeReachMethod> (*create)(const CondensedNetwork* cn,
+                                              const MethodConfig& config,
+                                              exec::ThreadPool* pool);
+  /// The class's static Load; null for the index-free NaiveBFS.
+  Result<std::unique_ptr<RangeReachMethod>> (*load)(
+      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config);
+  RoutingFeature feature;
+  /// The planner's cost line when calibration is off (or impossible: no
+  /// spatial vertices); only the ratios between kinds matter.
+  MethodCostModel default_cost;
+};
+
+const MethodKindRow& MethodKindRowOf(MethodKind kind);
+
 /// The five contenders of the final comparison (Figure 7), replicate mode.
 std::vector<MethodConfig> Figure7MethodConfigs();
 

@@ -1,5 +1,6 @@
 #include "core/method_snapshot.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,58 @@ namespace gsr {
 using snapshot::SectionId;
 using snapshot::SnapshotReader;
 using snapshot::SnapshotWriter;
+
+/// Where SaveStructures writes a method's structures: one section each
+/// (a top-level snapshot) or, in order, the planner's single stream (a
+/// portfolio member — section ids name structures, and a planner may own
+/// several labelings / spatial indexes, so per-structure sections would
+/// collide).
+class StructureOut {
+ public:
+  explicit StructureOut(SnapshotWriter& writer) : writer_(&writer) {}
+  explicit StructureOut(BinaryWriter& stream) : stream_(&stream) {}
+
+  /// The writer for the next structure, which `id` names.
+  BinaryWriter& Next(SectionId id) {
+    return writer_ != nullptr ? writer_->BeginSection(id) : *stream_;
+  }
+
+ private:
+  SnapshotWriter* writer_ = nullptr;
+  BinaryWriter* stream_ = nullptr;
+};
+
+/// Where a Load reads them back: `id`'s own section under that section's
+/// context (in kPaged mode it carries the section's file offset, so
+/// pageable structures can record on-disk addresses, and the resident
+/// prefix budget), or the planner's stream under the kPlanner context.
+class StructureIn {
+ public:
+  explicit StructureIn(const SnapshotReader& reader) : reader_(&reader) {}
+  StructureIn(BinaryReader& stream, const BorrowContext& ctx)
+      : stream_(&stream), ctx_(ctx) {}
+
+  /// Moves to the next structure, which `id` names; stream() and ctx()
+  /// then read it. Fetching a section invalidates the previous one's
+  /// reader (kPaged keeps one section resident at a time).
+  Status Next(SectionId id) {
+    if (reader_ == nullptr) return Status::Ok();
+    auto section = reader_->Section(id);
+    if (!section.ok()) return section.status();
+    section_ = std::move(*section);
+    ctx_ = reader_->borrow_context(id);
+    stream_ = &section_;
+    return Status::Ok();
+  }
+  BinaryReader& stream() { return *stream_; }
+  const BorrowContext& ctx() const { return ctx_; }
+
+ private:
+  const SnapshotReader* reader_ = nullptr;
+  BinaryReader section_{{}};
+  BinaryReader* stream_ = nullptr;
+  BorrowContext ctx_;
+};
 
 namespace {
 
@@ -129,57 +182,7 @@ Result<MethodConfig> ReadMeta(BinaryReader& r, const CondensedNetwork& cn) {
   return config;
 }
 
-/// Where SaveStructures writes a method's structures: one section each
-/// (a top-level snapshot) or, in order, the planner's single stream (a
-/// portfolio member — section ids name structures, and a planner may own
-/// several labelings / spatial indexes, so per-structure sections would
-/// collide).
-class StructureOut {
- public:
-  explicit StructureOut(SnapshotWriter& writer) : writer_(&writer) {}
-  explicit StructureOut(BinaryWriter& stream) : stream_(&stream) {}
-
-  /// The writer for the next structure, which `id` names.
-  BinaryWriter& Next(SectionId id) {
-    return writer_ != nullptr ? writer_->BeginSection(id) : *stream_;
-  }
-
- private:
-  SnapshotWriter* writer_ = nullptr;
-  BinaryWriter* stream_ = nullptr;
-};
-
-/// Where LoadStructures reads them back: `id`'s own section under that
-/// section's context (in kPaged mode it carries the section's file offset,
-/// so pageable structures can record on-disk addresses, and the resident
-/// prefix budget), or the planner's stream under the kPlanner context.
-class StructureIn {
- public:
-  explicit StructureIn(const SnapshotReader& reader) : reader_(&reader) {}
-  StructureIn(BinaryReader& stream, const BorrowContext& ctx)
-      : stream_(&stream), ctx_(ctx) {}
-
-  /// Moves to the next structure, which `id` names; stream() and ctx()
-  /// then read it. Fetching a section invalidates the previous one's
-  /// reader (kPaged keeps one section resident at a time).
-  Status Next(SectionId id) {
-    if (reader_ == nullptr) return Status::Ok();
-    auto section = reader_->Section(id);
-    if (!section.ok()) return section.status();
-    section_ = std::move(*section);
-    ctx_ = reader_->borrow_context(id);
-    stream_ = &section_;
-    return Status::Ok();
-  }
-  BinaryReader& stream() { return *stream_; }
-  const BorrowContext& ctx() const { return ctx_; }
-
- private:
-  const SnapshotReader* reader_ = nullptr;
-  BinaryReader section_{{}};
-  BinaryReader* stream_ = nullptr;
-  BorrowContext ctx_;
-};
+using Loaded = Result<std::unique_ptr<RangeReachMethod>>;
 
 /// A labeling loaded for a method over `cn` must label exactly the
 /// condensation's components.
@@ -211,385 +214,333 @@ Result<CondensedSpatialIndex> LoadSpatialIndex(StructureIn& in,
 
 }  // namespace
 
-/// Friend of every method class: reads private index members for saving
-/// and invokes the private from-parts constructors for loading.
-struct MethodSnapshotAccess {
-  static Status Save(const RangeReachMethod& method,
-                     const MethodConfig& config, const CondensedNetwork& cn,
-                     const std::string& path) {
-    SnapshotWriter writer;
-    WriteMeta(writer.BeginSection(SectionId::kMeta), config, cn);
-    if (config.kind != MethodKind::kPlanner) {
-      StructureOut out(writer);
-      GSR_RETURN_IF_ERROR(
-          SaveStructures(method, config.kind, config.scc_mode, out));
-      return writer.WriteFile(path);
-    }
-    // One section holds the whole portfolio inline, each member in its
-    // kind's structure order.
-    const auto& m = static_cast<const PlannedMethod&>(method);
-    BinaryWriter& s = writer.BeginSection(SectionId::kPlanner);
-    StructureOut out(s);
-    s.WriteU32(static_cast<uint32_t>(m.members_.size()));
-    for (size_t i = 0; i < m.members_.size(); ++i) {
-      s.WriteU32(static_cast<uint32_t>(m.member_kinds_[i]));
-      GSR_RETURN_IF_ERROR(SaveStructures(*m.members_[i], m.member_kinds_[i],
-                                         config.scc_mode, out));
-    }
-    m.observations_.SerializeTo(s);
-    m.histogram_.SerializeTo(s);
-    for (const PlannedMethod::CostModel& cm : m.cost_models_) {
-      s.WriteF64(cm.base_ns);
-      s.WriteF64(cm.per_unit_ns);
-    }
-    return writer.WriteFile(path);
+// Each kind's codec: SaveStructures writes its structures, one
+// out.Next(id) each, and its Load reads them back in the same order.
+
+Status RangeReachMethod::SaveStructures(StructureOut& /*out*/) const {
+  return Status::InvalidArgument(
+      name() + " is index-free and has no snapshot representation");
+}
+
+Status SocReach::SaveStructures(StructureOut& out) const {
+  labeling_.SerializeTo(out.Next(SectionId::kLabeling));
+  return Status::Ok();
+}
+
+Loaded SocReach::Load(StructureIn& in, const CondensedNetwork* cn,
+                      const MethodConfig& /*config*/) {
+  auto labeling = LoadLabeling(in, *cn);
+  if (!labeling.ok()) return labeling.status();
+  return std::unique_ptr<RangeReachMethod>(
+      new SocReach(cn, std::move(*labeling)));
+}
+
+Status SpaReachBfl::SaveStructures(StructureOut& out) const {
+  spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
+  bfl_.SerializeTo(out.Next(SectionId::kBfl));
+  return Status::Ok();
+}
+
+Loaded SpaReachBfl::Load(StructureIn& in, const CondensedNetwork* cn,
+                         const MethodConfig& config) {
+  auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
+  if (!index.ok()) return index.status();
+  GSR_RETURN_IF_ERROR(in.Next(SectionId::kBfl));
+  auto bfl = BflIndex::Deserialize(in.stream(), &cn->dag());
+  if (!bfl.ok()) return bfl.status();
+  return std::unique_ptr<RangeReachMethod>(
+      new SpaReachBfl(cn, std::move(*index), std::move(*bfl)));
+}
+
+Status SpaReachInt::SaveStructures(StructureOut& out) const {
+  spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
+  labeling_.SerializeTo(out.Next(SectionId::kLabeling));
+  return Status::Ok();
+}
+
+Loaded SpaReachInt::Load(StructureIn& in, const CondensedNetwork* cn,
+                         const MethodConfig& config) {
+  auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
+  if (!index.ok()) return index.status();
+  auto labeling = LoadLabeling(in, *cn);
+  if (!labeling.ok()) return labeling.status();
+  return std::unique_ptr<RangeReachMethod>(
+      new SpaReachInt(cn, std::move(*index), std::move(*labeling)));
+}
+
+Status SpaReachPll::SaveStructures(StructureOut& out) const {
+  spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
+  pll_.SerializeTo(out.Next(SectionId::kPll));
+  return Status::Ok();
+}
+
+Loaded SpaReachPll::Load(StructureIn& in, const CondensedNetwork* cn,
+                         const MethodConfig& config) {
+  auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
+  if (!index.ok()) return index.status();
+  GSR_RETURN_IF_ERROR(in.Next(SectionId::kPll));
+  auto pll = PllIndex::Deserialize(in.stream());
+  if (!pll.ok()) return pll.status();
+  if (pll->num_vertices() != cn->num_components()) {
+    return Status::InvalidArgument(
+        "snapshot PLL index does not match the condensation size");
   }
+  return std::unique_ptr<RangeReachMethod>(
+      new SpaReachPll(cn, std::move(*index), std::move(*pll)));
+}
 
-  static Result<LoadedMethod> Load(const CondensedNetwork* cn,
-                                   const std::string& path,
-                                   const SnapshotLoadOptions& options) {
-    auto reader = SnapshotReader::Open(path, options);
-    if (!reader.ok()) return reader.status();
-    auto meta_reader = reader->Section(SectionId::kMeta);
-    if (!meta_reader.ok()) return meta_reader.status();
-    auto config = ReadMeta(*meta_reader, *cn);
-    if (!config.ok()) return config.status();
+Status SpaReachFeline::SaveStructures(StructureOut& out) const {
+  spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
+  feline_.SerializeTo(out.Next(SectionId::kFeline));
+  return Status::Ok();
+}
 
-    LoadedMethod out;
-    out.config = *config;
-    out.page_cache = reader->page_cache();
-    if (config->kind != MethodKind::kPlanner) {
-      StructureIn in(*reader);
-      auto method = LoadStructures(in, cn, *config, config->kind);
-      if (!method.ok()) return method.status();
-      out.method = std::move(*method);
-      out.resident_bytes = reader->resident_bytes();
-      return out;
-    }
+Loaded SpaReachFeline::Load(StructureIn& in, const CondensedNetwork* cn,
+                            const MethodConfig& config) {
+  auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
+  if (!index.ok()) return index.status();
+  GSR_RETURN_IF_ERROR(in.Next(SectionId::kFeline));
+  auto feline = FelineIndex::Deserialize(in.stream(), &cn->dag());
+  if (!feline.ok()) return feline.status();
+  return std::unique_ptr<RangeReachMethod>(
+      new SpaReachFeline(cn, std::move(*index), std::move(*feline)));
+}
 
-    auto section = reader->Section(SectionId::kPlanner);
-    if (!section.ok()) return section.status();
-    BinaryReader& s = *section;
-    StructureIn in(s, reader->borrow_context(SectionId::kPlanner));
-    uint32_t member_count = 0;
-    GSR_RETURN_IF_ERROR(s.ReadU32(&member_count));
-    if (member_count != config->planner.portfolio.size()) {
-      return Status::InvalidArgument(
-          "planner snapshot: member count disagrees with meta portfolio");
-    }
-    std::vector<std::unique_ptr<RangeReachMethod>> members;
-    std::vector<MethodKind> kinds;
-    for (uint32_t i = 0; i < member_count; ++i) {
-      uint32_t kind_tag = 0;
-      GSR_RETURN_IF_ERROR(s.ReadU32(&kind_tag));
-      if (kind_tag != static_cast<uint32_t>(config->planner.portfolio[i])) {
-        return Status::InvalidArgument(
-            "planner snapshot: member kind disagrees with meta portfolio");
-      }
-      const MethodKind member_kind = static_cast<MethodKind>(kind_tag);
-      auto member = LoadStructures(in, cn, *config, member_kind);
-      if (!member.ok()) return member.status();
-      members.push_back(std::move(*member));
-      kinds.push_back(member_kind);
-    }
-    auto observations = Observations::Deserialize(s);
-    if (!observations.ok()) return observations.status();
-    if (observations->num_components() != cn->num_components()) {
-      return Status::InvalidArgument(
-          "planner snapshot: observations do not match the condensation");
-    }
-    auto histogram = GridHistogram::Deserialize(s);
-    if (!histogram.ok()) return histogram.status();
-    std::vector<PlannedMethod::CostModel> cost_models(member_count);
-    for (PlannedMethod::CostModel& cm : cost_models) {
-      GSR_RETURN_IF_ERROR(s.ReadF64(&cm.base_ns));
-      GSR_RETURN_IF_ERROR(s.ReadF64(&cm.per_unit_ns));
-    }
-    out.method.reset(new PlannedMethod(
-        cn, config->planner, std::move(members), std::move(kinds),
-        std::move(*observations), std::move(*histogram),
-        std::move(cost_models)));
-    out.resident_bytes = reader->resident_bytes();
-    return out;
+Status ThreeDReach::SaveStructures(StructureOut& out) const {
+  labeling_.SerializeTo(out.Next(SectionId::kLabeling));
+  BinaryWriter& s = out.Next(SectionId::kRTree);
+  if (options_.scc_mode == SccSpatialMode::kReplicate) {
+    points_.SerializeTo(s);
+  } else {
+    boxes_.SerializeTo(s);
   }
+  return Status::Ok();
+}
 
- private:
-  /// The one per-kind codec: which structures a method of `kind`
-  /// persists, and in what order. LoadStructures mirrors it.
-  static Status SaveStructures(const RangeReachMethod& method,
-                               MethodKind kind, SccSpatialMode scc_mode,
-                               StructureOut& out) {
-    switch (kind) {
-      case MethodKind::kNaiveBfs:
-        return Status::InvalidArgument(
-            "NaiveBFS is index-free and has no snapshot representation");
-      case MethodKind::kPlanner:
-        return Status::InvalidArgument(
-            "a planner cannot be a planner portfolio member");
-      case MethodKind::kSocReach:
-        static_cast<const SocReach&>(method).labeling_.SerializeTo(
-            out.Next(SectionId::kLabeling));
-        break;
-      case MethodKind::kSpaReachBfl: {
-        const auto& m = static_cast<const SpaReachBfl&>(method);
-        m.spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
-        m.bfl_.SerializeTo(out.Next(SectionId::kBfl));
-        break;
-      }
-      case MethodKind::kSpaReachInt: {
-        const auto& m = static_cast<const SpaReachInt&>(method);
-        m.spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
-        m.labeling_.SerializeTo(out.Next(SectionId::kLabeling));
-        break;
-      }
-      case MethodKind::kSpaReachPll: {
-        const auto& m = static_cast<const SpaReachPll&>(method);
-        m.spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
-        m.pll_.SerializeTo(out.Next(SectionId::kPll));
-        break;
-      }
-      case MethodKind::kSpaReachFeline: {
-        const auto& m = static_cast<const SpaReachFeline&>(method);
-        m.spatial_index_.SerializeTo(out.Next(SectionId::kSpatialIndex));
-        m.feline_.SerializeTo(out.Next(SectionId::kFeline));
-        break;
-      }
-      case MethodKind::kGeoReach:
-        SaveGeoReach(static_cast<const GeoReachMethod&>(method),
-                     out.Next(SectionId::kGeoReach));
-        break;
-      case MethodKind::kThreeDReach: {
-        const auto& m = static_cast<const ThreeDReach&>(method);
-        m.labeling_.SerializeTo(out.Next(SectionId::kLabeling));
-        BinaryWriter& s = out.Next(SectionId::kRTree);
-        if (scc_mode == SccSpatialMode::kReplicate) {
-          m.points_.SerializeTo(s);
-        } else {
-          m.boxes_.SerializeTo(s);
-        }
-        break;
-      }
-      case MethodKind::kThreeDReachRev: {
-        const auto& m = static_cast<const ThreeDReachRev&>(method);
-        m.labeling_.SerializeTo(out.Next(SectionId::kLabeling));
-        m.rtree_.SerializeTo(out.Next(SectionId::kRTree));
-        break;
-      }
-    }
-    return Status::Ok();
-  }
-
-  static Result<std::unique_ptr<RangeReachMethod>> LoadStructures(
-      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config,
-      MethodKind kind) {
-    std::unique_ptr<RangeReachMethod> method;
-    switch (kind) {
-      case MethodKind::kNaiveBfs:
-      case MethodKind::kPlanner:
-        // Meta validation rejects both, as a snapshot and as a member.
-        return Status::Internal("unreachable: no structures for this kind");
-      case MethodKind::kSocReach: {
-        auto labeling = LoadLabeling(in, *cn);
-        if (!labeling.ok()) return labeling.status();
-        method.reset(new SocReach(cn, std::move(*labeling)));
-        break;
-      }
-      case MethodKind::kSpaReachBfl: {
-        auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
-        if (!index.ok()) return index.status();
-        GSR_RETURN_IF_ERROR(in.Next(SectionId::kBfl));
-        auto bfl = BflIndex::Deserialize(in.stream(), &cn->dag());
-        if (!bfl.ok()) return bfl.status();
-        method.reset(new SpaReachBfl(cn, std::move(*index), std::move(*bfl)));
-        break;
-      }
-      case MethodKind::kSpaReachInt: {
-        auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
-        if (!index.ok()) return index.status();
-        auto labeling = LoadLabeling(in, *cn);
-        if (!labeling.ok()) return labeling.status();
-        method.reset(
-            new SpaReachInt(cn, std::move(*index), std::move(*labeling)));
-        break;
-      }
-      case MethodKind::kSpaReachPll: {
-        auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
-        if (!index.ok()) return index.status();
-        GSR_RETURN_IF_ERROR(in.Next(SectionId::kPll));
-        auto pll = PllIndex::Deserialize(in.stream());
-        if (!pll.ok()) return pll.status();
-        if (pll->num_vertices() != cn->num_components()) {
-          return Status::InvalidArgument(
-              "snapshot PLL index does not match the condensation size");
-        }
-        method.reset(new SpaReachPll(cn, std::move(*index), std::move(*pll)));
-        break;
-      }
-      case MethodKind::kSpaReachFeline: {
-        auto index = LoadSpatialIndex(in, *cn, config.scc_mode);
-        if (!index.ok()) return index.status();
-        GSR_RETURN_IF_ERROR(in.Next(SectionId::kFeline));
-        auto feline = FelineIndex::Deserialize(in.stream(), &cn->dag());
-        if (!feline.ok()) return feline.status();
-        method.reset(
-            new SpaReachFeline(cn, std::move(*index), std::move(*feline)));
-        break;
-      }
-      case MethodKind::kGeoReach: {
-        GSR_RETURN_IF_ERROR(in.Next(SectionId::kGeoReach));
-        auto loaded = LoadGeoReach(in.stream(), cn, config);
-        if (!loaded.ok()) return loaded.status();
-        method = std::move(*loaded);
-        break;
-      }
-      case MethodKind::kThreeDReach: {
-        auto labeling = LoadLabeling(in, *cn);
-        if (!labeling.ok()) return labeling.status();
-        GSR_RETURN_IF_ERROR(in.Next(SectionId::kRTree));
-        const ThreeDReach::Options method_options{
-            .scc_mode = config.scc_mode,
-            .forest_strategy = config.forest_strategy};
-        if (config.scc_mode == SccSpatialMode::kReplicate) {
-          // Leaf ids are vertex ids, and the tree must be exactly the one
-          // this network and labeling build (see CheckReplicateLeaves).
-          auto points = FrozenRTreePoints3D::Deserialize(
-              in.stream(), in.ctx(), cn->network().num_vertices(),
-              [&](std::span<const Point3D> geoms,
-                  std::span<const uint64_t> ids) {
-                return ThreeDReach::CheckReplicateLeaves(*cn, *labeling,
-                                                         geoms, ids);
-              });
-          if (!points.ok()) return points.status();
-          method.reset(new ThreeDReach(cn, method_options,
-                                       std::move(*labeling),
-                                       std::move(*points), FrozenRTree3D()));
-        } else {
-          auto boxes = FrozenRTree3D::Deserialize(
-              in.stream(), in.ctx(), cn->num_components(),
-              [&](std::span<const Box3D> geoms,
-                  std::span<const uint64_t> ids) {
-                return ThreeDReach::CheckMbrLeaves(*cn, *labeling, geoms,
-                                                   ids);
-              });
-          if (!boxes.ok()) return boxes.status();
-          method.reset(new ThreeDReach(cn, method_options,
-                                       std::move(*labeling),
-                                       FrozenRTreePoints3D(),
-                                       std::move(*boxes)));
-        }
-        break;
-      }
-      case MethodKind::kThreeDReachRev: {
-        auto labeling = LoadLabeling(in, *cn);
-        if (!labeling.ok()) return labeling.status();
-        GSR_RETURN_IF_ERROR(in.Next(SectionId::kRTree));
-        auto rtree = FrozenRTree3D::Deserialize(in.stream(), in.ctx(),
-                                                cn->num_components());
-        if (!rtree.ok()) return rtree.status();
-        method.reset(new ThreeDReachRev(
-            cn, ThreeDReachRev::Options{.scc_mode = config.scc_mode},
-            std::move(*labeling), std::move(*rtree)));
-        break;
-      }
-    }
-    return method;
-  }
-
-  /// GeoReach section: class tags, RMBRs, and the ReachGrids as a CSR of
-  /// cells. GridCell has internal padding, so cells are stored as three
-  /// parallel arrays (level/ix/iy) rather than raw structs.
-  static void SaveGeoReach(const GeoReachMethod& m, BinaryWriter& s) {
-    const size_t n = m.class_.size();
-    std::vector<uint8_t> classes(n);
-    for (size_t i = 0; i < n; ++i) {
-      classes[i] = static_cast<uint8_t>(m.class_[i]);
-    }
-    s.WriteVector(classes);
-    s.WriteVector(m.rmbr_);
-    std::vector<uint64_t> offsets;
-    offsets.reserve(n + 1);
-    offsets.push_back(0);
-    std::vector<uint8_t> levels;
-    std::vector<uint32_t> ixs;
-    std::vector<uint32_t> iys;
-    for (const std::vector<GridCell>& cells : m.reach_grid_) {
-      for (const GridCell& cell : cells) {
-        levels.push_back(cell.level);
-        ixs.push_back(cell.ix);
-        iys.push_back(cell.iy);
-      }
-      offsets.push_back(levels.size());
-    }
-    s.WriteVector(offsets);
-    s.WriteVector(levels);
-    s.WriteVector(ixs);
-    s.WriteVector(iys);
-  }
-
-  static Result<std::unique_ptr<RangeReachMethod>> LoadGeoReach(
-      BinaryReader& s, const CondensedNetwork* cn,
-      const MethodConfig& config) {
-    std::vector<uint8_t> classes;
-    std::vector<Rect> rmbr;
-    std::vector<uint64_t> offsets;
-    std::vector<uint8_t> levels;
-    std::vector<uint32_t> ixs;
-    std::vector<uint32_t> iys;
-    GSR_RETURN_IF_ERROR(s.ReadVector(&classes));
-    GSR_RETURN_IF_ERROR(s.ReadVector(&rmbr));
-    GSR_RETURN_IF_ERROR(s.ReadVector(&offsets));
-    GSR_RETURN_IF_ERROR(s.ReadVector(&levels));
-    GSR_RETURN_IF_ERROR(s.ReadVector(&ixs));
-    GSR_RETURN_IF_ERROR(s.ReadVector(&iys));
-
-    const size_t n = cn->num_components();
-    const int depth = config.geo_reach.grid_depth;
-    if (classes.size() != n || rmbr.size() != n || offsets.size() != n + 1 ||
-        offsets.front() != 0 || offsets.back() != levels.size() ||
-        ixs.size() != levels.size() || iys.size() != levels.size()) {
-      return Status::InvalidArgument("GeoReach snapshot: array sizes disagree");
-    }
-    std::vector<GeoReachMethod::SpaClass> spa_classes(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (classes[i] > static_cast<uint8_t>(GeoReachMethod::SpaClass::kG)) {
-        return Status::InvalidArgument("GeoReach snapshot: bad class tag");
-      }
-      spa_classes[i] = static_cast<GeoReachMethod::SpaClass>(classes[i]);
-    }
-    std::vector<std::vector<GridCell>> reach_grid(n);
-    for (size_t c = 0; c < n; ++c) {
-      if (offsets[c] > offsets[c + 1]) {
-        return Status::InvalidArgument(
-            "GeoReach snapshot: non-monotonic grid offsets");
-      }
-      reach_grid[c].reserve(offsets[c + 1] - offsets[c]);
-      for (uint64_t i = offsets[c]; i < offsets[c + 1]; ++i) {
-        if (levels[i] > depth ||
-            ixs[i] >= (1u << (depth - levels[i])) ||
-            iys[i] >= (1u << (depth - levels[i]))) {
-          return Status::InvalidArgument(
-              "GeoReach snapshot: grid cell out of range");
-        }
-        reach_grid[c].push_back(GridCell{levels[i], ixs[i], iys[i]});
-      }
-    }
+Loaded ThreeDReach::Load(StructureIn& in, const CondensedNetwork* cn,
+                         const MethodConfig& config) {
+  auto labeling = LoadLabeling(in, *cn);
+  if (!labeling.ok()) return labeling.status();
+  GSR_RETURN_IF_ERROR(in.Next(SectionId::kRTree));
+  const Options options{.scc_mode = config.scc_mode,
+                        .forest_strategy = config.forest_strategy};
+  if (config.scc_mode == SccSpatialMode::kReplicate) {
+    // Leaf ids are vertex ids, and the tree must be exactly the one this
+    // network and labeling build (see CheckReplicateLeaves).
+    auto points = FrozenRTreePoints3D::Deserialize(
+        in.stream(), in.ctx(), cn->network().num_vertices(),
+        [&](std::span<const Point3D> geoms, std::span<const uint64_t> ids) {
+          return CheckReplicateLeaves(*cn, *labeling, geoms, ids);
+        });
+    if (!points.ok()) return points.status();
     return std::unique_ptr<RangeReachMethod>(
-        new GeoReachMethod(cn, config.geo_reach, std::move(spa_classes),
-                           std::move(rmbr), std::move(reach_grid)));
+        new ThreeDReach(cn, options, std::move(*labeling), std::move(*points),
+                        FrozenRTree3D()));
   }
-};
+  auto boxes = FrozenRTree3D::Deserialize(
+      in.stream(), in.ctx(), cn->num_components(),
+      [&](std::span<const Box3D> geoms, std::span<const uint64_t> ids) {
+        return CheckMbrLeaves(*cn, *labeling, geoms, ids);
+      });
+  if (!boxes.ok()) return boxes.status();
+  return std::unique_ptr<RangeReachMethod>(
+      new ThreeDReach(cn, options, std::move(*labeling),
+                      FrozenRTreePoints3D(), std::move(*boxes)));
+}
+
+Status ThreeDReachRev::SaveStructures(StructureOut& out) const {
+  labeling_.SerializeTo(out.Next(SectionId::kLabeling));
+  rtree_.SerializeTo(out.Next(SectionId::kRTree));
+  return Status::Ok();
+}
+
+Loaded ThreeDReachRev::Load(StructureIn& in, const CondensedNetwork* cn,
+                            const MethodConfig& config) {
+  auto labeling = LoadLabeling(in, *cn);
+  if (!labeling.ok()) return labeling.status();
+  GSR_RETURN_IF_ERROR(in.Next(SectionId::kRTree));
+  auto rtree =
+      FrozenRTree3D::Deserialize(in.stream(), in.ctx(), cn->num_components());
+  if (!rtree.ok()) return rtree.status();
+  return std::unique_ptr<RangeReachMethod>(new ThreeDReachRev(
+      cn, Options{.scc_mode = config.scc_mode}, std::move(*labeling),
+      std::move(*rtree)));
+}
+
+/// GeoReach section: class tags, RMBRs, and the ReachGrids as a CSR of
+/// cells. GridCell has internal padding, so cells are stored as three
+/// parallel arrays (level/ix/iy) rather than raw structs.
+Status GeoReachMethod::SaveStructures(StructureOut& out) const {
+  BinaryWriter& s = out.Next(SectionId::kGeoReach);
+  const size_t n = class_.size();
+  std::vector<uint8_t> classes(n);
+  for (size_t i = 0; i < n; ++i) {
+    classes[i] = static_cast<uint8_t>(class_[i]);
+  }
+  s.WriteVector(classes);
+  s.WriteVector(rmbr_);
+  std::vector<uint64_t> offsets;
+  offsets.reserve(n + 1);
+  offsets.push_back(0);
+  std::vector<uint8_t> levels;
+  std::vector<uint32_t> ixs;
+  std::vector<uint32_t> iys;
+  for (const std::vector<GridCell>& cells : reach_grid_) {
+    for (const GridCell& cell : cells) {
+      levels.push_back(cell.level);
+      ixs.push_back(cell.ix);
+      iys.push_back(cell.iy);
+    }
+    offsets.push_back(levels.size());
+  }
+  s.WriteVector(offsets);
+  s.WriteVector(levels);
+  s.WriteVector(ixs);
+  s.WriteVector(iys);
+  return Status::Ok();
+}
+
+Loaded GeoReachMethod::Load(StructureIn& in, const CondensedNetwork* cn,
+                            const MethodConfig& config) {
+  GSR_RETURN_IF_ERROR(in.Next(SectionId::kGeoReach));
+  BinaryReader& s = in.stream();
+  std::vector<uint8_t> classes;
+  std::vector<Rect> rmbr;
+  std::vector<uint64_t> offsets;
+  std::vector<uint8_t> levels;
+  std::vector<uint32_t> ixs;
+  std::vector<uint32_t> iys;
+  GSR_RETURN_IF_ERROR(s.ReadVector(&classes));
+  GSR_RETURN_IF_ERROR(s.ReadVector(&rmbr));
+  GSR_RETURN_IF_ERROR(s.ReadVector(&offsets));
+  GSR_RETURN_IF_ERROR(s.ReadVector(&levels));
+  GSR_RETURN_IF_ERROR(s.ReadVector(&ixs));
+  GSR_RETURN_IF_ERROR(s.ReadVector(&iys));
+
+  const size_t n = cn->num_components();
+  const int depth = config.geo_reach.grid_depth;
+  if (classes.size() != n || rmbr.size() != n || offsets.size() != n + 1 ||
+      offsets.front() != 0 || offsets.back() != levels.size() ||
+      ixs.size() != levels.size() || iys.size() != levels.size()) {
+    return Status::InvalidArgument("GeoReach snapshot: array sizes disagree");
+  }
+  // Monotonic offsets from 0 to levels.size() bound every cell range, so
+  // no reserve below can ask for more than the cells there are.
+  if (!std::is_sorted(offsets.begin(), offsets.end())) {
+    return Status::InvalidArgument(
+        "GeoReach snapshot: non-monotonic grid offsets");
+  }
+  std::vector<SpaClass> spa_classes(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (classes[i] > static_cast<uint8_t>(SpaClass::kG)) {
+      return Status::InvalidArgument("GeoReach snapshot: bad class tag");
+    }
+    spa_classes[i] = static_cast<SpaClass>(classes[i]);
+  }
+  std::vector<std::vector<GridCell>> reach_grid(n);
+  for (size_t c = 0; c < n; ++c) {
+    reach_grid[c].reserve(offsets[c + 1] - offsets[c]);
+    for (uint64_t i = offsets[c]; i < offsets[c + 1]; ++i) {
+      if (levels[i] > depth || ixs[i] >= (1u << (depth - levels[i])) ||
+          iys[i] >= (1u << (depth - levels[i]))) {
+        return Status::InvalidArgument(
+            "GeoReach snapshot: grid cell out of range");
+      }
+      reach_grid[c].push_back(GridCell{levels[i], ixs[i], iys[i]});
+    }
+  }
+  return std::unique_ptr<RangeReachMethod>(
+      new GeoReachMethod(cn, config.geo_reach, std::move(spa_classes),
+                         std::move(rmbr), std::move(reach_grid)));
+}
+
+/// Planner section: the member count, then each member's kind tag and
+/// structures inline, then the observations, histogram and cost models.
+Status PlannedMethod::SaveStructures(StructureOut& out) const {
+  BinaryWriter& s = out.Next(SectionId::kPlanner);
+  StructureOut inline_out(s);
+  s.WriteU32(static_cast<uint32_t>(members_.size()));
+  for (size_t i = 0; i < members_.size(); ++i) {
+    s.WriteU32(static_cast<uint32_t>(options_.portfolio[i]));
+    GSR_RETURN_IF_ERROR(members_[i]->SaveStructures(inline_out));
+  }
+  observations_.SerializeTo(s);
+  histogram_.SerializeTo(s);
+  for (const CostModel& cm : cost_models_) {
+    s.WriteF64(cm.base_ns);
+    s.WriteF64(cm.per_unit_ns);
+  }
+  return Status::Ok();
+}
+
+Loaded PlannedMethod::Load(StructureIn& in, const CondensedNetwork* cn,
+                           const MethodConfig& config) {
+  GSR_RETURN_IF_ERROR(in.Next(SectionId::kPlanner));
+  BinaryReader& s = in.stream();
+  StructureIn inline_in(s, in.ctx());
+  uint32_t member_count = 0;
+  GSR_RETURN_IF_ERROR(s.ReadU32(&member_count));
+  if (member_count != config.planner.portfolio.size()) {
+    return Status::InvalidArgument(
+        "planner snapshot: member count disagrees with meta portfolio");
+  }
+  std::vector<std::unique_ptr<RangeReachMethod>> members;
+  for (const MethodKind kind : config.planner.portfolio) {
+    uint32_t kind_tag = 0;
+    GSR_RETURN_IF_ERROR(s.ReadU32(&kind_tag));
+    if (kind_tag != static_cast<uint32_t>(kind)) {
+      return Status::InvalidArgument(
+          "planner snapshot: member kind disagrees with meta portfolio");
+    }
+    auto member = MethodKindRowOf(kind).load(inline_in, cn, config);
+    if (!member.ok()) return member.status();
+    members.push_back(std::move(*member));
+  }
+  auto observations = Observations::Deserialize(s);
+  if (!observations.ok()) return observations.status();
+  if (observations->num_components() != cn->num_components()) {
+    return Status::InvalidArgument(
+        "planner snapshot: observations do not match the condensation");
+  }
+  auto histogram = GridHistogram::Deserialize(s);
+  if (!histogram.ok()) return histogram.status();
+  std::vector<CostModel> cost_models(member_count);
+  for (CostModel& cm : cost_models) {
+    GSR_RETURN_IF_ERROR(s.ReadF64(&cm.base_ns));
+    GSR_RETURN_IF_ERROR(s.ReadF64(&cm.per_unit_ns));
+  }
+  return std::unique_ptr<RangeReachMethod>(new PlannedMethod(
+      cn, config.planner, std::move(members), std::move(*observations),
+      std::move(*histogram), std::move(cost_models)));
+}
 
 Status SaveMethodSnapshot(const RangeReachMethod& method,
                           const MethodConfig& config,
                           const CondensedNetwork& cn,
                           const std::string& path) {
-  return MethodSnapshotAccess::Save(method, config, cn, path);
+  SnapshotWriter writer;
+  WriteMeta(writer.BeginSection(SectionId::kMeta), config, cn);
+  StructureOut out(writer);
+  GSR_RETURN_IF_ERROR(method.SaveStructures(out));
+  return writer.WriteFile(path);
 }
 
 Result<LoadedMethod> LoadMethodSnapshot(const CondensedNetwork* cn,
                                         const std::string& path,
                                         const SnapshotLoadOptions& options) {
-  return MethodSnapshotAccess::Load(cn, path, options);
+  auto reader = SnapshotReader::Open(path, options);
+  if (!reader.ok()) return reader.status();
+  auto meta_reader = reader->Section(SectionId::kMeta);
+  if (!meta_reader.ok()) return meta_reader.status();
+  auto config = ReadMeta(*meta_reader, *cn);
+  if (!config.ok()) return config.status();
+
+  // ReadMeta admits only kinds with a loader (not NaiveBFS).
+  StructureIn in(*reader);
+  auto method = MethodKindRowOf(config->kind).load(in, cn, *config);
+  if (!method.ok()) return method.status();
+  return LoadedMethod{std::move(*method), *config, reader->page_cache(),
+                      reader->resident_bytes()};
 }
 
 }  // namespace gsr

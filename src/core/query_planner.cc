@@ -8,44 +8,13 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/soc_reach.h"
-#include "core/spa_reach.h"
-#include "core/three_d_reach.h"
+#include "labeling/interval_labeling.h"
 
 namespace gsr {
 
 namespace {
 
 constexpr uint32_t kSettledRoute = std::numeric_limits<uint32_t>::max();
-
-/// Deterministic fallback coefficients, used when calibration is disabled
-/// (or impossible: no spatial vertices). The absolute values only matter
-/// relative to each other; they encode the methods' asymptotic shapes —
-/// SpaReach scales with the points in the region, SocReach with |D(v)|,
-/// 3DReach with |L(v)| (each label is an R-tree descent), 3DReach-REV is
-/// one plane probe regardless.
-PlannedMethod::CostModel DefaultCostModel(MethodKind kind) {
-  switch (kind) {
-    case MethodKind::kSpaReachBfl:
-      return {350.0, 6.0};
-    case MethodKind::kSpaReachInt:
-      return {350.0, 4.0};
-    case MethodKind::kSpaReachPll:
-      return {350.0, 5.0};
-    case MethodKind::kSpaReachFeline:
-      return {350.0, 5.0};
-    case MethodKind::kGeoReach:
-      return {700.0, 3.0};
-    case MethodKind::kSocReach:
-      return {250.0, 2.5};
-    case MethodKind::kThreeDReach:
-      return {450.0, 220.0};
-    case MethodKind::kThreeDReachRev:
-      return {900.0, 0.0};
-    default:
-      return {1e12, 1e12};
-  }
-}
 
 }  // namespace
 
@@ -68,14 +37,12 @@ PlannedMethod::PlannedMethod(const CondensedNetwork* cn,
                              const MethodConfig& config)
     : cn_(cn), options_(config.planner) {
   GSR_CHECK(!options_.portfolio.empty());
-  members_.reserve(options_.portfolio.size());
-  member_kinds_.reserve(options_.portfolio.size());
   for (const MethodKind kind : options_.portfolio) {
     GSR_CHECK(kind != MethodKind::kPlanner && kind != MethodKind::kNaiveBfs);
     MethodConfig member_config = config;
     member_config.kind = kind;
     members_.push_back(CreateMethod(cn, member_config));
-    member_kinds_.push_back(kind);
+    cost_models_.push_back(MethodKindRowOf(kind).default_cost);
   }
 
   const GeoSocialNetwork& network = cn->network();
@@ -90,11 +57,6 @@ PlannedMethod::PlannedMethod(const CondensedNetwork* cn,
   obs_options.num_intervals = options_.observation_intervals;
   obs_options.num_supportive = options_.observation_supportive;
   observations_ = BuildNetworkObservations(*cn, obs_options);
-
-  cost_models_.reserve(members_.size());
-  for (const MethodKind kind : member_kinds_) {
-    cost_models_.push_back(DefaultCostModel(kind));
-  }
   FinishSetup();
   Calibrate();
 }
@@ -102,12 +64,11 @@ PlannedMethod::PlannedMethod(const CondensedNetwork* cn,
 PlannedMethod::PlannedMethod(
     const CondensedNetwork* cn, const PlannerOptions& options,
     std::vector<std::unique_ptr<RangeReachMethod>> members,
-    std::vector<MethodKind> member_kinds, Observations observations,
-    GridHistogram histogram, std::vector<CostModel> cost_models)
+    Observations observations, GridHistogram histogram,
+    std::vector<CostModel> cost_models)
     : cn_(cn),
       options_(options),
       members_(std::move(members)),
-      member_kinds_(std::move(member_kinds)),
       observations_(std::move(observations)),
       histogram_(std::move(histogram)),
       cost_models_(std::move(cost_models)) {
@@ -115,69 +76,52 @@ PlannedMethod::PlannedMethod(
 }
 
 void PlannedMethod::FinishSetup() {
-  // Whole-query settles run in the planner only; the spatial-first
-  // members take the observations as their per-candidate probe filter.
-  for (size_t m = 0; m < members_.size(); ++m) {
-    switch (member_kinds_[m]) {
-      case MethodKind::kSpaReachBfl:
-      case MethodKind::kSpaReachInt:
-      case MethodKind::kSpaReachPll:
-      case MethodKind::kSpaReachFeline:
-        static_cast<SpaReachBase&>(*members_[m])
-            .AttachObservations(&observations_);
-        break;
-      default:
-        break;
-    }
-  }
   // Routing features, recomputed deterministically from the members'
-  // labelings (so snapshots need not persist them). Each interval label
-  // [l,h] covers h-l+1 descendant post numbers, hence the sums below.
+  // labelings (so snapshots need not persist them). An interval label
+  // [l,h] covers h-l+1 descendant post numbers.
   const uint32_t n = cn_->num_components();
   for (size_t m = 0; m < members_.size(); ++m) {
-    if (member_kinds_[m] == MethodKind::kSocReach && desc_count_.empty()) {
-      const IntervalLabeling& labeling =
-          static_cast<const SocReach&>(*members_[m]).labeling();
-      desc_count_.resize(n);
-      for (uint32_t c = 0; c < n; ++c) {
-        uint64_t sum = 0;
-        for (const Interval& iv : labeling.flat_store().Intervals(c)) {
-          sum += iv.hi - iv.lo + 1;
-        }
-        desc_count_[c] = static_cast<uint32_t>(
-            std::min<uint64_t>(sum, std::numeric_limits<uint32_t>::max()));
-      }
+    // Whole-query settles run in the planner only; the spatial-first
+    // members take the observations as their per-candidate probe filter.
+    members_[m]->AttachObservations(&observations_);
+    features_.push_back(MethodKindRowOf(options_.portfolio[m]).feature);
+    const bool descendants = features_[m] == RoutingFeature::kDescendants;
+    std::vector<uint32_t>& counts = descendants ? desc_count_ : label_count_;
+    if ((!descendants && features_[m] != RoutingFeature::kLabels) ||
+        !counts.empty()) {
+      continue;
     }
-    if (member_kinds_[m] == MethodKind::kThreeDReach && label_count_.empty()) {
-      const IntervalLabeling& labeling =
-          static_cast<const ThreeDReach&>(*members_[m]).labeling();
-      label_count_.resize(n);
-      for (uint32_t c = 0; c < n; ++c) {
-        label_count_[c] =
-            static_cast<uint32_t>(labeling.flat_store().Intervals(c).size());
-      }
+    const IntervalLabeling* labeling = members_[m]->interval_labeling();
+    GSR_CHECK(labeling != nullptr);
+    counts.resize(n);
+    for (uint32_t c = 0; c < n; ++c) {
+      const LabelView labels = labeling->Labels(c);
+      counts[c] = static_cast<uint32_t>(std::min<uint64_t>(
+          descendants ? labels.CoveredValues() : labels.size(),
+          std::numeric_limits<uint32_t>::max()));
     }
   }
 }
 
 double PlannedMethod::Feature(size_t m, ComponentId source, const Rect& region,
                               double& spatial_estimate) const {
-  switch (member_kinds_[m]) {
-    case MethodKind::kSocReach:
-      return static_cast<double>(desc_count_[source]);
-    case MethodKind::kThreeDReach:
-      return static_cast<double>(label_count_[source]);
-    case MethodKind::kThreeDReachRev:
-      return 1.0;
-    default:
-      // Spatial-first methods (SpaReach*, GeoReach): candidates scale
-      // with the points inside the region. BlockCount is the O(1)
-      // four-lookup upper bound — cheap enough to pay on every query.
+  switch (features_[m]) {
+    case RoutingFeature::kRegionBlocks:
+      // Candidates scale with the points inside the region. BlockCount is
+      // the O(1) four-lookup upper bound — cheap enough to pay on every
+      // query.
       if (spatial_estimate < 0.0) {
         spatial_estimate = static_cast<double>(histogram_.BlockCount(region));
       }
       return spatial_estimate;
+    case RoutingFeature::kDescendants:
+      return static_cast<double>(desc_count_[source]);
+    case RoutingFeature::kLabels:
+      return static_cast<double>(label_count_[source]);
+    case RoutingFeature::kConstant:
+      break;
   }
+  return 1.0;  // One probe, whatever the query.
 }
 
 size_t PlannedMethod::Route(ComponentId source, const Rect& region,
@@ -203,29 +147,14 @@ size_t PlannedMethod::RouteAny(std::span<const VertexId> sources,
   double best_cost = std::numeric_limits<double>::infinity();
   for (size_t m = 0; m < members_.size(); ++m) {
     double f = 0.0;
-    switch (member_kinds_[m]) {
-      case MethodKind::kSocReach:
-        for (const VertexId v : sources) {
-          f += static_cast<double>(desc_count_[cn_->ComponentOf(v)]);
-        }
-        break;
-      case MethodKind::kThreeDReach:
-        for (const VertexId v : sources) {
-          f += static_cast<double>(label_count_[cn_->ComponentOf(v)]);
-        }
-        break;
-      case MethodKind::kThreeDReachRev:
-        f = static_cast<double>(sources.size());
-        break;
-      default:
-        // The spatial-first AnyReach overrides share one candidate scan
-        // across sources, so the region estimate is paid once.
-        if (spatial_estimate < 0.0) {
-          spatial_estimate =
-              static_cast<double>(histogram_.BlockCount(region));
-        }
-        f = spatial_estimate;
-        break;
+    if (features_[m] == RoutingFeature::kRegionBlocks) {
+      // The spatial-first AnyReach overrides share one candidate scan
+      // across sources, so the region estimate is paid once.
+      f = Feature(m, 0, region, spatial_estimate);
+    } else {
+      for (const VertexId v : sources) {
+        f += Feature(m, cn_->ComponentOf(v), region, spatial_estimate);
+      }
     }
     const double cost =
         cost_models_[m].base_ns + cost_models_[m].per_unit_ns * f;
@@ -361,7 +290,7 @@ bool PlannedMethod::Evaluate(VertexId vertex, const Rect& region,
       break;
   }
   const size_t m = Route(source, region, static_cast<double>(block));
-  ++s.counters.routed[static_cast<size_t>(member_kinds_[m])];
+  ++s.counters.routed[static_cast<size_t>(options_.portfolio[m])];
   return members_[m]->Evaluate(vertex, region, *s.member_scratch[m]);
 }
 
@@ -397,7 +326,7 @@ void PlannedMethod::EvaluateGroup(VertexId vertex,
     }
     const size_t m = Route(source, regions[k], static_cast<double>(block));
     s.route_of[k] = static_cast<uint32_t>(m);
-    ++s.counters.routed[static_cast<size_t>(member_kinds_[m])];
+    ++s.counters.routed[static_cast<size_t>(options_.portfolio[m])];
     any_routed = true;
   }
   if (!any_routed) return;
@@ -440,7 +369,7 @@ void PlannedMethod::CollectInto(VertexId vertex, const Rect& region,
     return;
   }
   const size_t m = Route(source, region, static_cast<double>(block));
-  ++s.counters.routed[static_cast<size_t>(member_kinds_[m])];
+  ++s.counters.routed[static_cast<size_t>(options_.portfolio[m])];
   members_[m]->CollectInto(vertex, region, sink, *s.member_scratch[m]);
 }
 
@@ -468,7 +397,7 @@ void PlannedMethod::CollectGroupInto(VertexId vertex,
     }
     const size_t m = Route(source, regions[k], static_cast<double>(block));
     s.route_of[k] = static_cast<uint32_t>(m);
-    ++s.counters.routed[static_cast<size_t>(member_kinds_[m])];
+    ++s.counters.routed[static_cast<size_t>(options_.portfolio[m])];
     if (s.route_of[k] != s.route_of[0]) uniform = false;
   }
   // Fast path: the whole group routed to one member — forward the spans
@@ -519,7 +448,7 @@ bool PlannedMethod::EvaluateAny(std::span<const VertexId> sources,
   }
   const size_t m = RouteAny(s.pending_sources, region,
                             static_cast<double>(block));
-  ++s.counters.routed[static_cast<size_t>(member_kinds_[m])];
+  ++s.counters.routed[static_cast<size_t>(options_.portfolio[m])];
   return members_[m]->EvaluateAny(s.pending_sources, region,
                                   *s.member_scratch[m]);
 }

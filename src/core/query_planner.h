@@ -21,7 +21,7 @@ namespace gsr {
 Observations BuildNetworkObservations(const CondensedNetwork& cn,
                                       const Observations::Options& options);
 
-/// The cost-based query planner (ROADMAP item 4): a RangeReachMethod that
+/// The cost-based query planner: a RangeReachMethod that
 /// owns several fixed methods — the *portfolio* — and answers each query
 /// through a two-stage fast path.
 ///
@@ -37,14 +37,13 @@ Observations BuildNetworkObservations(const CondensedNetwork& cn,
 /// TestReach already proves.
 ///
 /// Stage 2, cost-based routing: each member's per-query cost is estimated
-/// as base_ns + per_unit_ns * feature, where the feature is the method's
-/// dominating cost driver — the histogram's O(1) block-sum point count
-/// over the region for the spatial-first methods (SpaReach*, GeoReach),
-/// the
-/// descendant-set size |D(v)| for SocReach, the label count |L(v)| for
-/// 3DReach, and a constant single plane probe for 3DReach-REV. The
-/// coefficients are fitted at build time from a small timed calibration
-/// workload (PlannerOptions::calibration_samples; deterministic defaults
+/// as base_ns + per_unit_ns * feature, where the feature is the routing
+/// feature of the member's kind in the method table
+/// (MethodKindRow::feature in core/method_factory.h): the histogram's
+/// O(1) block-sum point count over the region, |D(v)| or |L(v)| from the
+/// member's interval labeling, or a constant. The coefficients are fitted
+/// at build time from a small timed calibration workload
+/// (PlannerOptions::calibration_samples; the kind's default cost line
 /// when disabled). The cheapest member answers the query.
 ///
 /// Both stages are proofs or pure routing, so answers are bit-identical
@@ -55,12 +54,8 @@ Observations BuildNetworkObservations(const CondensedNetwork& cn,
 /// snapshot layer like any fixed method.
 class PlannedMethod : public RangeReachMethod {
  public:
-  /// Fitted cost model of one portfolio member:
-  /// cost_ns(query) = base_ns + per_unit_ns * feature(query).
-  struct CostModel {
-    double base_ns = 0.0;
-    double per_unit_ns = 0.0;
-  };
+  /// Fitted cost model of one portfolio member.
+  using CostModel = MethodCostModel;
 
   /// Composite per-thread state: one scratch per member plus gather
   /// buffers for the grouped paths. The planner's own counters count
@@ -116,7 +111,7 @@ class PlannedMethod : public RangeReachMethod {
 
   size_t num_members() const { return members_.size(); }
   const RangeReachMethod& member(size_t i) const { return *members_[i]; }
-  MethodKind member_kind(size_t i) const { return member_kinds_[i]; }
+  MethodKind member_kind(size_t i) const { return options_.portfolio[i]; }
   const CostModel& cost_model(size_t i) const { return cost_models_[i]; }
 
   const GridHistogram& histogram() const { return histogram_; }
@@ -129,22 +124,24 @@ class PlannedMethod : public RangeReachMethod {
     return Route(cn_->ComponentOf(vertex), region);
   }
 
- private:
-  friend struct MethodSnapshotAccess;
+  Status SaveStructures(StructureOut& out) const override;
+  static Result<std::unique_ptr<RangeReachMethod>> Load(
+      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config);
 
-  /// From-parts constructor used by the snapshot loader: members,
-  /// observations, histogram and cost models come in deserialized; the
-  /// routing features are recomputed (deterministic from the members).
+ private:
+  /// From-parts constructor used by the snapshot loader: members (one per
+  /// options.portfolio entry), observations, histogram and cost models
+  /// come in deserialized; the routing features are recomputed
+  /// (deterministic from the members).
   PlannedMethod(const CondensedNetwork* cn, const PlannerOptions& options,
                 std::vector<std::unique_ptr<RangeReachMethod>> members,
-                std::vector<MethodKind> member_kinds,
                 Observations observations, GridHistogram histogram,
                 std::vector<CostModel> cost_models);
 
-  /// Attaches observations to the spatial-first members (their
-  /// per-candidate filter) and derives the per-component routing
-  /// features (descendant counts from a SocReach member's labeling,
-  /// label counts from a 3DReach member's) — shared by both
+  /// Offers the observations to every member (the spatial-first ones take
+  /// them as their per-candidate filter), resolves each member's routing
+  /// feature from its kind's row and derives the per-component counts
+  /// the features read from the members' labelings — shared by both
   /// constructors.
   void FinishSetup();
 
@@ -171,14 +168,14 @@ class PlannedMethod : public RangeReachMethod {
   const CondensedNetwork* cn_;
   PlannerOptions options_;
   std::vector<std::unique_ptr<RangeReachMethod>> members_;
-  std::vector<MethodKind> member_kinds_;
   Observations observations_;
   GridHistogram histogram_;
   std::vector<CostModel> cost_models_;
-  // Routing features, indexed by component; empty unless a member needs
-  // them (see FinishSetup).
-  std::vector<uint32_t> desc_count_;   // |D(c)|, for SocReach.
-  std::vector<uint32_t> label_count_;  // |L(c)|, for 3DReach.
+  std::vector<RoutingFeature> features_;  // Per member, from its row.
+  // Per-component feature values, indexed by component; empty unless a
+  // member routes on them (see FinishSetup).
+  std::vector<uint32_t> desc_count_;   // |D(c)|.
+  std::vector<uint32_t> label_count_;  // |L(c)|.
 };
 
 }  // namespace gsr

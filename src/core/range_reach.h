@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "core/result_sink.h"
 #include "geometry/geometry.h"
 #include "graph/digraph.h"
@@ -54,7 +55,12 @@ enum class MethodKind {
 inline constexpr size_t kMethodKindCount =
     static_cast<size_t>(MethodKind::kPlanner) + 1;
 
+class IntervalLabeling;
+class Observations;
 class QueryScratch;
+class StructureIn;
+class StructureOut;
+struct MethodConfig;
 
 /// Common interface of all RangeReach evaluation methods. Implementations
 /// build their (immutable) index structures in their constructor.
@@ -300,6 +306,19 @@ class RangeReachMethod {
   /// Matches what Table 4 reports per method (labeling schemes, R-trees,
   /// SPA-graph), excluding the shared network/condensation.
   virtual size_t IndexSizeBytes() const = 0;
+
+  /// Writes the index structures, one out.Next(section id) each, in the
+  /// order the class's static Load (its kind's row in the method table)
+  /// reads them back; both live in core/method_snapshot.cc, next to the
+  /// file format. The default refuses: an index-free method has none.
+  virtual Status SaveStructures(StructureOut& out) const;
+
+  /// The method's interval labeling (reversed for 3DReach-REV), or null.
+  virtual const IntervalLabeling* interval_labeling() const { return nullptr; }
+
+  /// Offers a planner's observations as a per-candidate filter; only the
+  /// spatial-first methods take them (SpaReachBase::AttachObservations).
+  virtual void AttachObservations(const Observations* /*observations*/) {}
 
  private:
   /// True when `scratch` is the method-owned default scratch — the drain

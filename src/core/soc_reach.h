@@ -155,11 +155,15 @@ class SocReach : public RangeReachMethod {
 
   size_t IndexSizeBytes() const override { return labeling_.SizeBytes(); }
 
-  const IntervalLabeling& labeling() const { return labeling_; }
+  const IntervalLabeling* interval_labeling() const override {
+    return &labeling_;
+  }
+
+  Status SaveStructures(StructureOut& out) const override;
+  static Result<std::unique_ptr<RangeReachMethod>> Load(
+      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config);
 
  private:
-  friend struct MethodSnapshotAccess;
-
   /// From-parts constructor used by the snapshot loader.
   SocReach(const CondensedNetwork* cn, IntervalLabeling labeling)
       : cn_(cn), labeling_(std::move(labeling)) {}

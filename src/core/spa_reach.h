@@ -255,13 +255,11 @@ class SpaReachBase : public RangeReachMethod {
   /// method's condensation and outlive it. Filter verdicts are proofs, so
   /// answers are identical with or without it. Not thread-safe against
   /// concurrent queries — attach before querying.
-  void AttachObservations(const Observations* observations) {
+  void AttachObservations(const Observations* observations) override {
     observations_ = observations;
   }
 
  protected:
-  friend struct MethodSnapshotAccess;
-
   SpaReachBase(const CondensedNetwork* cn, SccSpatialMode mode,
                std::string base_name, exec::ThreadPool* pool = nullptr)
       : cn_(cn),
@@ -330,7 +328,9 @@ class SpaReachBfl : public SpaReachBase {
     return spatial_index_.SizeBytes() + bfl_.SizeBytes();
   }
 
-  const BflIndex& bfl() const { return bfl_; }
+  Status SaveStructures(StructureOut& out) const override;
+  static Result<std::unique_ptr<RangeReachMethod>> Load(
+      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config);
 
  protected:
   bool CanReachComponent(ComponentId from, ComponentId to,
@@ -339,8 +339,6 @@ class SpaReachBfl : public SpaReachBase {
   }
 
  private:
-  friend struct MethodSnapshotAccess;
-
   SpaReachBfl(const CondensedNetwork* cn, CondensedSpatialIndex index,
               BflIndex bfl)
       : SpaReachBase(cn, std::move(index), "SpaReach-BFL"),
@@ -368,7 +366,13 @@ class SpaReachInt : public SpaReachBase {
     return spatial_index_.SizeBytes() + labeling_.SizeBytes();
   }
 
-  const IntervalLabeling& labeling() const { return labeling_; }
+  const IntervalLabeling* interval_labeling() const override {
+    return &labeling_;
+  }
+
+  Status SaveStructures(StructureOut& out) const override;
+  static Result<std::unique_ptr<RangeReachMethod>> Load(
+      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config);
 
  protected:
   bool CanReachComponent(ComponentId from, ComponentId to,
@@ -506,11 +510,7 @@ class SpaReachInt : public SpaReachBase {
     }
   }
 
- protected:
-
  private:
-  friend struct MethodSnapshotAccess;
-
   SpaReachInt(const CondensedNetwork* cn, CondensedSpatialIndex index,
               IntervalLabeling labeling)
       : SpaReachBase(cn, std::move(index), "SpaReach-INT"),
@@ -536,7 +536,9 @@ class SpaReachPll : public SpaReachBase {
     return spatial_index_.SizeBytes() + pll_.SizeBytes();
   }
 
-  const PllIndex& pll() const { return pll_; }
+  Status SaveStructures(StructureOut& out) const override;
+  static Result<std::unique_ptr<RangeReachMethod>> Load(
+      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config);
 
  protected:
   bool CanReachComponent(ComponentId from, ComponentId to,
@@ -545,8 +547,6 @@ class SpaReachPll : public SpaReachBase {
   }
 
  private:
-  friend struct MethodSnapshotAccess;
-
   SpaReachPll(const CondensedNetwork* cn, CondensedSpatialIndex index,
               PllIndex pll)
       : SpaReachBase(cn, std::move(index), "SpaReach-PLL"),
@@ -580,7 +580,9 @@ class SpaReachFeline : public SpaReachBase {
     return spatial_index_.SizeBytes() + feline_.SizeBytes();
   }
 
-  const FelineIndex& feline() const { return feline_; }
+  Status SaveStructures(StructureOut& out) const override;
+  static Result<std::unique_ptr<RangeReachMethod>> Load(
+      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config);
 
  protected:
   bool CanReachComponent(ComponentId from, ComponentId to,
@@ -589,8 +591,6 @@ class SpaReachFeline : public SpaReachBase {
   }
 
  private:
-  friend struct MethodSnapshotAccess;
-
   SpaReachFeline(const CondensedNetwork* cn, CondensedSpatialIndex index,
                  FelineIndex feline)
       : SpaReachBase(cn, std::move(index), "SpaReach-Feline"),

@@ -96,11 +96,15 @@ class ThreeDReach : public RangeReachMethod {
     return labeling_.SizeBytes() + RtreeSizeBytes();
   }
 
-  const IntervalLabeling& labeling() const { return labeling_; }
+  const IntervalLabeling* interval_labeling() const override {
+    return &labeling_;
+  }
+
+  Status SaveStructures(StructureOut& out) const override;
+  static Result<std::unique_ptr<RangeReachMethod>> Load(
+      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config);
 
  private:
-  friend struct MethodSnapshotAccess;
-
   /// From-parts constructor used by the snapshot loader: no building, the
   /// index structures come in already deserialized.
   ThreeDReach(const CondensedNetwork* cn, const Options& options,
@@ -217,11 +221,15 @@ class ThreeDReachRev : public RangeReachMethod {
   }
 
   /// The reversed labeling (post numbers refer to the reversed forest).
-  const IntervalLabeling& labeling() const { return labeling_; }
+  const IntervalLabeling* interval_labeling() const override {
+    return &labeling_;
+  }
+
+  Status SaveStructures(StructureOut& out) const override;
+  static Result<std::unique_ptr<RangeReachMethod>> Load(
+      StructureIn& in, const CondensedNetwork* cn, const MethodConfig& config);
 
  private:
-  friend struct MethodSnapshotAccess;
-
   /// From-parts constructor used by the snapshot loader.
   ThreeDReachRev(const CondensedNetwork* cn, const Options& options,
                  IntervalLabeling labeling, FrozenRTree3D rtree)

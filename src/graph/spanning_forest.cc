@@ -234,6 +234,18 @@ Result<SpanningForest> DeserializeSpanningForest(BinaryReader& r) {
       forest.roots.size() > n) {
     return Status::InvalidArgument("spanning forest arrays disagree on size");
   }
+  // post and vertex_of_post must be inverse permutations of 1..n, and
+  // every parent, subtree start and root in range: queries index arrays
+  // with all of them.
+  for (uint32_t v = 0; v < n; ++v) {
+    const uint32_t post = forest.post[v];
+    if (post == 0 || post > n || forest.vertex_of_post[post] != v ||
+        (forest.parent[v] != kInvalidVertex && forest.parent[v] >= n) ||
+        forest.min_post_subtree[v] == 0 || forest.min_post_subtree[v] > post ||
+        (v < forest.roots.size() && forest.roots[v] >= n)) {
+      return Status::InvalidArgument("spanning forest arrays out of range");
+    }
+  }
   return forest;
 }
 

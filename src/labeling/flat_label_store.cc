@@ -86,10 +86,13 @@ Result<FlatLabelStore> FlatLabelStore::Deserialize(BinaryReader& r,
           "flat label store: offsets table is not monotonic");
     }
   }
-  // Each vertex's label must be normalized (sorted, disjoint, lo <= hi):
-  // the containment kernels assume it, and a method that counts hits per
-  // label interval would otherwise count a vertex once per overlap. In
-  // paged mode this reads the transient section buffer once, here.
+  // Each vertex's label must be normalized (sorted, disjoint, lo <= hi)
+  // and cover post numbers 1..n only: the containment kernels assume the
+  // former, a method that counts hits per label interval would otherwise
+  // count a vertex once per overlap, and descendant scans index the
+  // post -> vertex array with every covered value. In paged mode this
+  // reads the transient section buffer once, here.
+  const uint32_t n = store.num_vertices();
   for (size_t v = 0; v + 1 < store.offsets_.size(); ++v) {
     for (uint32_t i = store.offsets_[v]; i < store.offsets_[v + 1]; ++i) {
       const Interval& interval = store.intervals_[i];
@@ -97,6 +100,10 @@ Result<FlatLabelStore> FlatLabelStore::Deserialize(BinaryReader& r,
           (i > store.offsets_[v] && store.intervals_[i - 1].hi >= interval.lo)) {
         return Status::InvalidArgument(
             "flat label store: a label is not sorted and disjoint");
+      }
+      if (interval.lo == 0 || interval.hi > n) {
+        return Status::InvalidArgument(
+            "flat label store: a label lies outside the post numbers 1..n");
       }
     }
   }

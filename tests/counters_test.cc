@@ -77,7 +77,7 @@ TEST(CountersTest, ThreeDReachIssuesOneQueryPerLabel) {
   const ThreeDReach method(&cn);
   method.ResetCounters();
   const ComponentId source = cn.ComponentOf(0);
-  const size_t labels = method.labeling().Labels(source).size();
+  const size_t labels = method.interval_labeling()->Labels(source).size();
   // Negative answer: every label's cuboid is issued.
   EXPECT_FALSE(method.Evaluate(0, Rect(100, 100, 101, 101)));
   EXPECT_EQ(method.counters().range_queries, labels);

@@ -92,10 +92,11 @@ TEST(FlatLabelStoreTest, SizeBytesCoversBothArrays) {
 }
 
 TEST(FlatLabelStoreTest, LabelThatIsNotSortedAndDisjointIsRejected) {
-  // A label repeating an interval, holding a reversed one, or out of
-  // order must fail the load, owned or borrowed, and the untouched bytes
-  // must load.
-  const std::vector<LabelSet> sets = RandomSets(100, 5);
+  // A label repeating an interval, holding a reversed one, out of order,
+  // or covering a value outside the post numbers 1..n must fail the load,
+  // owned or borrowed, and the untouched bytes must load. With n = 600
+  // every random label lies inside 1..n.
+  const std::vector<LabelSet> sets = RandomSets(600, 5);
   const FlatLabelStore store = FlatLabelStore::Freeze(sets);
   size_t first = 0;  // Index of the first interval of a two-interval label.
   VertexId v = 0;
@@ -117,6 +118,8 @@ TEST(FlatLabelStoreTest, LabelThatIsNotSortedAndDisjointIsRejected) {
       {"repeated", {a, a}},
       {"reversed", {a, Interval{b.hi + 1, b.hi}}},
       {"out of order", {b, a}},
+      {"zero", {Interval{0, a.hi}, b}},
+      {"past n", {a, Interval{b.lo, store.num_vertices() + 1}}},
       {"untouched", {a, b}}};
   for (const auto& [what, pair] : forgeries) {
     const auto buffer = std::make_shared<std::vector<std::byte>>(bytes);

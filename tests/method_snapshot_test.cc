@@ -26,20 +26,21 @@
 #include "snapshot/format.h"
 #include "snapshot/page_cache.h"
 #include "spatial/frozen_rtree.h"
+#include "tests/snapshot_test_util.h"
 #include "tests/test_util.h"
 
 namespace gsr {
 namespace {
 
+using testing::AllSections;
+using testing::GoldenConfigs;
+using testing::SectionPayload;
+using testing::TempPath;
+using testing::WriteSections;
+
 /// Save/load round trips for every snapshot-able method. The loaded
 /// instance must answer every query exactly like the built one — in
 /// zero-copy mmap mode and in explicitly-cached paged mode.
-
-std::string TempPath(const std::string& name) {
-  std::string dir = ::testing::TempDir();
-  if (!dir.empty() && dir.back() != '/') dir += '/';
-  return dir + name;
-}
 
 std::vector<MethodConfig> SnapshotableConfigs() {
   std::vector<MethodConfig> configs;
@@ -341,37 +342,6 @@ TEST(MethodSnapshotTest, PagedConcurrentDescentsCrossThePrefixBoundary) {
   EXPECT_GT(stats.misses, 0u);
 }
 
-/// Every snapshot-able kind in both SCC modes, then a planner over all
-/// eight kinds in each mode (no calibration, so its cost models are the
-/// deterministic defaults).
-std::vector<MethodConfig> GoldenConfigs() {
-  std::vector<MethodConfig> configs;
-  const std::vector<MethodKind> kinds = {
-      MethodKind::kSpaReachBfl,    MethodKind::kSpaReachInt,
-      MethodKind::kSpaReachPll,    MethodKind::kSpaReachFeline,
-      MethodKind::kGeoReach,       MethodKind::kSocReach,
-      MethodKind::kThreeDReach,    MethodKind::kThreeDReachRev};
-  for (const SccSpatialMode mode :
-       {SccSpatialMode::kReplicate, SccSpatialMode::kMbr}) {
-    for (const MethodKind kind : kinds) {
-      MethodConfig config;
-      config.kind = kind;
-      config.scc_mode = mode;
-      configs.push_back(config);
-    }
-  }
-  for (const SccSpatialMode mode :
-       {SccSpatialMode::kReplicate, SccSpatialMode::kMbr}) {
-    MethodConfig config;
-    config.kind = MethodKind::kPlanner;
-    config.scc_mode = mode;
-    config.planner.portfolio = kinds;
-    config.planner.calibration_samples = 0;
-    configs.push_back(config);
-  }
-  return configs;
-}
-
 uint64_t FileDigest(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   const std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -408,32 +378,6 @@ TEST(MethodSnapshotTest, GoldenSnapshotBytes) {
         << "config " << i << ": " << built->name() << " scc_mode "
         << static_cast<int>(configs[i].scc_mode);
   }
-}
-
-/// Raw payload of section `id` of the snapshot file at `path`.
-std::vector<std::byte> SectionPayload(const std::string& path,
-                                      snapshot::SectionId id) {
-  auto reader = snapshot::SnapshotReader::Open(path);
-  GSR_CHECK(reader.ok());
-  auto section = reader->Section(id);
-  GSR_CHECK(section.ok());
-  std::vector<std::byte> bytes(section->remaining());
-  for (std::byte& b : bytes) GSR_CHECK(section->ReadPod(&b).ok());
-  return bytes;
-}
-
-/// Writes a well-formed snapshot file (valid header, table and checksums)
-/// holding exactly `sections`, so the method loader, not the container,
-/// is what meets the damage.
-void WriteSections(
-    const std::string& path,
-    const std::vector<std::pair<snapshot::SectionId, std::vector<std::byte>>>&
-        sections) {
-  snapshot::SnapshotWriter writer;
-  for (const auto& [id, bytes] : sections) {
-    writer.BeginSection(id).WriteBytes(bytes.data(), bytes.size());
-  }
-  GSR_CHECK(writer.WriteFile(path).ok());
 }
 
 constexpr snapshot::LoadMode kAllLoadModes[] = {snapshot::LoadMode::kMmap,
@@ -495,21 +439,6 @@ TEST(MethodSnapshotTest, TruncatedPlannerStreamFails) {
           << static_cast<int>(mode);
     }
   }
-}
-
-/// Every section of the snapshot file at `path`, as (id, payload).
-std::vector<std::pair<snapshot::SectionId, std::vector<std::byte>>>
-AllSections(const std::string& path) {
-  auto reader = snapshot::SnapshotReader::Open(path);
-  GSR_CHECK(reader.ok());
-  std::vector<std::pair<snapshot::SectionId, std::vector<std::byte>>> out;
-  for (uint32_t id = 1; id <= 9; ++id) {
-    const auto section = static_cast<snapshot::SectionId>(id);
-    if (reader->HasSection(section)) {
-      out.emplace_back(section, SectionPayload(path, section));
-    }
-  }
-  return out;
 }
 
 /// The leaf ids of the tree that ends `payload` (a kRTree or

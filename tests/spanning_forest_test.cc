@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <functional>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/traversal.h"
 #include "tests/test_util.h"
@@ -208,6 +213,42 @@ TEST(SpanningForestTest, MaxDepthChain) {
 TEST(ForestStrategyTest, Names) {
   EXPECT_STREQ(ForestStrategyName(ForestStrategy::kDfs), "dfs");
   EXPECT_STREQ(ForestStrategyName(ForestStrategy::kBfs), "bfs");
+}
+
+TEST(SpanningForestTest, DeserializeRejectsOutOfRangeArrays) {
+  // A forest loads only when post and vertex_of_post are inverse
+  // permutations of 1..n and every parent, subtree start and root is in
+  // range; each forgery below breaks one of these, the control none.
+  const DiGraph g = testing::RandomDag(50, 2.0, 7);
+  const SpanningForest built = BuildSpanningForest(g);
+  const auto load = [](const SpanningForest& forest) {
+    BinaryWriter w;
+    SerializeSpanningForest(forest, w);
+    const std::vector<std::byte> bytes = w.TakeBytes();
+    BinaryReader r(bytes);
+    return DeserializeSpanningForest(r).ok();
+  };
+  EXPECT_TRUE(load(built));
+  const uint32_t n = static_cast<uint32_t>(built.post.size());
+  const std::vector<std::pair<std::string,
+                              std::function<void(SpanningForest&)>>>
+      forgeries = {
+          {"post past n", [n](SpanningForest& f) { f.post[3] = n + 1; }},
+          {"post zero", [](SpanningForest& f) { f.post[3] = 0; }},
+          {"posts not inverse",
+           [](SpanningForest& f) { std::swap(f.post[3], f.post[4]); }},
+          {"vertex_of_post past n",
+           [n](SpanningForest& f) { f.vertex_of_post[1] = n + 9; }},
+          {"parent past n", [n](SpanningForest& f) { f.parent[3] = n; }},
+          {"subtree past post",
+           [](SpanningForest& f) { f.min_post_subtree[3] = f.post[3] + 1; }},
+          {"root past n", [n](SpanningForest& f) { f.roots[0] = n; }},
+      };
+  for (const auto& [what, forge] : forgeries) {
+    SpanningForest forest = built;
+    forge(forest);
+    EXPECT_FALSE(load(forest)) << what;
+  }
 }
 
 TEST(SpanningForestTest, RootsCoverZeroInDegreeVertices) {

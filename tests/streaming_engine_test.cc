@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -260,6 +262,48 @@ TEST(StreamingRangeReachTest, RunSharedOnPinnedViewsMatchesRunAndOracle) {
   const auto drained = engine.Pin();
   ASSERT_EQ(drained->view().delta.size(), 0u);
   check(*drained);
+}
+
+TEST(StreamingRangeReachTest, FailedSpillKeepsTheBuiltBase) {
+  // The spill directory's parent is a regular file, so saving the rebuilt
+  // base fails: the engine must install the directly built base, count
+  // the failure and keep answering exactly.
+  const std::string file = ::testing::TempDir() + "/spill_parent_is_a_file";
+  std::ofstream(file) << "not a directory";
+  const GeoSocialNetwork initial =
+      testing::RandomGeoSocialNetwork(60, 1.5, 0.4, 11);
+  StreamingOptions options;
+  options.rebuild_threshold = 0;  // The Flush below is the only rebuild.
+  options.spill_dir = file + "/spill";
+  StreamingRangeReach engine(
+      testing::RandomGeoSocialNetwork(60, 1.5, 0.4, 11), /*pool=*/nullptr,
+      options);
+  ASSERT_TRUE(engine
+                  .ApplyAll(GenerateUpdateStream(
+                      initial, UpdateStreamSpec{.count = 80}, 12))
+                  .ok());
+  engine.Flush();
+
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.rebuilds_completed, 1u);
+  EXPECT_EQ(stats.rebuild_failures, 1u);
+  EXPECT_EQ(stats.snapshot_swaps, 0u);
+  EXPECT_FALSE(engine.last_rebuild_error().ok());
+
+  const auto view = engine.Pin();
+  auto materialized = engine.MaterializeView(*view);
+  ASSERT_TRUE(materialized.ok());
+  const NaiveBfsMethod oracle(&*materialized);
+  auto scratch = view->NewScratch();
+  Rng rng(13);
+  for (int q = 0; q < 50; ++q) {
+    const VertexId v =
+        static_cast<VertexId>(rng.NextBounded(view->num_vertices()));
+    const Rect region = RandomRegion(rng);
+    ASSERT_EQ(view->Evaluate(v, region, *scratch), oracle.Evaluate(v, region))
+        << "vertex " << v;
+  }
+  std::remove(file.c_str());
 }
 
 /// The read-while-update gate: reader threads pin epochs and query while

@@ -38,7 +38,7 @@ TEST(ThreeDReachTest, OneCuboidPerLabel) {
   ASSERT_TRUE(network.ok());
   const CondensedNetwork cn(&*network);
   const ThreeDReach method(&cn);
-  EXPECT_EQ(method.labeling().Labels(cn.ComponentOf(0)).size(), 1u);
+  EXPECT_EQ(method.interval_labeling()->Labels(cn.ComponentOf(0)).size(), 1u);
   EXPECT_TRUE(method.Evaluate(0, Rect(0, 0, 2, 2)));
   EXPECT_FALSE(method.Evaluate(2, Rect(5, 5, 6, 6)));
 }
@@ -52,9 +52,8 @@ TEST(ThreeDReachRevTest, SingleProbeRegardlessOfAnswer) {
   const ThreeDReachRev method(&cn);
   // In Figure 1, venue e is reachable from {a, b, e}; its reversed label
   // set covers exactly 3 posts.
-  EXPECT_EQ(
-      method.labeling().Labels(cn.ComponentOf(testing::kE)).CoveredValues(),
-      3u);
+  const IntervalLabeling& labeling = *method.interval_labeling();
+  EXPECT_EQ(labeling.Labels(cn.ComponentOf(testing::kE)).CoveredValues(), 3u);
 }
 
 TEST(ThreeDReachTest, RevIndexIsLargerThanForward) {
@@ -161,8 +160,9 @@ TEST(SocReachTest, DescendantsDriveCost) {
   ASSERT_TRUE(network.ok());
   const CondensedNetwork cn(&*network);
   const SocReach method(&cn);
-  EXPECT_EQ(method.labeling().Descendants(cn.ComponentOf(0)).size(), 4u);
-  EXPECT_EQ(method.labeling().Descendants(cn.ComponentOf(3)).size(), 1u);
+  const IntervalLabeling& labeling = *method.interval_labeling();
+  EXPECT_EQ(labeling.Descendants(cn.ComponentOf(0)).size(), 4u);
+  EXPECT_EQ(labeling.Descendants(cn.ComponentOf(3)).size(), 1u);
   EXPECT_TRUE(method.Evaluate(0, Rect(0, 0, 2, 2)));
   EXPECT_TRUE(method.Evaluate(3, Rect(0, 0, 2, 2)));  // Venue in region.
   EXPECT_FALSE(method.Evaluate(3, Rect(5, 5, 6, 6)));
